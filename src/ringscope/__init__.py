@@ -60,7 +60,6 @@ from .modules import (
     direct_sum,
     enumerate_modules,
     is_isomorphic_modules,
-    module_construct,
     quotient_module,
     radical_series,
     regular_module,

@@ -11,22 +11,14 @@ from __future__ import annotations
 import itertools
 
 from .errors import BoundExceededError
-from .hom import (
-    hom_group,
-    is_injective,
-    is_quasi,
-    is_relatively_injective,
-    is_relatively_projective,
-)
+from .hom import is_injective, is_quasi
 from .ideals import (
-    ideals_in_radical,
-    is_two_sided,
     jacobson_radical,
     minimal_right_ideals,
     right_ideals,
     two_sided_ideals,
 )
-from .lattice import are_isomorphic, build_lattice, structure_report
+from .lattice import are_isomorphic, build_lattice
 from .modules import (
     Submodule,
     cyclic_module,
@@ -34,12 +26,12 @@ from .modules import (
     direct_sum,
     enumerate_modules,
     is_isomorphic_modules,
+    minimal_submodules,
     module_times_ideal,
     regular_module,
     socle,
     socle_series,
     submodule_as_module,
-    submodules,
 )
 from .profile import (
     i_profile,
@@ -48,7 +40,6 @@ from .profile import (
     killed_by,
     p_profile,
     proj_fingerprint,
-    semisimple_cyclics,
 )
 from .ring import FiniteRing, quotient_ring, units
 from .torsion import all_linear_filters, eta_filter
@@ -108,10 +99,7 @@ def socle_homogeneous(m) -> bool:
         return True
     if socle(m).size() != m.order():
         return False
-    minimals = [s for s in submodules(m) if s.size() > 1
-                and not any(t.size() > 1 and t.size() < s.size()
-                            and s.contains_sub(t) for t in submodules(m))]
-    simples = [submodule_as_module(s)[0] for s in minimals]
+    simples = [submodule_as_module(s)[0] for s in minimal_submodules(m)]
     return all(is_isomorphic_modules(simples[0], s)[0] for s in simples[1:])
 
 

@@ -24,7 +24,6 @@ from .modules import (
     enumerate_modules,
     quotient_module,
     regular_module,
-    submodules,
 )
 from .profile import inj_fingerprint, profile, proj_fingerprint
 from .ring import FiniteRing, ring_from_spec
@@ -33,15 +32,34 @@ from .torsion import all_linear_filters, ideal_context
 
 # -- file formats --------------------------------------------------------------
 
+def _ints(x, depth: int) -> bool:
+    """x is an integer nested in depth levels of lists."""
+    if depth == 0:
+        return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, list) and all(_ints(v, depth - 1) for v in x)
+
+
+_SHAPES = ("an integer", "a list of integers", "a list of integer lists",
+           "an array of integer lists")
+
+# field -> how deep its integers sit in lists; None marks constructs
 _SPEC_KEYS = {
-    "zmod": ("n",),
-    "table": ("orders", "mul", "one"),
-    "path_algebra": ("p", "vertices", "arrows"),
-    "matrix": ("base", "size"),
-    "product": ("factors",),
-    "quotient": ("base", "ideal_gens"),
-    "opposite": ("base",),
+    "zmod": {"n": 0},
+    "table": {"orders": 1, "mul": 3, "one": 1},
+    "path_algebra": {"p": 0, "vertices": 0, "arrows": 2},
+    "matrix": {"base": None, "size": 0},
+    "product": {"factors": None},
+    "quotient": {"base": None, "ideal_gens": 2},
+    "opposite": {"base": None},
 }
+
+
+def _field(doc, key, depth: int, where: str, default=None):
+    """doc[key] (default when absent), checked to hold integers at depth."""
+    value = doc.get(key, default)
+    if not _ints(value, depth):
+        raise InputError(f"{where}.{key} must be {_SHAPES[depth]}")
+    return value
 
 
 def _construct_to_spec(obj, where: str):
@@ -51,13 +69,17 @@ def _construct_to_spec(obj, where: str):
     if kind not in _SPEC_KEYS:
         raise InputError(f"{where}: unknown constructor {kind!r}")
     spec = {"kind": kind}
-    for key in _SPEC_KEYS[kind]:
+    for key, depth in _SPEC_KEYS[kind].items():
         if key not in obj:
             raise InputError(f"{where}: constructor {kind!r} needs field {key!r}")
-        spec[key] = obj[key]
+        spec[key] = obj[key] if depth is None else _field(obj, key, depth, where)
+    if kind == "path_algebra" and any(len(a) != 2 for a in obj["arrows"]):
+        raise InputError(f"{where}.arrows must be [source, target] pairs")
     if kind == "matrix" or kind == "quotient" or kind == "opposite":
         spec["base"] = _construct_to_spec(obj["base"], where + ".base")
     if kind == "product":
+        if not isinstance(obj["factors"], list):
+            raise InputError(f"{where}.factors must be a list of constructs")
         spec["factors"] = [_construct_to_spec(f, f"{where}.factors[{t}]")
                            for t, f in enumerate(obj["factors"])]
     return spec
@@ -108,18 +130,19 @@ def parse_module_file(text: str, ring: FiniteRing):
     if kind == "regular":
         return regular_module(ring)
     if kind == "cyclic":
-        gens = doc.get("ideal_gens", [])
+        gens = _field(doc, "ideal_gens", 2, "cyclic", [])
         reg = regular_module(ring)
         ideal = Submodule(reg, [ring.reduce_el(g) for g in gens])
         if not ideal.is_action_stable():
             raise InputError("cyclic module: generators do not span a right ideal")
         return cyclic_module(ring, ideal)[0]
     if kind == "quotient_of_free":
-        rank = int(doc.get("rank", 1))
+        rank = _field(doc, "rank", 0, "quotient_of_free", 1)
         if rank < 1:
             raise InputError("quotient_of_free: rank must be >= 1")
         free = direct_sum([regular_module(ring)] * rank, label=f"R^{rank}")
-        rels = [free.reduce_el(r) for r in doc.get("relations", [])]
+        rels = [free.reduce_el(r)
+                for r in _field(doc, "relations", 2, "quotient_of_free", [])]
         sub = Submodule(free, rels)
         closed = sub
         while True:
@@ -131,11 +154,11 @@ def parse_module_file(text: str, ring: FiniteRing):
             closed = Submodule(free, list(closed.gens.rows) + extra)
         return quotient_module(free, closed)[0]
     if kind == "direct_sum":
-        parts = [parse_module_file(json.dumps(p), ring)
-                 for p in doc.get("summands", [])]
-        if not parts:
-            raise InputError("direct_sum: needs at least one summand")
-        return direct_sum(parts)
+        summands = doc.get("summands", [])
+        if not isinstance(summands, list) or not summands:
+            raise InputError("direct_sum: needs a list of summands")
+        return direct_sum([parse_module_file(json.dumps(p), ring)
+                           for p in summands])
     raise InputError(f"unknown module type {kind!r}")
 
 

@@ -11,12 +11,11 @@ from .errors import TheoremViolationError
 from .lattice import build_lattice
 from .modules import (
     Submodule,
+    extremal_submodules,
     full_submodule,
     regular_module,
     submodule_intersection,
-    submodule_sum,
     submodules,
-    zero_submodule,
 )
 from .ring import FiniteRing
 
@@ -44,13 +43,7 @@ def two_sided_ideals(ring: FiniteRing):
 
 
 def maximal_right_ideals(ring: FiniteRing):
-    """Maximal elements of the proper right ideals, read off the poset."""
-    reg = regular_module(ring)
-    whole = full_submodule(reg).size()
-    proper = [i for i in right_ideals(ring) if i.size() < whole]
-    return [i for i in proper
-            if not any(j.size() > i.size() and j.contains_sub(i)
-                       for j in proper)]
+    return extremal_submodules(regular_module(ring), maximal=True)
 
 
 def jacobson_radical(ring: FiniteRing) -> Submodule:
@@ -101,10 +94,7 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
 
 
 def minimal_right_ideals(ring: FiniteRing):
-    nonzero = [i for i in right_ideals(ring) if i.size() > 1]
-    return [i for i in nonzero
-            if not any(j.size() < i.size() and i.contains_sub(j)
-                       for j in nonzero)]
+    return extremal_submodules(regular_module(ring))
 
 
 def is_essential(ring: FiniteRing, ideal: Submodule) -> bool:

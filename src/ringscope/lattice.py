@@ -1,58 +1,82 @@
 """Finite lattices: construction, structure flags, isomorphism, products.
 
-Elements are kept as opaque labels; the order lives in a boolean numpy
-matrix.  Meets and joins are derived from the order and their existence
-is what makes the poset a lattice — failures are reported with the
-offending pair.
+Elements are kept as opaque labels; the order lives in Python-int
+bitsets, up[a] holding bit b exactly when a ≤ b.  Meets and joins are
+derived from the order and their existence is what makes the poset a
+lattice — failures are reported with the offending pair.
 """
 
 from __future__ import annotations
 
-import itertools
-
-import numpy as np
-
-from .errors import BoundExceededError, InputError, NotALatticeError
+from .errors import (BoundExceededError, InputError, NotALatticeError,
+                     TheoremViolationError)
 
 LATTICE_SIZE_GUARD = 64
 
 
-class FiniteLattice:
-    """Bounded lattice on elements 0..n-1 with explicit meet/join tables."""
+def _bits(mask: int):
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def __init__(self, labels, leq: np.ndarray, meet: np.ndarray,
-                 join: np.ndarray):
+
+class FiniteLattice:
+    """Bounded lattice on elements 0..n-1, given by its order.
+
+    up[a] is the bitset of the elements ≥ a and down[b] that of the
+    elements ≤ b.  The meet of i and j is the k whose down-set is exactly
+    their common lower bounds, the join likewise on up-sets; meet and join
+    are kept as lists of lists of indices.
+    """
+
+    def __init__(self, labels, up):
         self.labels = list(labels)
-        self.leq = np.asarray(leq, dtype=bool)
-        self.meet = np.asarray(meet, dtype=int)
-        self.join = np.asarray(join, dtype=int)
-        n = len(self.labels)
-        if self.leq.shape != (n, n):
-            raise InputError("order matrix shape mismatch")
-        bottoms = [i for i in range(n) if self.leq[i].all()]
-        tops = [i for i in range(n) if self.leq[:, i].all()]
-        self.bottom = bottoms[0]
-        self.top = tops[0]
+        self.up = list(up)
+        n = len(self.up)
+        self.down = [0] * n
+        for a, row in enumerate(self.up):
+            for b in _bits(row):
+                self.down[b] |= 1 << a
+        for i in range(n):
+            twins = self.up[i] & self.down[i] & ~(1 << i)
+            if twins:
+                j = next(_bits(twins))
+                raise InputError("order is not antisymmetric on "
+                                 f"{self.labels[i]!r}, {self.labels[j]!r}")
+        # antisymmetry makes the down-sets (and the up-sets) distinct
+        by_down = {d: k for k, d in enumerate(self.down)}
+        by_up = {u: k for k, u in enumerate(self.up)}
+        self.meet = [[0] * n for _ in range(n)]
+        self.join = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                pair = (self.labels[i], self.labels[j])
+                k = by_down.get(self.down[i] & self.down[j])
+                if k is None:
+                    raise NotALatticeError(f"no meet for {pair!r}", pair)
+                self.meet[i][j] = k
+                k = by_up.get(self.up[i] & self.up[j])
+                if k is None:
+                    raise NotALatticeError(f"no join for {pair!r}", pair)
+                self.join[i][j] = k
+        full = (1 << n) - 1
+        self.bottom = self.up.index(full)
+        self.top = self.down.index(full)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
+        return bool(self.up[a] >> b & 1)
 
     def covers(self) -> list:
-        """Covering pairs (a, b) with a < b and nothing strictly between."""
+        """Covering pairs (a, b): a < b and the interval [a, b] is {a, b}."""
         n = self.size
-        out = []
-        for a in range(n):
-            for b in range(n):
-                if a == b or not self.leq[a, b]:
-                    continue
-                if not any(c != a and c != b and self.leq[a, c] and self.leq[c, b]
-                           for c in range(n)):
-                    out.append((a, b))
-        return out
+        return [(a, b) for a in range(n) for b in range(n)
+                if a != b and self.up[a] & self.down[b] == 1 << a | 1 << b]
 
     def atoms(self) -> list:
         return [b for (a, b) in self.covers() if a == self.bottom]
@@ -63,26 +87,16 @@ class FiniteLattice:
     def height(self) -> int:
         """Length of a longest chain from bottom to top (number of steps)."""
         n = self.size
-        order = sorted(range(n), key=lambda i: int(self.leq[:, i].sum()))
         depth = [0] * n
-        for b in order:
-            for a in range(n):
-                if a != b and self.leq[a, b]:
-                    depth[b] = max(depth[b], depth[a] + 1)
+        # by down-set size: every element comes after those below it
+        for b in sorted(range(n), key=lambda i: self.down[i].bit_count()):
+            for a in _bits(self.down[b] & ~(1 << b)):
+                depth[b] = max(depth[b], depth[a] + 1)
         return depth[self.top]
 
     def is_chain(self) -> bool:
-        n = self.size
-        return all(self.leq[a, b] or self.leq[b, a]
-                   for a in range(n) for b in range(n))
-
-
-def _transitive_closure(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    out = mat.copy()
-    for k in range(n):
-        out |= np.outer(out[:, k], out[k, :])
-    return out
+        full = (1 << self.size) - 1
+        return all(u | d == full for u, d in zip(self.up, self.down))
 
 
 def build_lattice(elements, order_pairs=None, *, leq=None) -> FiniteLattice:
@@ -98,79 +112,64 @@ def build_lattice(elements, order_pairs=None, *, leq=None) -> FiniteLattice:
         raise InputError("a lattice needs at least one element")
     if n > LATTICE_SIZE_GUARD:
         raise BoundExceededError(f"lattice size {n} exceeds guard")
-    idx = {e: i for i, e in enumerate(elements)}
-    mat = np.eye(n, dtype=bool)
+    up = [1 << i for i in range(n)]
     if leq is not None:
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 if leq(a, b):
-                    mat[i, j] = True
+                    up[i] |= 1 << j
     else:
+        idx = {e: i for i, e in enumerate(elements)}
         for a, b in order_pairs or []:
-            mat[idx[a], idx[b]] = True
-        mat = _transitive_closure(mat)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat[i, j] and mat[j, i]:
-                raise InputError(
-                    f"order is not antisymmetric on {elements[i]!r}, {elements[j]!r}")
-    meet = np.full((n, n), -1, dtype=int)
-    join = np.full((n, n), -1, dtype=int)
-    for i in range(n):
-        for j in range(n):
-            pair = (elements[i], elements[j])
-            lower = [k for k in range(n) if mat[k, i] and mat[k, j]]
-            best = [k for k in lower if all(mat[t, k] for t in lower)]
-            if len(best) != 1:
-                raise NotALatticeError(f"no meet for {pair!r}", pair)
-            meet[i, j] = best[0]
-            upper = [k for k in range(n) if mat[i, k] and mat[j, k]]
-            best = [k for k in upper if all(mat[k, t] for t in upper)]
-            if len(best) != 1:
-                raise NotALatticeError(f"no join for {pair!r}", pair)
-            join[i, j] = best[0]
-    return FiniteLattice(elements, mat, meet, join)
+            up[idx[a]] |= 1 << idx[b]
+        # Warshall: every row that reaches k also reaches all of up[k]
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+    return FiniteLattice(elements, up)
 
 
 def _pentagon_witness(lat: FiniteLattice):
     """Five elements forming N₅, or None when the lattice is modular."""
+    m, j = lat.meet, lat.join
     n = lat.size
     for a in range(n):
         for b in range(n):
-            if not lat.leq[a, b] or a == b:
+            if not lat.le(a, b) or a == b:
                 continue
             for c in range(n):
-                lhs = lat.join[a, lat.meet[c, b]]
-                rhs = lat.meet[lat.join[a, c], b]
+                lhs = j[a][m[c][b]]
+                rhs = m[j[a][c]][b]
                 if lhs != rhs:
-                    bot = lat.meet[lhs, c]
-                    top = lat.join[rhs, c]
-                    witness = (bot, lhs, rhs, c, top)
-                    assert len(set(witness)) == 5
-                    assert lat.leq[lhs, rhs]
+                    witness = (m[lhs][c], lhs, rhs, c, j[rhs][c])
+                    if len(set(witness)) != 5 or not lat.le(lhs, rhs):
+                        raise TheoremViolationError(
+                            f"pentagon witness {witness} is not an N5")
                     return witness
     return None
 
 
 def _diamond_witness(lat: FiniteLattice):
     """Five elements forming M₃ in a modular lattice, or None."""
+    m, j = lat.meet, lat.join
     n = lat.size
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                lhs = lat.meet[a, lat.join[b, c]]
-                rhs = lat.join[lat.meet[a, b], lat.meet[a, c]]
+                lhs = m[a][j[b][c]]
+                rhs = j[m[a][b]][m[a][c]]
                 if lhs == rhs:
                     continue
-                m = lat.meet
-                j = lat.join
-                bot = j[j[m[a, b], m[a, c]], m[b, c]]
-                top = m[m[j[a, b], j[a, c]], j[b, c]]
-                x = j[m[a, top], bot]
-                y = j[m[b, top], bot]
-                z = j[m[c, top], bot]
+                bot = j[j[m[a][b]][m[a][c]]][m[b][c]]
+                top = m[m[j[a][b]][j[a][c]]][j[b][c]]
+                x = j[m[a][top]][bot]
+                y = j[m[b][top]][bot]
+                z = j[m[c][top]][bot]
                 witness = (bot, x, y, z, top)
-                assert len(set(witness)) == 5
+                if len(set(witness)) != 5:
+                    raise TheoremViolationError(
+                        f"diamond witness {witness} is not an M3")
                 return witness
     return None
 
@@ -200,20 +199,18 @@ def structure_report(lat: FiniteLattice) -> dict:
             report["diamond"] = diam
     # atomic: every nonzero element sits above an atom;
     # coatomic: every non-top element sits below a coatom
-    atoms = set(report["atoms"])
-    coatoms = set(report["coatoms"])
+    atoms = sum(1 << a for a in report["atoms"])
+    coatoms = sum(1 << c for c in report["coatoms"])
     report["atomic"] = all(
-        i == lat.bottom or any(lat.leq[a, i] for a in atoms)
-        for i in range(lat.size))
+        i == lat.bottom or lat.down[i] & atoms for i in range(lat.size))
     report["coatomic"] = all(
-        i == lat.top or any(lat.leq[i, c] for c in coatoms)
-        for i in range(lat.size))
+        i == lat.top or lat.up[i] & coatoms for i in range(lat.size))
     return report
 
 
 def _profile_invariant(lat: FiniteLattice, i: int, flip: bool):
-    col = lat.leq[:, i].sum()
-    row = lat.leq[i, :].sum()
+    col = lat.down[i].bit_count()
+    row = lat.up[i].bit_count()
     return (row, col) if flip else (col, row)
 
 
@@ -236,11 +233,11 @@ def are_isomorphic(a: FiniteLattice, b: FiniteLattice, anti: bool = False):
     def compatible(i, j, placed):
         for t in placed:
             u = assign[t]
-            fwd = b.leq[u, j] if not anti else b.leq[j, u]
-            bwd = b.leq[j, u] if not anti else b.leq[u, j]
-            if bool(a.leq[t, i]) != bool(fwd):
+            fwd = b.le(u, j) if not anti else b.le(j, u)
+            bwd = b.le(j, u) if not anti else b.le(u, j)
+            if a.le(t, i) != fwd:
                 return False
-            if bool(a.leq[i, t]) != bool(bwd):
+            if a.le(i, t) != bwd:
                 return False
         return True
 
@@ -272,25 +269,11 @@ def lattice_product(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
     if a.size * b.size > LATTICE_SIZE_GUARD:
         raise BoundExceededError("product lattice exceeds size guard")
     labels = [(x, y) for x in a.labels for y in b.labels]
-    na, nb = a.size, b.size
-
-    def pos(i, j):
-        return i * nb + j
-
-    n = na * nb
-    leq = np.zeros((n, n), dtype=bool)
-    meet = np.zeros((n, n), dtype=int)
-    join = np.zeros((n, n), dtype=int)
-    for i1 in range(na):
-        for j1 in range(nb):
-            p = pos(i1, j1)
-            for i2 in range(na):
-                for j2 in range(nb):
-                    q = pos(i2, j2)
-                    leq[p, q] = a.leq[i1, i2] and b.leq[j1, j2]
-                    meet[p, q] = pos(a.meet[i1, i2], b.meet[j1, j2])
-                    join[p, q] = pos(a.join[i1, i2], b.join[j1, j2])
-    return FiniteLattice(labels, leq, meet, join)
+    # (i1, j1) ≤ (i2, j2) iff i1 ≤ i2 and j1 ≤ j2; (i, j) sits at i·nb + j
+    nb = b.size
+    up = [sum(b.up[j1] << i2 * nb for i2 in _bits(a.up[i1]))
+          for i1 in range(a.size) for j1 in range(nb)]
+    return FiniteLattice(labels, up)
 
 
 def to_dot(lat: FiniteLattice, labels=None) -> str:

@@ -317,22 +317,6 @@ def cyclic_module(ring: FiniteRing, ideal: Submodule,
                            label=label or f"{ring.label}/I")
 
 
-def module_construct(kind: str, **kw) -> RightModule:
-    """Single entry point used by the command layer."""
-    if kind == "regular":
-        return regular_module(kw["ring"])
-    if kind == "cyclic":
-        return cyclic_module(kw["ring"], kw["ideal"])[0]
-    if kind == "quotient":
-        return quotient_module(kw["module"], kw["submodule"])[0]
-    if kind == "direct_sum":
-        return direct_sum(kw["summands"])
-    if kind == "from_action_tables":
-        return from_action_tables(kw["ring"], kw["orders"], kw["action"],
-                                  label=kw.get("label", "module"))
-    raise InputError(f"unknown module constructor {kind!r}")
-
-
 # -- submodule enumeration -----------------------------------------------------
 
 
@@ -448,11 +432,25 @@ def submodule_as_module(sub: Submodule, label: str | None = None):
 # -- socle, radical, singular, annihilator ------------------------------------
 
 
+def extremal_submodules(m: RightModule, maximal: bool = False):
+    """Minimal nonzero submodules, or with maximal=True the maximal proper
+    ones, in the canonical order of submodules(m).
+
+    That list is sorted by size, so 0 comes first and m itself last.
+    """
+    subs = submodules(m)
+    cands = subs[:-1] if maximal else subs[1:]
+
+    def inside(a, b):  # a strictly inside b
+        return a.size() < b.size() and b.contains_sub(a)
+
+    if maximal:
+        return [s for s in cands if not any(inside(s, t) for t in cands)]
+    return [s for s in cands if not any(inside(t, s) for t in cands)]
+
+
 def minimal_submodules(m: RightModule):
-    subs = [s for s in submodules(m) if s.size() > 1]
-    return [s for s in subs
-            if not any(t.size() < s.size() and s.contains_sub(t)
-                       for t in subs)]
+    return extremal_submodules(m)
 
 
 def socle(m: RightModule) -> Submodule:
@@ -570,7 +568,9 @@ def singular_submodule(m: RightModule) -> Submodule:
             rows.append(tuple(x))
     z = Submodule(m, rows)
     # the qualifying elements already form a subgroup; the span adds nothing
-    assert z.size() == len(rows)
+    if z.size() != len(rows):
+        raise TheoremViolationError(
+            f"singular elements of {m.label} do not form a subgroup")
     return z
 
 

@@ -22,10 +22,9 @@ from .modules import (
     enumerate_modules,
     module_times_ideal,
     regular_module,
-    socle,
 )
 from .ring import FiniteRing
-from .torsion import LinearFilter, all_linear_filters, eta_filter
+from .torsion import all_linear_filters, eta_filter
 
 
 class CyclicFingerprint:

@@ -47,10 +47,6 @@ class IdealContext:
         self.leq = [[self.inter[a][b] == a for b in range(n)] for a in range(n)]
         self._colon = {}
 
-    def idx(self, ideal: Submodule) -> int:
-        key = ideal.gens.howell_form() if ideal.gens is None else ideal.gens
-        return self.index[key]
-
     def colon(self, t: int, r) -> int:
         """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index."""
         r = self.ring.reduce_el(r)

@@ -180,3 +180,28 @@ def test_bound_exceeded_exit_code(monkeypatch):
     monkeypatch.setenv("RINGSCOPE_MAX_ORDER", "4")
     code, _ = run(["ring", "show", "z8"])
     assert code == 3
+
+
+@pytest.mark.parametrize("ring_doc, module_doc, field", [
+    ({"type": "zmod", "n": "abc"}, None, "construct.n"),
+    ({"type": "zmod", "n": [2]}, None, "construct.n"),
+    ({"type": "table", "orders": [2], "mul": [[[1]]], "one": "x"}, None,
+     "construct.one"),
+    ({"type": "path_algebra", "p": 2, "vertices": 2, "arrows": [[1]]}, None,
+     "construct.arrows"),
+    ({"type": "zmod", "n": 8}, {"type": "quotient_of_free", "rank": "abc"},
+     "quotient_of_free.rank"),
+])
+def test_malformed_field_exits_2(tmp_path, capsys, ring_doc, module_doc,
+                                 field):
+    ring = tmp_path / "bad.ring"
+    ring.write_text(json.dumps({"construct": ring_doc}))
+    argv = ["ring", "show", str(ring)]
+    if module_doc is not None:
+        mod = tmp_path / "bad.module"
+        mod.write_text(json.dumps(module_doc))
+        argv = ["domains", "--ring", str(ring), "--module", str(mod),
+                "--kind", "i"]
+    code, _ = run(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} ")

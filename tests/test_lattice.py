@@ -1,6 +1,10 @@
 """Lattice construction, N5/M3 detection, isomorphism, products, DOT."""
 
-import numpy as np
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ringscope.errors import BoundExceededError, InputError, NotALatticeError
@@ -49,7 +53,7 @@ def test_pentagon_flags_and_certificate():
     sub = set(wit)
     for a in wit:
         for b in wit:
-            assert lat.meet[a, b] in sub and lat.join[a, b] in sub
+            assert lat.meet[a][b] in sub and lat.join[a][b] in sub
     # pentagon shape: a chain bot < x < y < top plus one incomparable c
     assert lat.le(bot, x) and lat.le(x, y) and lat.le(y, top)
     assert not lat.le(c, x) and not lat.le(x, c)
@@ -63,11 +67,11 @@ def test_diamond_flags_and_certificate():
     assert len(set(wit)) == 5
     bot, x, y, z, top = wit
     for a, b in ((x, y), (x, z), (y, z)):
-        assert lat.meet[a, b] == bot and lat.join[a, b] == top
+        assert lat.meet[a][b] == bot and lat.join[a][b] == top
     sub = set(wit)
     for a in wit:
         for b in wit:
-            assert lat.meet[a, b] in sub and lat.join[a, b] in sub
+            assert lat.meet[a][b] in sub and lat.join[a][b] in sub
 
 
 def test_distributive_implies_modular():
@@ -133,9 +137,49 @@ def test_meet_join_tables_consistent_with_order():
     n = lat.size
     for a in range(n):
         for b in range(n):
-            m = lat.meet[a, b]
+            m = lat.meet[a][b]
             assert lat.le(m, a) and lat.le(m, b)
-            j = lat.join[a, b]
+            j = lat.join[a][b]
             assert lat.le(a, j) and lat.le(b, j)
-            assert lat.le(a, b) == (lat.meet[a, b] == a)
-    assert isinstance(lat.leq, np.ndarray)
+            assert lat.le(a, b) == (lat.meet[a][b] == a)
+            assert lat.le(a, b) == (lat.join[a][b] == b)
+            # greatest lower bound, least upper bound
+            for c in range(n):
+                if lat.le(c, a) and lat.le(c, b):
+                    assert lat.le(c, m)
+                if lat.le(a, c) and lat.le(b, c):
+                    assert lat.le(j, c)
+
+
+def test_divisor_lattices():
+    """Divisors of n under divisibility: meet is gcd and join is lcm, and
+    the covering pairs closed transitively give the same order as the
+    divisibility predicate."""
+    for n in range(1, 65):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        covering = [(d, d * p) for d in divs for p in range(2, n + 1)
+                    if n % (d * p) == 0
+                    and all(p % q for q in range(2, p))]
+        by_pairs = build_lattice(divs, covering)
+        by_leq = build_lattice(divs, leq=lambda a, b: b % a == 0)
+        assert by_pairs.up == by_leq.up and by_pairs.down == by_leq.down
+        pos = {d: i for i, d in enumerate(divs)}
+        for lat in (by_pairs, by_leq):
+            for i, a in enumerate(divs):
+                for j, b in enumerate(divs):
+                    assert lat.le(i, j) == (b % a == 0)
+                    assert lat.meet[i][j] == pos[math.gcd(a, b)]
+                    assert lat.join[i][j] == pos[math.lcm(a, b)]
+        assert sorted(by_pairs.covers()) == sorted(
+            (pos[a], pos[b]) for a, b in covering)
+
+
+def test_import_loads_only_the_standard_library():
+    """The package has no third-party runtime dependency."""
+    code = ("import sys; before = set(sys.modules); import ringscope; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "['ringscope']"
