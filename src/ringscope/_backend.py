@@ -1,16 +1,26 @@
 """Kernel backend selection.
 
-The compiled Cython kernel is used when available; set RINGSCOPE_BACKEND=py
-to force the pure-Python fallback (or =c to require the compiled one).
+RINGSCOPE_BACKEND picks the Howell kernel: ``python`` (or ``py``) forces
+the pure-Python kernel, ``cython`` (or ``c``) requires the compiled one,
+and unset or empty uses the compiled kernel when it is built.  Requiring
+the compiled kernel when it is not built, or any other value, fails at
+import.
 """
 
 import os
 
 from ._howell_py import howell_mod as howell_mod_py
 
-_choice = os.environ.get("RINGSCOPE_BACKEND", "").lower()
+_SPELLINGS = {"": "auto", "python": "python", "py": "python",
+              "cython": "cython", "c": "cython"}
 
-if _choice == "py":
+_value = os.environ.get("RINGSCOPE_BACKEND", "").strip().lower()
+if _value not in _SPELLINGS:
+    raise ImportError(f"RINGSCOPE_BACKEND={_value!r}: expected python, py, "
+                      "cython, c or empty")
+_choice = _SPELLINGS[_value]
+
+if _choice == "python":
     howell_mod = howell_mod_py
     BACKEND = "python"
 else:
@@ -18,8 +28,9 @@ else:
         from ._howell import howell_mod as _howell_mod_c
         howell_mod = _howell_mod_c
         BACKEND = "cython"
-    except ImportError:
-        if _choice == "c":
-            raise
+    except ImportError as exc:
+        if _choice == "cython":
+            raise ImportError(f"RINGSCOPE_BACKEND={_value}: the compiled "
+                              "kernel is not built") from exc
         howell_mod = howell_mod_py
         BACKEND = "python"

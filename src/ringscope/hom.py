@@ -61,23 +61,33 @@ class HomGroup:
 
 
 def hom_group(a: RightModule, b: RightModule) -> HomGroup:
-    """Hom_R(a, b) with a cached canonical basis."""
-    key = ("hom", id(b), b.orders, tuple(m.rows for m in b.action))
-    cache = a._cache.setdefault("hom_groups", {})
-    if key in cache:
-        return cache[key]
-    ring = a.ring
-    ncols = a.rank * b.rank
-    umods = tuple(b.orders[j] for _ in range(a.rank) for j in range(b.rank))
+    """Hom_R(a, b), wrapping a memoised canonical basis.
+
+    The basis depends only on the contents of the two modules, so it is
+    kept in one table per ring, ``ring._cache["hom_bases"]``, keyed by
+    ``(a.key, b.key)`` (generator orders and action rows).  Equal modules
+    built separately share the entry; the table holds no module, and the
+    returned group's ``source`` and ``target`` are the objects passed in.
+    """
+    table = a.ring._cache.setdefault("hom_bases", {})
+    key = (a.key, b.key)
+    basis = table.get(key)
+    if basis is None:
+        basis = table[key] = _hom_kernel(a, b)
+    return HomGroup(a, b, basis)
+
+
+def _hom_kernel(a: RightModule, b: RightModule) -> ModMatrix:
+    """The solution space of the linear conditions defining Hom_R(a, b)."""
+    ar, br = a.rank, b.rank
+    ncols = ar * br
+    umods = b.orders * ar
     if ncols == 0:
-        grp = HomGroup(a, b, zero_matrix(umods))
-        cache[key] = grp
-        return grp
+        return zero_matrix(umods)
 
     def upos(i, j):
-        return i * b.rank + j
+        return i * br + j
 
-    eq_rows = [[0] * 0 for _ in range(ncols)]
     eq_moduli = []
     cols = [[] for _ in range(ncols)]
 
@@ -88,20 +98,20 @@ def hom_group(a: RightModule, b: RightModule) -> HomGroup:
             cols[u].append((pos, c))
 
     # additive well-definedness: orders[i]·F[i][j] ≡ 0
-    for i in range(a.rank):
-        for j in range(b.rank):
+    for i in range(ar):
+        for j in range(br):
             add_equation({upos(i, j): a.orders[i]}, b.orders[j])
     # commutation with each generator action
-    for g in range(ring.rank):
-        for i in range(a.rank):
-            moved = a.act_gen(a.generator(i), g)  # e_i · g in source
-            bact = b.action[g].rows
-            for u in range(b.rank):
+    for g in range(a.ring.rank):
+        bact = b.action[g].rows
+        for i in range(ar):
+            moved = a.action[g].rows[i]  # e_i · g in source
+            for u in range(br):
                 coeffs = {}
-                for t in range(a.rank):
+                for t in range(ar):
                     if moved[t]:
                         coeffs[upos(t, u)] = coeffs.get(upos(t, u), 0) + moved[t]
-                for v in range(b.rank):
+                for v in range(br):
                     if bact[v][u]:
                         coeffs[upos(i, v)] = coeffs.get(upos(i, v), 0) - bact[v][u]
                 coeffs = {k: c for k, c in coeffs.items() if c % b.orders[u]}
@@ -113,9 +123,7 @@ def hom_group(a: RightModule, b: RightModule) -> HomGroup:
         for pos, c in cols[u]:
             rows[u][pos] = c
     _, ker = solve_affine(rows, eq_moduli, (0,) * neq, umods)
-    grp = HomGroup(a, b, ker)
-    cache[key] = grp
-    return grp
+    return ker
 
 
 def hom_basis(a: RightModule, b: RightModule):
@@ -130,7 +138,7 @@ def _flatten_map_rows(rows):
 def is_relatively_injective(m: RightModule, n: RightModule):
     """(flag, certificate): certificate is (K, φ) with φ: K → m
     non-extendable to n when the answer is negative."""
-    homs_nm = hom_group(n, m)
+    nm_gens = hom_group(n, m).gen_maps()
     for k in submodules(n):
         if k.size() == n.order():
             continue  # restriction along the identity
@@ -141,7 +149,7 @@ def is_relatively_injective(m: RightModule, n: RightModule):
         flat_mods = tuple(m.orders[j] for _ in range(kmod.rank)
                           for j in range(m.rank))
         restrictions = []
-        for gen in homs_nm.gen_maps():
+        for gen in nm_gens:
             restricted = [gen.apply(incl.rows[t]) for t in range(kmod.rank)]
             restrictions.append(_flatten_map_rows(restricted))
         image = howell_span(flat_mods, restrictions)
@@ -157,18 +165,21 @@ def is_relatively_injective(m: RightModule, n: RightModule):
 def is_relatively_projective(m: RightModule, n: RightModule):
     """(flag, certificate): certificate is (L, ψ) with ψ: m → n/L
     non-liftable through the projection when the answer is negative."""
-    homs_mn = hom_group(m, n)
+    mn_gens = hom_group(m, n).gen_maps()
+    quotients = n._cache.setdefault("quotients", {})
     for l in submodules(n):
         if l.size() == 1:
             continue  # lifting along the identity
-        q, proj = quotient_module(n, l)
+        if l.gens not in quotients:
+            quotients[l.gens] = quotient_module(n, l)
+        q, proj = quotients[l.gens]
         homs_mq = hom_group(m, q)
         if homs_mq.size() == 1:
             continue
         flat_mods = tuple(q.orders[j] for _ in range(m.rank)
                           for j in range(q.rank))
         composites = []
-        for gen in homs_mn.gen_maps():
+        for gen in mn_gens:
             composed = [proj.apply(r) for r in gen.rows]
             composites.append(_flatten_map_rows(composed))
         image = howell_span(flat_mods, composites)

@@ -20,7 +20,7 @@ from .exactla import (
     solve_affine,
     zero_matrix,
 )
-from .ring import FiniteRing
+from .ring import FiniteRing, reduce_vector
 
 SUBMODULE_ENUM_BOUND = 4096
 
@@ -43,6 +43,8 @@ class RightModule:
                 raise InputError("action matrix has wrong shape")
             acts.append(a)
         self.action = tuple(acts)
+        # content key: equal keys present the same module
+        self.key = (self.orders, tuple(a.rows for a in acts))
         self.label = label
         self.zero = (0,) * len(self.orders)
         self._cache = {}
@@ -58,7 +60,7 @@ class RightModule:
         return f"RightModule({self.label}, order={self.order()})"
 
     def reduce_el(self, vec):
-        return tuple(int(x) % m for x, m in zip(vec, self.orders))
+        return reduce_vector(vec, self.orders, "module element")
 
     def add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
@@ -370,15 +372,26 @@ def submodule_intersection(a: Submodule, b: Submodule) -> Submodule:
     return Submodule(a.parent, rows)
 
 
-def submodule_as_module(sub: Submodule, label: str | None = None):
+def submodule_as_module(sub: Submodule):
     """Present a submodule abstractly.
 
     Returns (module, inclusion ModuleMap, express) where express maps an
     ambient coordinate vector to coordinates of the presented module
     (None when the vector lies outside the submodule).
+
+    The triple is memoised on the parent module, keyed by the Howell
+    generators of the submodule, so equal submodules share one triple;
+    callers must not mutate it.
     """
     parent = sub.parent
-    gens = sub.gens
+    table = parent._cache.setdefault("presentations", {})
+    found = table.get(sub.gens)
+    if found is None:
+        found = table[sub.gens] = _present_submodule(parent, sub.gens)
+    return found
+
+
+def _present_submodule(parent: RightModule, gens: ModMatrix):
     g = gens.nrows
     if g == 0:
         zero = zero_module(parent.ring)
@@ -416,7 +429,7 @@ def submodule_as_module(sub: Submodule, label: str | None = None):
             rows.append(apply_matrix(coeffs_of(img), proj, new_orders))
         action.append(rows)
     mod = _validated(RightModule(parent.ring, new_orders, action,
-                                 label=label or f"{parent.label} (sub)"))
+                                 label=f"{parent.label} (sub)"))
     incl_rows = [into(mod.generator(i)) for i in range(d)]
     incl = ModuleMap(mod, parent, incl_rows, check=False)
 

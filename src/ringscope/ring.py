@@ -25,6 +25,15 @@ def max_ring_order() -> int:
     return int(os.environ.get("RINGSCOPE_MAX_ORDER", DEFAULT_MAX_ORDER))
 
 
+def reduce_vector(vec, orders, what: str = "element"):
+    """vec reduced modulo orders; InputError unless it has one coordinate
+    per order (zip would silently truncate a longer vector)."""
+    if len(vec) != len(orders):
+        raise InputError(f"{what} has {len(vec)} coordinates, expected "
+                         f"{len(orders)}")
+    return tuple(int(x) % m for x, m in zip(vec, orders))
+
+
 class FiniteRing:
     """A finite ring with identity, immutable once validated."""
 
@@ -36,13 +45,11 @@ class FiniteRing:
         if len(mul) != d or any(len(row) != d for row in mul):
             raise InputError("multiplication table has wrong shape")
         self.mul = tuple(
-            tuple(tuple(int(x) % m for x, m in zip(vec, self.orders))
+            tuple(reduce_vector(vec, self.orders, "product table entry")
                   for vec in row)
             for row in mul
         )
-        if len(one) != d:
-            raise InputError("identity vector has wrong length")
-        self.one = tuple(int(x) % m for x, m in zip(one, self.orders))
+        self.one = reduce_vector(one, self.orders, "identity vector")
         self.label = label
         self.zero = (0,) * d
         self.exponent = reduce(math.lcm, self.orders, 1)
@@ -59,7 +66,7 @@ class FiniteRing:
         return f"FiniteRing({self.label}, order={self.order()})"
 
     def reduce_el(self, vec):
-        return tuple(int(x) % m for x, m in zip(vec, self.orders))
+        return reduce_vector(vec, self.orders)
 
     def el_add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))

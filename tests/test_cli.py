@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,41 @@ def test_malformed_field_exits_2(tmp_path, capsys, ring_doc, module_doc,
     code, _ = run(argv)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("ring_doc, module_doc", [
+    ({"type": "zmod", "n": 8}, {"type": "cyclic", "ideal_gens": [[1, 2]]}),
+    ({"type": "zmod", "n": 8},
+     {"type": "quotient_of_free", "rank": 2, "relations": [[2, 0, 0]]}),
+    ({"type": "quotient", "base": {"type": "zmod", "n": 8},
+      "ideal_gens": [[4, 0]]}, None),
+    ({"type": "table", "orders": [2], "mul": [[[1, 0]]], "one": [1]}, None),
+])
+def test_wrong_length_vector_exits_2(tmp_path, capsys, ring_doc, module_doc):
+    """A coordinate vector longer than the rank is rejected, not truncated."""
+    ring = tmp_path / "bad.ring"
+    ring.write_text(json.dumps({"construct": ring_doc}))
+    argv = ["ring", "show", str(ring)]
+    if module_doc is not None:
+        mod = tmp_path / "bad.module"
+        mod.write_text(json.dumps(module_doc))
+        argv = ["domains", "--ring", str(ring), "--module", str(mod),
+                "--kind", "i"]
+    code, _ = run(argv)
+    assert code == 2
+    assert "coordinates, expected" in capsys.readouterr().err
+
+
+def test_module_entry_point_survives_optimize():
+    """python -m ringscope runs the CLI, and -O (asserts stripped) changes
+    neither the exit code nor the output."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "ringscope",
+                            "verify", "z8"], capture_output=True, text=True,
+                           env=env, check=False)
+            for flags in ([], ["-O"])]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in runs[0].stdout
+    assert runs[0].stdout == runs[1].stdout

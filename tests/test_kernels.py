@@ -1,5 +1,7 @@
 """The compiled and pure-Python Howell kernels must agree bit for bit."""
 
+import importlib
+import importlib.util
 import itertools
 import random
 
@@ -100,12 +102,35 @@ def test_howell_property_leading_span():
 
 
 def test_forced_python_backend(monkeypatch):
-    import importlib
-
     monkeypatch.setenv("RINGSCOPE_BACKEND", "py")
     mod = importlib.reload(_backend)
     try:
         assert mod.BACKEND == "python"
+    finally:
+        monkeypatch.delenv("RINGSCOPE_BACKEND")
+        importlib.reload(_backend)
+
+
+_COMPILED = importlib.util.find_spec("ringscope._howell") is not None
+_CYTHON = "cython" if _COMPILED else None  # None: import must fail
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("python", "python"), ("PYTHON", "python"),
+    ("c", _CYTHON), ("cython", _CYTHON),
+    ("", _CYTHON or "python"),
+    ("bogus", None),
+])
+def test_backend_variable(monkeypatch, value, expected):
+    """Both spellings select a kernel; empty is automatic; requiring an
+    absent compiled kernel or naming an unknown one fails at import."""
+    monkeypatch.setenv("RINGSCOPE_BACKEND", value)
+    try:
+        if expected is None:
+            with pytest.raises(ImportError, match="RINGSCOPE_BACKEND"):
+                importlib.reload(_backend)
+        else:
+            assert importlib.reload(_backend).BACKEND == expected
     finally:
         monkeypatch.delenv("RINGSCOPE_BACKEND")
         importlib.reload(_backend)

@@ -212,3 +212,15 @@ def test_socle_cross_check_runs_on_corpus():
     for name in SMALL_CORPUS:
         reg = regular_module(corpus(name))
         assert socle(reg).is_action_stable()
+
+
+def test_submodule_presentation_is_shared():
+    for name in ("z8", "t2f2", "z4xf2"):
+        reg = regular_module(corpus(name))
+        for s in submodules(reg):
+            again = Submodule(reg, list(s.gens.rows) * 2 + [reg.zero])
+            assert again is not s and again == s
+            assert submodule_as_module(again) is submodule_as_module(s)
+            mod, incl, _ = submodule_as_module(again)
+            assert mod.order() == s.size()
+            assert Submodule(reg, incl.rows) == s
