@@ -128,7 +128,8 @@ class VerifyReport:
 
     def add(self, check_id: str, statement: str, status: str,
             certificate=None):
-        assert status in ("pass", "fail", "skipped")
+        if status not in ("pass", "fail", "skipped"):
+            raise ValueError(f"unknown status {status!r}")
         self.entries.append({
             "id": check_id,
             "statement": statement,

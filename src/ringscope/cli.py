@@ -15,7 +15,12 @@ import sys
 from importlib import resources
 
 from .classify import classify_report, verify_suite
-from .errors import BoundExceededError, InputError, RingScopeError
+from .errors import (
+    BoundExceededError,
+    InputError,
+    RingScopeError,
+    TheoremViolationError,
+)
 from .lattice import to_dot
 from .modules import (
     Submodule,
@@ -381,6 +386,9 @@ def run_command(argv, out=None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except TheoremViolationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -394,3 +402,7 @@ def main() -> None:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -15,7 +15,7 @@ import math
 from functools import reduce
 
 from ._backend import howell_mod
-from .errors import BoundExceededError, InputError
+from .errors import BoundExceededError, InputError, TheoremViolationError
 
 
 def lcm_all(values) -> int:
@@ -211,7 +211,7 @@ def solve_affine(coeff_rows, eq_moduli, rhs, unknown_moduli):
     with unknown l valued in Z/unknown_moduli[l].
 
     The system must be well defined on ⊕ Z/unknown_moduli, i.e. shifting
-    x_l by unknown_moduli[l] must fix every equation (asserted).  Returns
+    x_l by unknown_moduli[l] must fix every equation (checked).  Returns
     (particular | None, kernel ModMatrix over unknown_moduli); the kernel
     spans the full homogeneous solution group.
     """
@@ -219,11 +219,12 @@ def solve_affine(coeff_rows, eq_moduli, rhs, unknown_moduli):
     unknown_moduli = tuple(int(m) for m in unknown_moduli)
     big = lcm_all(eq_moduli + unknown_moduli)
     mat = ModMatrix(eq_moduli, coeff_rows, big)
-    for l, u in enumerate(unknown_moduli):
-        row = mat.rows[l] if l < mat.nrows else None
-        assert row is not None
-        assert all((u * x) % m == 0 for x, m in zip(row, eq_moduli)), \
-            "system not well defined modulo the unknown moduli"
+    if mat.nrows < len(unknown_moduli):
+        raise TheoremViolationError("system has fewer rows than unknowns")
+    for row, u in zip(mat.rows, unknown_moduli):
+        if any((u * x) % m for x, m in zip(row, eq_moduli)):
+            raise TheoremViolationError(
+                "system not well defined modulo the unknown moduli")
     sol = mat.solve(rhs)
     if sol is None:
         return None, zero_matrix(unknown_moduli)
@@ -335,7 +336,9 @@ def quotient_presentation(orders, rel_rows):
         A.append([m if j == i else 0 for j in range(d)])
     D, _, V, Vinv = smith_normal_form(A)
     diag = [D[i][i] for i in range(d)]
-    assert all(x >= 1 for x in diag)
+    if not all(x >= 1 for x in diag):
+        raise TheoremViolationError(
+            f"invariant factors {diag} of a finite quotient must be positive")
     keep = [i for i, di in enumerate(diag) if di != 1]
     new_orders = tuple(diag[i] for i in keep)
     proj = [[V[t][i] % diag[i] for i in keep] for t in range(d)]

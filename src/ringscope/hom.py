@@ -11,7 +11,7 @@ side uses composition with the projections N → N/L.
 
 from __future__ import annotations
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, TheoremViolationError
 from .exactla import ModMatrix, howell_span, solve_affine, zero_matrix
 from .modules import (
     ModuleMap,
@@ -158,7 +158,8 @@ def is_relatively_injective(m: RightModule, n: RightModule):
         for phi in homs_km.maps():
             if not image.contains(_flatten_map_rows(phi.rows)):
                 return False, (k, phi)
-        raise AssertionError("span size mismatch without a missing map")
+        raise TheoremViolationError(
+            "span size mismatch without a missing map")
     return True, None
 
 
@@ -188,7 +189,8 @@ def is_relatively_projective(m: RightModule, n: RightModule):
         for psi in homs_mq.maps():
             if not image.contains(_flatten_map_rows(psi.rows)):
                 return False, (l, psi)
-        raise AssertionError("span size mismatch without a missing map")
+        raise TheoremViolationError(
+            "span size mismatch without a missing map")
     return True, None
 
 

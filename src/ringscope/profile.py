@@ -118,18 +118,34 @@ class ProfileReport:
         return self.lattice.size
 
 
+def _profile_skeleton(ring: FiniteRing):
+    """(nodes, lattice, filters), shared by both profiles of one ring.
+
+    nodes are the two-sided ideals inside J(R), filters their η-filters;
+    both cross-checks (filter enumeration, anti-isomorphism with the
+    ideals inside the radical) run once, when the skeleton is built.
+    """
+    key = "profile_skeleton"
+    if key not in ring._cache:
+        nodes, filters = _profile_nodes(ring)
+        ring._cache[key] = (nodes, _profile_lattice(ring, nodes), filters)
+    return ring._cache[key]
+
+
 def _profile_nodes(ring: FiniteRing):
-    """Two-sided ideals inside J(R) with the filter cross-check applied."""
+    """Two-sided ideals inside J(R) and their η-filters, with the filter
+    cross-check applied."""
     jac = jacobson_radical(ring)
     nodes = [i for i in two_sided_ideals(ring) if jac.contains_sub(i)]
-    structural = {eta_filter(ring, i) for i in nodes}
+    filters = [eta_filter(ring, i) for i in nodes]
+    structural = set(filters)
     brute = set(all_linear_filters(ring, above_all_maximal=True))
     if structural != brute:
         raise TheoremViolationError(
             f"{ring.label}: filters above all maximal right ideals do not "
             f"match eta-filters of ideals inside the radical "
             f"({len(brute)} vs {len(structural)})")
-    return nodes
+    return nodes, filters
 
 
 def _profile_lattice(ring: FiniteRing, nodes):
@@ -148,21 +164,18 @@ def _profile_lattice(ring: FiniteRing, nodes):
 
 def i_profile(ring: FiniteRing) -> ProfileReport:
     """The injectivity profile, cross-validated against filter enumeration."""
-    nodes = _profile_nodes(ring)
-    lat = _profile_lattice(ring, nodes)
-    filters = [eta_filter(ring, i) for i in nodes]
+    nodes, lat, filters = _profile_skeleton(ring)
     witnesses = []
     for i in nodes:
         found = find_witness(ring, i, "i", quick_only=True)
         witnesses.append(found)
-    return ProfileReport("i", ring, lat, nodes, filters, witnesses)
+    return ProfileReport("i", ring, lat, list(nodes), list(filters),
+                         witnesses)
 
 
 def p_profile(ring: FiniteRing) -> ProfileReport:
     """The projectivity profile; every node's witness R/I is verified."""
-    nodes = _profile_nodes(ring)
-    lat = _profile_lattice(ring, nodes)
-    filters = [eta_filter(ring, i) for i in nodes]
+    nodes, lat, filters = _profile_skeleton(ring)
     witnesses = []
     for i in nodes:
         w, _ = cyclic_module(ring, i)
@@ -171,7 +184,8 @@ def p_profile(ring: FiniteRing) -> ProfileReport:
                 f"{ring.label}: projectivity domain of the factor module "
                 "does not match the annihilator condition")
         witnesses.append(w)
-    return ProfileReport("p", ring, lat, nodes, filters, witnesses)
+    return ProfileReport("p", ring, lat, list(nodes), list(filters),
+                         witnesses)
 
 
 def profile(ring: FiniteRing, kind: str) -> ProfileReport:

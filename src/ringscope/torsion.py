@@ -4,7 +4,7 @@ A linear filter is a set 𝔉 of right ideals with: F1 R ∈ 𝔉; F2 closed
 under pairwise intersection; F3 upward closed; F4 closed under
 (I : r) = {y : r·y ∈ I} for every ring element r.  Filters are stored
 extensionally as index sets into the canonical right-ideal list, which
-makes all the axms finite checks.
+makes all the axioms finite checks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ FILTER_IDEAL_GUARD = 30
 
 class IdealContext:
     """Per-ring tables over the canonical right-ideal list: index lookup,
-    pairwise intersections, and memoized colon ideals."""
+    pairwise intersections, the quotient R/I_t of each ideal, and colon
+    ideals memoized per coset."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
@@ -36,7 +37,9 @@ class IdealContext:
         self.index = {i.gens: t for t, i in enumerate(self.ideals)}
         n = len(self.ideals)
         self.top = self.index[self.ideals[-1].gens]
-        assert self.ideals[self.top].size() == ring.order()
+        if self.ideals[self.top].size() != ring.order():
+            raise TheoremViolationError(
+                f"{ring.label}: the last right ideal is not the whole ring")
         self.inter = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
@@ -45,18 +48,29 @@ class IdealContext:
                 self.inter[a][b] = t
                 self.inter[b][a] = t
         self.leq = [[self.inter[a][b] == a for b in range(n)] for a in range(n)]
+        self._quotients = {}
         self._colon = {}
+        self._colons = {}
+
+    def _quotient(self, t: int):
+        """R/I_t as (new_orders, proj, lift), see quotient_presentation."""
+        if t not in self._quotients:
+            self._quotients[t] = quotient_presentation(
+                self.ring.orders, self.ideals[t].gens.rows)
+        return self._quotients[t]
 
     def colon(self, t: int, r) -> int:
-        """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index."""
-        r = self.ring.reduce_el(r)
-        key = (t, r)
+        """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index.
+
+        Memoized by the coset r + I_t: for i ∈ I_t, (r+i)·y = r·y + i·y
+        and i·y ∈ I_t, so the colon ideal depends on the coset only.
+        """
+        ring = self.ring
+        r = ring.reduce_el(r)
+        new_orders, proj, _ = self._quotient(t)
+        key = (t, apply_matrix(r, proj, new_orders))
         if key in self._colon:
             return self._colon[key]
-        ring = self.ring
-        ideal = self.ideals[t]
-        new_orders, proj, _ = quotient_presentation(ring.orders,
-                                                    ideal.gens.rows)
         if not new_orders:
             out = self.top
         else:
@@ -68,6 +82,16 @@ class IdealContext:
             out = self.index[Submodule(regular_module(ring), ker).gens]
         self._colon[key] = out
         return out
+
+    def colons(self, t: int) -> frozenset:
+        """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t."""
+        if t not in self._colons:
+            new_orders, _, lift = self._quotient(t)
+            cosets = itertools.product(*(range(m) for m in new_orders))
+            self._colons[t] = frozenset(
+                self.colon(t, apply_matrix(c, lift, self.ring.orders))
+                for c in cosets)
+        return self._colons[t]
 
     def upset(self, t: int) -> frozenset:
         return frozenset(b for b in range(len(self.ideals)) if self.leq[t][b])
@@ -141,10 +165,9 @@ def is_linear_filter(ring: FiniteRing, members):
             if ctx.inter[a][b] not in mem:
                 return False, f"F2: intersection of members {a}, {b} missing"
     for t in mem:
-        for r in ring.elements():
-            c = ctx.colon(t, r)
-            if c not in mem:
-                return False, f"F4: ({t} : {r}) missing"
+        if not ctx.colons(t) <= mem:
+            r = next(r for r in ring.elements() if ctx.colon(t, r) not in mem)
+            return False, f"F4: ({t} : {r}) missing"
     return True, None
 
 
@@ -201,7 +224,6 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
     if above_all_maximal:
         required = {ctx.index[m.gens] for m in maximal_right_ideals(ring)}
     out = []
-    elements = list(ring.elements())
     for cand in _upsets(ctx):
         if ctx.top not in cand:
             continue
@@ -210,7 +232,7 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
         if any(ctx.inter[a][b] not in cand
                for a, b in itertools.combinations(cand, 2)):
             continue
-        if any(ctx.colon(t, r) not in cand for t in cand for r in elements):
+        if any(not ctx.colons(t) <= cand for t in cand):
             continue
         out.append(LinearFilter(ring, cand))
     out.sort(key=lambda f: (len(f.members), sorted(f.members)))

@@ -1,6 +1,9 @@
 """Ring classification predicates and the verification suite."""
 
+import pytest
+
 from ringscope.classify import (
+    VerifyReport,
     classify_report,
     is_chain_ring,
     is_local,
@@ -122,3 +125,11 @@ def test_verify_suite_skip_reasons():
     assert len(lines) == 16
     assert all(line.split()[1] in ("pass", "fail", "skipped")
                for line in lines)
+
+
+def test_verify_report_rejects_unknown_status():
+    rep = VerifyReport()
+    rep.add("V0", "a statement", "pass")
+    with pytest.raises(ValueError, match="unknown status"):
+        rep.add("V0", "a statement", "passed")
+    assert [e["status"] for e in rep.entries] == ["pass"]

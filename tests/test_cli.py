@@ -1,5 +1,6 @@
 """Command-line interface: file formats, subcommands, exit codes."""
 
+import ast
 import io
 import json
 import os
@@ -13,12 +14,13 @@ from ringscope.cli import (
     corpus_names,
     load_corpus_text,
     load_ring,
+    main,
     parse_module_file,
     parse_ring_file,
     render_ring_spec,
     run_command,
 )
-from ringscope.errors import InputError
+from ringscope.errors import InputError, TheoremViolationError
 from ringscope.lattice import are_isomorphic, build_lattice
 from ringscope.ring import ring_from_spec
 
@@ -180,6 +182,22 @@ def test_invalid_input_exit_code(tmp_path):
     assert code == 2
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    """A failed cross-check is a bug, not bad input: exit 4."""
+    import ringscope.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise TheoremViolationError("forced cross-check failure")
+
+    monkeypatch.setattr(cli_mod, "verify_suite", broken)
+    monkeypatch.setattr(sys, "argv", ["ringscope", "verify", "z8"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: forced cross-check failure\n"
+
+
 def test_bound_exceeded_exit_code(monkeypatch):
     monkeypatch.setenv("RINGSCOPE_MAX_ORDER", "4")
     code, _ = run(["ring", "show", "z8"])
@@ -247,3 +265,28 @@ def test_module_entry_point_survives_optimize():
         assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in runs[0].stdout
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_cli_module_entry_point_matches_package_entry_point():
+    """python -m ringscope.cli behaves like python -m ringscope."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = [subprocess.run([sys.executable, "-m", module, "verify", "z8"],
+                           capture_output=True, text=True, env=env,
+                           check=False)
+            for module in ("ringscope", "ringscope.cli")]
+    assert "all checks passed" in runs[0].stdout
+    assert (runs[1].returncode, runs[1].stdout) == \
+        (runs[0].returncode, runs[0].stdout)
+
+
+def test_package_has_no_assert_statements():
+    """Checks raise errors, so that python -O keeps them."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{node.lineno}"
+             for path in files
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

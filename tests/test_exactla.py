@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringscope.errors import InputError
+from ringscope.errors import InputError, TheoremViolationError
 from ringscope.exactla import (
     ModMatrix,
     apply_matrix,
@@ -258,3 +258,13 @@ def test_bad_inputs():
         ModMatrix((4, 2), [(1, 1)], n=2)
     with pytest.raises(InputError):
         ModMatrix((4,), [(1,)]).solve((1, 2))
+
+
+def test_solve_affine_rejects_ill_defined_systems():
+    # x ∈ Z/2 cannot act on an equation mod 4: 2·1 ≢ 0 (mod 4)
+    with pytest.raises(TheoremViolationError, match="not well defined"):
+        solve_affine([(1,)], (4,), (0,), (2,))
+    with pytest.raises(TheoremViolationError, match="fewer rows"):
+        solve_affine([(2,)], (4,), (0,), (2, 2))
+    part, ker = solve_affine([(2,)], (4,), (2,), (2,))
+    assert part == (1,) and ker.span_size() == 1

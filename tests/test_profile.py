@@ -1,7 +1,10 @@
 """Profile lattices, fingerprints, poverty, and witness search."""
 
+import importlib
+
 import pytest
 
+from ringscope.cli import load_ring
 from ringscope.ideals import ideals_in_radical, jacobson_radical
 from ringscope.lattice import are_isomorphic, lattice_product
 from ringscope.modules import (
@@ -28,6 +31,9 @@ from ringscope.profile import (
 from ringscope.ring import zmod
 
 from conftest import SMALL_CORPUS, corpus, simple_modules
+
+# the package re-exports the function profile(), which shadows the module
+profile_mod = importlib.import_module("ringscope.profile")
 
 
 def test_profile_sizes():
@@ -178,3 +184,29 @@ def test_profile_report_flags_quiver():
     assert not rep.flags["is_chain"]
     assert rep.flags["length"] == 2
     assert len(rep.flags["atoms"]) == 2 and len(rep.flags["coatoms"]) == 2
+
+
+@pytest.mark.parametrize("name", ["t2f2", "f2xy_x2y2"])
+def test_profiles_share_one_skeleton(monkeypatch, name):
+    """i_profile then p_profile of one ring enumerate the filters once and
+    report the same nodes, lattice and filters."""
+    calls = []
+    enumerate_filters = profile_mod.all_linear_filters
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_filters(*args, **kwargs)
+
+    monkeypatch.setattr(profile_mod, "all_linear_filters", counted)
+    ring = load_ring(name)
+    ip = i_profile(ring)
+    pp = p_profile(ring)
+    assert len(calls) == 1
+    assert ip.ideals == pp.ideals
+    assert ip.filters == pp.filters
+    assert (ip.lattice.labels, ip.lattice.up) == \
+        (pp.lattice.labels, pp.lattice.up)
+    fresh = i_profile(load_ring(name))
+    assert len(calls) == 2
+    assert [f.members for f in fresh.filters] == \
+        [f.members for f in ip.filters]

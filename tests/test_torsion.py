@@ -1,7 +1,11 @@
 """Linear filters of right ideals and the subgeneration calculus."""
 
+import ast
+import re
+
 import pytest
 
+from ringscope.cli import load_ring
 from ringscope.errors import InputError
 from ringscope.ideals import jacobson_radical, two_sided_ideals
 from ringscope.modules import (
@@ -27,6 +31,25 @@ def idx_of(ring, gens):
     ctx = ideal_context(ring)
     reg = regular_module(ring)
     return ctx.index[Submodule(reg, gens).gens]
+
+
+def oracle_colon(ring, t, r):
+    """Index of (I_t : r) = {y : r·y ∈ I_t}, found by enumerating
+    elements and matching element sets against the right-ideal list."""
+    ctx = ideal_context(ring)
+    members = set(ctx.ideals[t].elements())
+    ys = {y for y in ring.elements() if ring.el_mul(r, y) in members}
+    return next(s for s, i in enumerate(ctx.ideals)
+                if set(i.elements()) == ys)
+
+
+def assert_f4_report_names_a_witness(ring, members, report):
+    """The element named in an F4 report has its colon ideal outside."""
+    match = re.fullmatch(r"F4: \((\d+) : (\(.*\))\) missing", report)
+    assert match, report
+    t, r = int(match.group(1)), ast.literal_eval(match.group(2))
+    assert t in members
+    assert oracle_colon(ring, t, r) not in members
 
 
 def test_filter_axiom_f1():
@@ -68,6 +91,32 @@ def test_filter_axiom_f4():
     sizes = sorted(i.size() for t, i in enumerate(ctx.ideals)
                    if t in ctx.upset(one_sided))
     assert sizes == [2, 4, 8]
+    assert report.startswith("F4")
+    assert_f4_report_names_a_witness(ring, ctx.upset(one_sided), report)
+    # every F4 report on a principal up-set names a real witness
+    for name in ("t2f2", "m2f2"):
+        ring = corpus(name)
+        ctx = ideal_context(ring)
+        reports = [(ctx.upset(t), is_linear_filter(ring, ctx.upset(t))[1])
+                   for t in range(len(ctx.ideals))]
+        f4 = [(m, rep) for m, rep in reports if rep and rep.startswith("F4")]
+        assert f4
+        for members, rep in f4:
+            assert_f4_report_names_a_witness(ring, members, rep)
+
+
+@pytest.mark.parametrize("name", ["z8", "z4xf2", "t2f2", "m2f2", "f2xy_j2",
+                                  "f2xy_x2y2"])
+def test_colon_matches_element_oracle(name):
+    """colon(t, r) is (I_t : r) for every ideal and element, and colons(t)
+    is the set of them, although both are computed per coset."""
+    ring = load_ring(name)   # fresh, so colons(t) runs before any colon
+    ctx = ideal_context(ring)
+    for t in range(len(ctx.ideals)):
+        colons = ctx.colons(t)
+        for r in ring.elements():
+            assert ctx.colon(t, r) == oracle_colon(ring, t, r), (t, r)
+        assert colons == {ctx.colon(t, r) for r in ring.elements()}
 
 
 def test_eta_filter_basics():
