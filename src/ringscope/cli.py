@@ -4,7 +4,7 @@ Subcommands: ring show, classify, profile, domains, filters, modules,
 verify.  Ring and module inputs are single-object JSON documents (see
 docs/format.md); ring arguments may also name a bundled corpus ring.
 Exit codes: 0 success, 1 check failure or refutation, 2 invalid input,
-3 resource bound exceeded.
+3 resource bound exceeded, 4 internal error (a failed cross-check).
 """
 
 from __future__ import annotations
@@ -31,96 +31,19 @@ from .modules import (
     regular_module,
 )
 from .profile import inj_fingerprint, profile, proj_fingerprint
-from .ring import FiniteRing, ring_from_spec
+from .ring import FiniteRing, int_field, ring_from_spec
 from .torsion import all_linear_filters, ideal_context
 
 
 # -- file formats --------------------------------------------------------------
 
-def _ints(x, depth: int) -> bool:
-    """x is an integer nested in depth levels of lists."""
-    if depth == 0:
-        return isinstance(x, int) and not isinstance(x, bool)
-    return isinstance(x, list) and all(_ints(v, depth - 1) for v in x)
-
-
-_SHAPES = ("an integer", "a list of integers", "a list of integer lists",
-           "an array of integer lists")
-
-# field -> how deep its integers sit in lists; None marks constructs
-_SPEC_KEYS = {
-    "zmod": {"n": 0},
-    "table": {"orders": 1, "mul": 3, "one": 1},
-    "path_algebra": {"p": 0, "vertices": 0, "arrows": 2},
-    "matrix": {"base": None, "size": 0},
-    "product": {"factors": None},
-    "quotient": {"base": None, "ideal_gens": 2},
-    "opposite": {"base": None},
-}
-
-
-def _field(doc, key, depth: int, where: str, default=None):
-    """doc[key] (default when absent), checked to hold integers at depth."""
-    value = doc.get(key, default)
-    if not _ints(value, depth):
-        raise InputError(f"{where}.{key} must be {_SHAPES[depth]}")
-    return value
-
-
-def _construct_to_spec(obj, where: str):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise InputError(f"{where}: construct must be an object with a 'type'")
-    kind = obj["type"]
-    if kind not in _SPEC_KEYS:
-        raise InputError(f"{where}: unknown constructor {kind!r}")
-    spec = {"kind": kind}
-    for key, depth in _SPEC_KEYS[kind].items():
-        if key not in obj:
-            raise InputError(f"{where}: constructor {kind!r} needs field {key!r}")
-        spec[key] = obj[key] if depth is None else _field(obj, key, depth, where)
-    if kind == "path_algebra" and any(len(a) != 2 for a in obj["arrows"]):
-        raise InputError(f"{where}.arrows must be [source, target] pairs")
-    if kind == "matrix" or kind == "quotient" or kind == "opposite":
-        spec["base"] = _construct_to_spec(obj["base"], where + ".base")
-    if kind == "product":
-        if not isinstance(obj["factors"], list):
-            raise InputError(f"{where}.factors must be a list of constructs")
-        spec["factors"] = [_construct_to_spec(f, f"{where}.factors[{t}]")
-                           for t, f in enumerate(obj["factors"])]
-    return spec
-
-
-def parse_ring_file(text: str):
-    """Ring spec (constructor tree) from a JSON ring document."""
+def parse_ring_file(text: str) -> FiniteRing:
+    """The ring of a JSON ring document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"ring file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "construct" not in doc:
-        raise InputError("ring file needs a top-level 'construct' object")
-    spec = _construct_to_spec(doc["construct"], "construct")
-    if "label" in doc:
-        spec["label"] = str(doc["label"])
-    return spec
-
-
-def render_ring_spec(spec) -> str:
-    """Inverse of parse_ring_file, producing the document text."""
-
-    def back(s):
-        obj = {"type": s["kind"]}
-        for key in _SPEC_KEYS[s["kind"]]:
-            obj[key] = s[key]
-        if s["kind"] in ("matrix", "quotient", "opposite"):
-            obj["base"] = back(s["base"])
-        if s["kind"] == "product":
-            obj["factors"] = [back(f) for f in s["factors"]]
-        return obj
-
-    doc = {"construct": back(spec)}
-    if "label" in spec:
-        doc["label"] = spec["label"]
-    return json.dumps(doc, sort_keys=True)
+    return ring_from_spec(doc)
 
 
 def parse_module_file(text: str, ring: FiniteRing):
@@ -135,19 +58,19 @@ def parse_module_file(text: str, ring: FiniteRing):
     if kind == "regular":
         return regular_module(ring)
     if kind == "cyclic":
-        gens = _field(doc, "ideal_gens", 2, "cyclic", [])
+        gens = int_field(doc, "ideal_gens", 2, "cyclic", [])
         reg = regular_module(ring)
         ideal = Submodule(reg, [ring.reduce_el(g) for g in gens])
         if not ideal.is_action_stable():
             raise InputError("cyclic module: generators do not span a right ideal")
         return cyclic_module(ring, ideal)[0]
     if kind == "quotient_of_free":
-        rank = _field(doc, "rank", 0, "quotient_of_free", 1)
+        rank = int_field(doc, "rank", 0, "quotient_of_free", 1)
         if rank < 1:
             raise InputError("quotient_of_free: rank must be >= 1")
         free = direct_sum([regular_module(ring)] * rank, label=f"R^{rank}")
-        rels = [free.reduce_el(r)
-                for r in _field(doc, "relations", 2, "quotient_of_free", [])]
+        relations = int_field(doc, "relations", 2, "quotient_of_free", [])
+        rels = [free.reduce_el(r) for r in relations]
         sub = Submodule(free, rels)
         closed = sub
         while True:
@@ -189,7 +112,7 @@ def load_ring(arg: str) -> FiniteRing:
             text = fh.read()
     else:
         text = load_corpus_text(arg)
-    return ring_from_spec(parse_ring_file(text))
+    return parse_ring_file(text)
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -325,36 +248,42 @@ def build_parser() -> argparse.ArgumentParser:
     ring_sub = ring_cmd.add_subparsers(dest="ring_command", required=True)
     show = ring_sub.add_parser("show", help="print the structure constants")
     show.add_argument("ring", help="ring file or corpus name")
+    show.set_defaults(func=_cmd_ring_show)
 
     cls = sub.add_parser("classify", help="ring-level predicates")
     cls.add_argument("ring", help="ring file or corpus name")
     cls.add_argument("--json", action="store_true")
+    cls.set_defaults(func=_cmd_classify)
 
     prof = sub.add_parser("profile", help="injectivity/projectivity profile")
-    prof.add_argument("ring", nargs="?", help="ring file or corpus name")
-    prof.add_argument("--ring", dest="ring_flag", help=argparse.SUPPRESS)
+    prof.add_argument("ring", help="ring file or corpus name")
     prof.add_argument("--kind", choices=("i", "p"), required=True)
     prof.add_argument("--dot", help="write the Hasse diagram to this file")
     prof.add_argument("--json", action="store_true")
+    prof.set_defaults(func=_cmd_profile)
 
     dom = sub.add_parser("domains", help="cyclic fingerprint of a module")
     dom.add_argument("--ring", required=True)
     dom.add_argument("--module", required=True)
     dom.add_argument("--kind", choices=("i", "p"), required=True)
+    dom.set_defaults(func=_cmd_domains)
 
     filt = sub.add_parser("filters", help="enumerate linear filters")
     filt.add_argument("ring", help="ring file or corpus name")
     filt.add_argument("--above-maximal", action="store_true")
+    filt.set_defaults(func=_cmd_filters)
 
     mods = sub.add_parser("modules", help="enumerate module iso-classes")
     mods.add_argument("ring", help="ring file or corpus name")
     mods.add_argument("--max-rank", type=int, default=2)
     mods.add_argument("--max-order", type=int, default=64)
+    mods.set_defaults(func=_cmd_modules)
 
     ver = sub.add_parser("verify", help="run the verification suite")
     ver.add_argument("ring", help="ring file or corpus name")
     ver.add_argument("--max-rank", type=int, default=1)
     ver.add_argument("--max-module-order", type=int, default=64)
+    ver.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -363,26 +292,8 @@ def run_command(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "profile":
-        if args.ring is None:
-            args.ring = args.ring_flag
-        if args.ring is None:
-            raise InputError("profile: a ring file or corpus name is required")
     try:
-        if args.command == "ring":
-            return _cmd_ring_show(args, out)
-        if args.command == "classify":
-            return _cmd_classify(args, out)
-        if args.command == "profile":
-            return _cmd_profile(args, out)
-        if args.command == "domains":
-            return _cmd_domains(args, out)
-        if args.command == "filters":
-            return _cmd_filters(args, out)
-        if args.command == "modules":
-            return _cmd_modules(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
+        return args.func(args, out)
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -392,7 +303,6 @@ def run_command(argv, out=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

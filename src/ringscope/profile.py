@@ -57,36 +57,40 @@ class CyclicFingerprint:
 
 
 def inj_fingerprint(m: RightModule) -> CyclicFingerprint:
-    """{cyclic C : m is C-injective}."""
-    reps = cyclic_modules_up_to_iso(m.ring)
-    members = [t for t, c in enumerate(reps)
-               if is_relatively_injective(m, c)[0]]
-    return CyclicFingerprint(m.ring, members)
+    """{cyclic C : m is C-injective}, memoised on m."""
+    if "inj_fingerprint" not in m._cache:
+        reps = cyclic_modules_up_to_iso(m.ring)
+        members = [t for t, c in enumerate(reps)
+                   if is_relatively_injective(m, c)[0]]
+        m._cache["inj_fingerprint"] = CyclicFingerprint(m.ring, members)
+    return m._cache["inj_fingerprint"]
 
 
 def proj_fingerprint(m: RightModule) -> CyclicFingerprint:
-    """{cyclic C : m is C-projective}."""
-    reps = cyclic_modules_up_to_iso(m.ring)
-    members = [t for t, c in enumerate(reps)
-               if is_relatively_projective(m, c)[0]]
-    return CyclicFingerprint(m.ring, members)
+    """{cyclic C : m is C-projective}, memoised on m."""
+    if "proj_fingerprint" not in m._cache:
+        reps = cyclic_modules_up_to_iso(m.ring)
+        members = [t for t, c in enumerate(reps)
+                   if is_relatively_projective(m, c)[0]]
+        m._cache["proj_fingerprint"] = CyclicFingerprint(m.ring, members)
+    return m._cache["proj_fingerprint"]
 
 
 def semisimple_cyclics(ring: FiniteRing) -> CyclicFingerprint:
     """Cyclic classes killed by the radical — exactly the semisimple ones."""
-    jac = jacobson_radical(ring)
-    reps = cyclic_modules_up_to_iso(ring)
-    members = [t for t, c in enumerate(reps)
-               if module_times_ideal(c, jac).size() == 1]
-    return CyclicFingerprint(ring, members)
+    return killed_by(ring, jacobson_radical(ring))
 
 
 def killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
-    """Cyclic classes C with C·I = 0."""
-    reps = cyclic_modules_up_to_iso(ring)
-    members = [t for t, c in enumerate(reps)
-               if module_times_ideal(c, ideal).size() == 1]
-    return CyclicFingerprint(ring, members)
+    """Cyclic classes C with C·I = 0, memoised on the ring by I's
+    generators."""
+    table = ring._cache.setdefault("killed_by", {})
+    if ideal.gens not in table:
+        reps = cyclic_modules_up_to_iso(ring)
+        members = [t for t, c in enumerate(reps)
+                   if module_times_ideal(c, ideal).size() == 1]
+        table[ideal.gens] = CyclicFingerprint(ring, members)
+    return table[ideal.gens]
 
 
 class ProfileReport:
@@ -176,14 +180,7 @@ def i_profile(ring: FiniteRing) -> ProfileReport:
 def p_profile(ring: FiniteRing) -> ProfileReport:
     """The projectivity profile; every node's witness R/I is verified."""
     nodes, lat, filters = _profile_skeleton(ring)
-    witnesses = []
-    for i in nodes:
-        w, _ = cyclic_module(ring, i)
-        if proj_fingerprint(w) != killed_by(ring, i):
-            raise TheoremViolationError(
-                f"{ring.label}: projectivity domain of the factor module "
-                "does not match the annihilator condition")
-        witnesses.append(w)
+    witnesses = [find_witness(ring, i, "p") for i in nodes]
     return ProfileReport("p", ring, lat, list(nodes), list(filters),
                          witnesses)
 

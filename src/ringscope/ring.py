@@ -164,6 +164,8 @@ def _validated(ring: FiniteRing) -> FiniteRing:
 def zmod(n: int) -> FiniteRing:
     if n < 1:
         raise InputError("zmod needs n >= 1")
+    if n == 1:  # the zero ring has no generators, as quotient_ring presents it
+        return _validated(FiniteRing((), [], (), label="Z/1"))
     return _validated(FiniteRing((n,), [[(1,)]], (1,), label=f"Z/{n}"))
 
 
@@ -189,6 +191,8 @@ def path_algebra(p: int, num_vertices: int, arrows, label: str | None = None) ->
     """
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
+    if num_vertices < 0:
+        raise InputError("path algebra needs vertices >= 0")
     arrows = [(int(s), int(t)) for s, t in arrows]
     verts = list(range(1, num_vertices + 1))
     for s, t in arrows:
@@ -403,37 +407,98 @@ def central_idempotents(ring: FiniteRing, bound: int | None = None) -> set:
     return out
 
 
-# -- spec-driven construction -------------------------------------------------
+# -- ring documents -----------------------------------------------------------
+
+# constructor -> its fields, each mapped to how deep its integers sit in
+# lists; None marks a construct (or, for "factors", a list of constructs)
+SPEC_FIELDS = {
+    "zmod": {"n": 0},
+    "table": {"orders": 1, "mul": 3, "one": 1},
+    "path_algebra": {"p": 0, "vertices": 0, "arrows": 2},
+    "matrix": {"base": None, "size": 0},
+    "product": {"factors": None},
+    "quotient": {"base": None, "ideal_gens": 2},
+    "opposite": {"base": None},
+}
+
+_SHAPES = ("an integer", "a list of integers", "a list of integer lists",
+           "an array of integer lists")
 
 
-def ring_from_spec(spec) -> FiniteRing:
-    """Build a ring from a nested dict spec; see docs/format.md."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InputError("ring spec must be a dict with a 'kind' field")
-    kind = spec["kind"]
-    label = spec.get("label")
+def _ints(x, depth: int) -> bool:
+    """x is an integer nested in depth levels of lists."""
+    if depth == 0:
+        return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, list) and all(_ints(v, depth - 1) for v in x)
+
+
+def int_field(doc, key, depth: int, where: str, default=None):
+    """doc[key] (default when absent), checked to hold integers at depth."""
+    value = doc.get(key, default)
+    if not _ints(value, depth):
+        raise InputError(f"{where}.{key} must be {_SHAPES[depth]}")
+    return value
+
+
+def ring_from_spec(doc) -> FiniteRing:
+    """Build a ring from a ring document,
+    ``{"construct": {"type": ..., ...}, "label": ...}``; see docs/format.md.
+    Malformed documents, unknown fields included, raise InputError."""
+    if not isinstance(doc, dict) or "construct" not in doc:
+        raise InputError("ring file needs a top-level 'construct' object")
+    for key in doc:
+        if key not in ("construct", "label"):
+            raise InputError(f"ring file has unknown field {key!r}")
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError("label must be a string")
+    ring = _build(doc["construct"], "construct", label)
+    if label:
+        ring.label = label
+    return ring
+
+
+def _build(obj, where: str, label: str | None = None) -> FiniteRing:
+    """The ring of one construct; where is its path in the document."""
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise InputError(f"{where}: construct must be an object with a 'type'")
+    kind = obj["type"]
+    if not isinstance(kind, str) or kind not in SPEC_FIELDS:
+        raise InputError(f"{where}: unknown constructor {kind!r}")
+    fields = SPEC_FIELDS[kind]
+    for key in obj:
+        if key != "type" and key not in fields:
+            raise InputError(f"{where}: constructor {kind!r} has no field "
+                             f"{key!r}")
+    for key, depth in fields.items():
+        if key not in obj:
+            raise InputError(f"{where}: constructor {kind!r} needs field "
+                             f"{key!r}")
+        if depth is not None:
+            int_field(obj, key, depth, where)
     if kind == "zmod":
-        ring = zmod(int(spec["n"]))
+        ring = zmod(obj["n"])
     elif kind == "table":
-        ring = table_ring(spec["orders"], spec["mul"], spec["one"],
+        ring = table_ring(obj["orders"], obj["mul"], obj["one"],
                           label=label or "table")
     elif kind == "path_algebra":
-        ring = path_algebra(int(spec["p"]), int(spec["vertices"]),
-                            spec["arrows"], label=label)
+        if any(len(a) != 2 for a in obj["arrows"]):
+            raise InputError(f"{where}.arrows must be [source, target] pairs")
+        ring = path_algebra(obj["p"], obj["vertices"], obj["arrows"],
+                            label=label)
     elif kind == "matrix":
-        ring = matrix_ring(ring_from_spec(spec["base"]), int(spec["size"]))
+        ring = matrix_ring(_build(obj["base"], where + ".base"), obj["size"])
     elif kind == "product":
-        ring = product_ring([ring_from_spec(s) for s in spec["factors"]])
+        if not isinstance(obj["factors"], list):
+            raise InputError(f"{where}.factors must be a list of constructs")
+        ring = product_ring([_build(f, f"{where}.factors[{t}]")
+                             for t, f in enumerate(obj["factors"])])
     elif kind == "quotient":
-        base = ring_from_spec(spec["base"])
-        ring, _, _ = quotient_ring(base, spec["ideal_gens"], label=label)
-    elif kind == "opposite":
-        ring = opposite_ring(ring_from_spec(spec["base"]))
+        base = _build(obj["base"], where + ".base")
+        ring, _, _ = quotient_ring(base, obj["ideal_gens"], label=label)
     else:
-        raise InputError(f"unknown ring constructor {kind!r}")
+        ring = opposite_ring(_build(obj["base"], where + ".base"))
     if ring.order() > max_ring_order():
         raise BoundExceededError(
             f"ring order {ring.order()} exceeds bound {max_ring_order()}")
-    if label:
-        ring.label = label
     return ring

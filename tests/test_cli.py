@@ -17,7 +17,6 @@ from ringscope.cli import (
     main,
     parse_module_file,
     parse_ring_file,
-    render_ring_spec,
     run_command,
 )
 from ringscope.errors import InputError, TheoremViolationError
@@ -42,15 +41,13 @@ def test_corpus_is_bundled():
         assert ring.order() >= 2
 
 
-def test_ring_file_roundtrip_is_deterministic():
+def test_ring_from_spec_reads_corpus_documents():
+    """The library reads a ring file's document as the CLI does."""
     for name in corpus_names():
-        text = load_corpus_text(name)
-        spec = parse_ring_file(text)
-        rendered = render_ring_spec(spec)
-        again = render_ring_spec(parse_ring_file(rendered))
-        assert rendered == again  # byte-identical after one normalization
-        assert ring_from_spec(spec).order() == \
-            ring_from_spec(parse_ring_file(rendered)).order()
+        ring = ring_from_spec(json.loads(load_corpus_text(name)))
+        again = load_ring(name)
+        assert (ring.orders, ring.mul, ring.one, ring.label) == \
+            (again.orders, again.mul, again.one, again.label)
 
 
 def test_parse_ring_file_errors():
@@ -227,6 +224,66 @@ def test_malformed_field_exits_2(tmp_path, capsys, ring_doc, module_doc,
     code, _ = run(argv)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("ring_doc, module_doc, message", [
+    ({"construct": {"type": "zmod", "n": "abc"}}, None,
+     "construct.n must be an integer"),
+    ({"construct": {"type": "zmod", "n": [2]}}, None,
+     "construct.n must be an integer"),
+    ({"construct": {"type": "table", "orders": [2], "mul": [[[1]]],
+                    "one": "x"}}, None,
+     "construct.one must be a list of integers"),
+    ({"construct": {"type": "path_algebra", "p": 2, "vertices": 2,
+                    "arrows": [[1]]}}, None,
+     "construct.arrows must be [source, target] pairs"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "quotient_of_free", "rank": "abc"},
+     "quotient_of_free.rank must be an integer"),
+    ({"construct": {"type": "zmod", "n": 8}, "lable": "Z/8"}, None,
+     "ring file has unknown field 'lable'"),
+    ({"construct": {"type": "product", "factors": [
+        {"type": "zmod", "n": 2}, {"type": "zmod", "n": 4, "m": 2}]}}, None,
+     "construct.factors[1]: constructor 'zmod' has no field 'm'"),
+    ({"construct": {"type": "zmod", "n": 8}, "label": {"a": 1}}, None,
+     "label must be a string"),
+])
+def test_malformed_document_raises_input_error(ring_doc, module_doc, message):
+    """Library callers get the checks the CLI relies on."""
+    with pytest.raises(InputError) as exc:
+        ring = ring_from_spec(ring_doc)
+        parse_module_file(json.dumps(module_doc), ring)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("ring_doc, code, first_line", [
+    ({"type": "zmod", "n": 1}, 0, "label: Z/1"),
+    ({"type": "quotient", "base": {"type": "zmod", "n": 8},
+      "ideal_gens": [[1]]}, 0, "label: Z/8/I"),
+    ({"type": "path_algebra", "p": 2, "vertices": 0, "arrows": []}, 0,
+     "label: F2-quiver(0v,0a)"),
+    ({"type": "path_algebra", "p": 2, "vertices": -3, "arrows": []}, 2,
+     "error: path algebra needs vertices >= 0"),
+])
+def test_zero_ring_documents(tmp_path, capsys, ring_doc, code, first_line):
+    """Z/1 is the rank-0 zero ring that the other constructors give; a
+    negative vertex count is rejected."""
+    ring = tmp_path / "zero.ring"
+    ring.write_text(json.dumps({"construct": ring_doc}))
+    got, text = run(["ring", "show", str(ring)])
+    assert got == code
+    lines = (text or capsys.readouterr().err).splitlines()
+    assert lines[0] == first_line
+    if code == 0:
+        assert lines[1:] == ["order: 1", "generator orders: []", "one: []"]
+        assert run(["classify", str(ring)])[0] == 0
+
+
+def test_profile_requires_a_ring(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--kind", "i"])
+    assert exc.value.code == 2
+    assert "required: ring" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ring_doc, module_doc", [

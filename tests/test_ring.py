@@ -1,11 +1,14 @@
 """Ring constructors, axiom checking, and element-level queries."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from ringscope.errors import BoundExceededError, InputError
 from ringscope.ring import (
+    SPEC_FIELDS,
     FiniteRing,
     central_idempotents,
     inverse,
@@ -136,23 +139,39 @@ def test_central_idempotents():
 
 
 def test_ring_from_spec_roundtrip():
-    spec = {"kind": "quotient", "base": {"kind": "zmod", "n": 8},
-            "ideal_gens": [[4]], "label": "Z/8 mod 4"}
-    r = ring_from_spec(spec)
+    doc = {"construct": {"type": "quotient",
+                         "base": {"type": "zmod", "n": 8},
+                         "ideal_gens": [[4]]},
+           "label": "Z/8 mod 4"}
+    r = ring_from_spec(doc)
     assert r.order() == 4
     assert r.label == "Z/8 mod 4"
     with pytest.raises(InputError):
-        ring_from_spec({"kind": "nonsense"})
+        ring_from_spec({"construct": {"type": "nonsense"}})
 
 
 def test_order_bound_env(monkeypatch):
     monkeypatch.setenv("RINGSCOPE_MAX_ORDER", "4")
+    doc = {"construct": {"type": "zmod", "n": 8}}
     with pytest.raises(BoundExceededError):
-        ring_from_spec({"kind": "zmod", "n": 8})
+        ring_from_spec(doc)
     monkeypatch.delenv("RINGSCOPE_MAX_ORDER")
-    assert ring_from_spec({"kind": "zmod", "n": 8}).order() == 8
+    assert ring_from_spec(doc).order() == 8
 
 
 def test_corpus_rings_satisfy_axioms():
     for name in SMALL_CORPUS:
         assert verify_ring_axioms(corpus(name)) is None
+
+
+def test_format_doc_lists_the_parsed_fields():
+    """docs/format.md's constructor table names exactly the constructors
+    and fields that ring_from_spec accepts."""
+    doc = Path(__file__).resolve().parent.parent / "docs" / "format.md"
+    table = {}
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and re.fullmatch(r"`\w+`", cells[0]):
+            table[cells[0].strip("`")] = re.findall(r"`(\w+)`", cells[1])
+    assert table == {kind: list(fields)
+                     for kind, fields in SPEC_FIELDS.items()}
