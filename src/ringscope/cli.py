@@ -25,10 +25,13 @@ from .lattice import to_dot
 from .modules import (
     Submodule,
     cyclic_module,
+    cyclic_span,
     direct_sum,
     enumerate_modules,
     quotient_module,
     regular_module,
+    submodule_sum,
+    zero_submodule,
 )
 from .profile import inj_fingerprint, profile, proj_fingerprint
 from .ring import FiniteRing, int_field, ring_from_spec
@@ -70,16 +73,9 @@ def parse_module_file(text: str, ring: FiniteRing):
             raise InputError("quotient_of_free: rank must be >= 1")
         free = direct_sum([regular_module(ring)] * rank, label=f"R^{rank}")
         relations = int_field(doc, "relations", 2, "quotient_of_free", [])
-        rels = [free.reduce_el(r) for r in relations]
-        sub = Submodule(free, rels)
-        closed = sub
-        while True:
-            extra = [free.act_gen(row, j) for row in closed.gens.rows
-                     for j in range(ring.rank)
-                     if not closed.contains(free.act_gen(row, j))]
-            if not extra:
-                break
-            closed = Submodule(free, list(closed.gens.rows) + extra)
+        closed = zero_submodule(free)
+        for r in relations:
+            closed = submodule_sum(closed, cyclic_span(free, r))
         return quotient_module(free, closed)[0]
     if kind == "direct_sum":
         summands = doc.get("summands", [])

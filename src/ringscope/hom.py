@@ -55,10 +55,6 @@ class HomGroup:
         for flat in self.basis.span_elements():
             yield self._unflatten(flat)
 
-    def contains_map(self, fmap: ModuleMap) -> bool:
-        flat = tuple(x for row in fmap.rows for x in row)
-        return self.basis.contains(flat)
-
 
 def hom_group(a: RightModule, b: RightModule) -> HomGroup:
     """Hom_R(a, b), wrapping a memoised canonical basis.

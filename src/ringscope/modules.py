@@ -96,7 +96,7 @@ class RightModule:
 
     def generator(self, i):
         e = [0] * self.rank
-        e[i] = 1
+        e[i] = 1 % self.orders[i]
         return tuple(e)
 
 
@@ -163,13 +163,6 @@ class ModuleMap:
                 if self.apply(src.act_gen(e, j)) != tgt.act_gen(self.apply(e), j):
                     return False
         return True
-
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """self ∘ inner."""
-        if inner.target is not self.source and inner.target.orders != self.source.orders:
-            raise InputError("maps do not compose")
-        rows = [self.apply(r) for r in inner.rows]
-        return ModuleMap(inner.source, self.target, rows, check=False)
 
     def image_span(self) -> ModMatrix:
         return howell_span(self.target.orders, self.rows)
@@ -245,11 +238,6 @@ def regular_module(ring: FiniteRing) -> RightModule:
                                      label=f"{ring.label} (regular)"))
         ring._cache[key] = mod
     return ring._cache[key]
-
-
-def from_action_tables(ring: FiniteRing, orders, action,
-                       label: str = "module") -> RightModule:
-    return _validated(RightModule(ring, orders, action, label=label))
 
 
 def zero_module(ring: FiniteRing) -> RightModule:
@@ -733,22 +721,31 @@ def cyclic_modules_up_to_iso(ring: FiniteRing):
     return reps
 
 
+def _free_submodules(free: RightModule, k: int, ceiling: int):
+    """submodules(free) for free = R^k, within the enumeration bounds."""
+    if free.order() > SUBMODULE_ENUM_BOUND:
+        raise BoundExceededError(
+            f"free module of order {free.order()} not enumerable")
+    subs = submodules(free)
+    if len(subs) > ceiling:
+        raise BoundExceededError(
+            f"{len(subs)} submodules of R^{k} exceed ceiling {ceiling}")
+    return subs
+
+
 def enumerate_modules(ring: FiniteRing, max_free_rank: int = 2,
                       max_order: int = 64, ceiling: int = 20000):
     """All iso-classes of quotients of R^k, k ≤ max_free_rank, of order
-    ≤ max_order."""
+    ≤ max_order.  The quotients of R^1 are the cyclic classes."""
+    if max_free_rank < 1:
+        return []
     reg = regular_module(ring)
-    reps = []
-    for k in range(1, max_free_rank + 1):
+    _free_submodules(reg, 1, ceiling)
+    reps = [c for c in cyclic_modules_up_to_iso(ring)
+            if c.order() <= max_order]
+    for k in range(2, max_free_rank + 1):
         free = direct_sum([reg] * k, label=f"R^{k}")
-        if free.order() > SUBMODULE_ENUM_BOUND:
-            raise BoundExceededError(
-                f"free module of order {free.order()} not enumerable")
-        subs = submodules(free)
-        if len(subs) > ceiling:
-            raise BoundExceededError(
-                f"{len(subs)} submodules of R^{k} exceed ceiling {ceiling}")
-        for s in subs:
+        for s in _free_submodules(free, k, ceiling):
             if free.order() // s.size() > max_order:
                 continue
             q, _ = quotient_module(free, s)

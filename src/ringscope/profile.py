@@ -11,9 +11,9 @@ any two domains over these rings.
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, TheoremViolationError
+from .errors import TheoremViolationError
 from .hom import is_relatively_injective, is_relatively_projective
-from .ideals import ideals_in_radical, jacobson_radical, two_sided_ideals
+from .ideals import ideals_in_radical, jacobson_radical
 from .lattice import FiniteLattice, are_isomorphic, build_lattice, structure_report
 from .modules import (
     RightModule,
@@ -125,54 +125,37 @@ class ProfileReport:
 def _profile_skeleton(ring: FiniteRing):
     """(nodes, lattice, filters), shared by both profiles of one ring.
 
-    nodes are the two-sided ideals inside J(R), filters their η-filters;
-    both cross-checks (filter enumeration, anti-isomorphism with the
-    ideals inside the radical) run once, when the skeleton is built.
+    nodes are the two-sided ideals inside J(R), filters their η-filters,
+    and the lattice orders the nodes by filter inclusion.  Both
+    cross-checks run once, when the skeleton is built: the η-filters are
+    exactly the filters above all maximal right ideals, and the filter
+    order is anti-isomorphic to the inclusion of the ideals.
     """
     key = "profile_skeleton"
     if key not in ring._cache:
-        nodes, filters = _profile_nodes(ring)
-        ring._cache[key] = (nodes, _profile_lattice(ring, nodes), filters)
+        ideal_lat, nodes = ideals_in_radical(ring)
+        filters = [eta_filter(ring, i) for i in nodes]
+        structural = set(filters)
+        brute = set(all_linear_filters(ring, above_all_maximal=True))
+        if structural != brute:
+            raise TheoremViolationError(
+                f"{ring.label}: filters above all maximal right ideals do "
+                f"not match eta-filters of ideals inside the radical "
+                f"({len(brute)} vs {len(structural)})")
+        lat = build_lattice(list(range(len(nodes))),
+                            leq=lambda a, b: filters[a] <= filters[b])
+        if not are_isomorphic(lat, ideal_lat, anti=True)[0]:
+            raise TheoremViolationError(
+                f"{ring.label}: profile lattice is not anti-isomorphic to "
+                "the lattice of ideals inside the radical")
+        ring._cache[key] = (nodes, lat, filters)
     return ring._cache[key]
-
-
-def _profile_nodes(ring: FiniteRing):
-    """Two-sided ideals inside J(R) and their η-filters, with the filter
-    cross-check applied."""
-    jac = jacobson_radical(ring)
-    nodes = [i for i in two_sided_ideals(ring) if jac.contains_sub(i)]
-    filters = [eta_filter(ring, i) for i in nodes]
-    structural = set(filters)
-    brute = set(all_linear_filters(ring, above_all_maximal=True))
-    if structural != brute:
-        raise TheoremViolationError(
-            f"{ring.label}: filters above all maximal right ideals do not "
-            f"match eta-filters of ideals inside the radical "
-            f"({len(brute)} vs {len(structural)})")
-    return nodes, filters
-
-
-def _profile_lattice(ring: FiniteRing, nodes):
-    # order the nodes by reverse inclusion of ideals: larger ideal =>
-    # smaller domain => lower in the profile
-    lat = build_lattice(list(range(len(nodes))),
-                        leq=lambda a, b: nodes[a].contains_sub(nodes[b]))
-    ideal_lat, _ = ideals_in_radical(ring)
-    ok, _ = are_isomorphic(lat, ideal_lat, anti=True)
-    if not ok:
-        raise TheoremViolationError(
-            f"{ring.label}: profile lattice is not anti-isomorphic to the "
-            "lattice of ideals inside the radical")
-    return lat
 
 
 def i_profile(ring: FiniteRing) -> ProfileReport:
     """The injectivity profile, cross-validated against filter enumeration."""
     nodes, lat, filters = _profile_skeleton(ring)
-    witnesses = []
-    for i in nodes:
-        found = find_witness(ring, i, "i", quick_only=True)
-        witnesses.append(found)
+    witnesses = [find_witness(ring, i, "i") for i in nodes]
     return ProfileReport("i", ring, lat, list(nodes), list(filters),
                          witnesses)
 
@@ -218,14 +201,12 @@ def rises_bounded(m: RightModule, n: RightModule, max_free_rank: int = 1,
     return "consistent_up_to_bound", (max_free_rank, max_order)
 
 
-def find_witness(ring: FiniteRing, ideal, kind: str,
-                 max_free_rank: int = 1, max_order: int = 64,
-                 quick_only: bool = False):
+def find_witness(ring: FiniteRing, ideal, kind: str):
     """A module whose domain is the node of the given two-sided ideal.
 
-    kind "p": R/I, verified, always found.  kind "i": tries R/I and the
-    regular module first, then a bounded enumeration; returns None when
-    the search is exhausted (the bound is honest, absence is not proved).
+    kind "p": R/I, verified, always found.  kind "i": R/I or the regular
+    module when one of them realises the node, else None (absence of a
+    witness is not proved).
     """
     target = killed_by(ring, ideal)
     if kind == "p":
@@ -235,17 +216,7 @@ def find_witness(ring: FiniteRing, ideal, kind: str,
                 f"{ring.label}: factor module fails its projectivity "
                 "fingerprint")
         return w
-    quick = [cyclic_module(ring, ideal)[0], regular_module(ring)]
-    for cand in quick:
-        if inj_fingerprint(cand) == target:
-            return cand
-    if quick_only:
-        return None
-    try:
-        pool = enumerate_modules(ring, max_free_rank, max_order)
-    except BoundExceededError:
-        return None
-    for cand in pool:
+    for cand in (cyclic_module(ring, ideal)[0], regular_module(ring)):
         if inj_fingerprint(cand) == target:
             return cand
     return None

@@ -116,7 +116,7 @@ class FiniteRing:
 
     def generator(self, i):
         e = [0] * self.rank
-        e[i] = 1
+        e[i] = 1 % self.orders[i]
         return tuple(e)
 
 

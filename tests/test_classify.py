@@ -1,5 +1,7 @@
 """Ring classification predicates and the verification suite."""
 
+import importlib
+
 import pytest
 
 from ringscope.classify import (
@@ -15,10 +17,13 @@ from ringscope.classify import (
     socle_homogeneous,
     verify_suite,
 )
+from ringscope.cli import load_ring
 from ringscope.modules import Submodule, regular_module
-from ringscope.ring import product_ring, quotient_ring, zmod
+from ringscope.ring import product_ring, quotient_ring, units, zmod
 
 from conftest import SMALL_CORPUS, corpus
+
+classify_mod = importlib.import_module("ringscope.classify")
 
 # name -> (semisimple, local, chain, uniform, qf, super_qf)
 TRUTH = {
@@ -133,3 +138,33 @@ def test_verify_report_rejects_unknown_status():
     with pytest.raises(ValueError, match="unknown status"):
         rep.add("V0", "a statement", "passed")
     assert [e["status"] for e in rep.entries] == ["pass"]
+
+
+def test_local_means_one_maximal_right_ideal():
+    """On nonzero rings this agrees with "the non-units are closed under
+    addition"; the zero ring has no maximal right ideal and is not local."""
+    rings = [corpus(n) for n in SMALL_CORPUS] + [zmod(n) for n in range(2, 13)]
+    for ring in rings:
+        unit_set = units(ring)
+        non_units = [x for x in ring.elements() if x not in unit_set]
+        closed = all(ring.el_add(x, y) not in unit_set
+                     for x in non_units for y in non_units)
+        assert is_local(ring) == closed, ring.label
+    assert not is_local(zmod(1))
+
+
+def test_is_qf_is_computed_once_per_ring(monkeypatch):
+    """is_super_qf, V6 and classify_report share one self-injectivity test
+    of the regular module."""
+    calls = []
+    is_injective = classify_mod.is_injective
+
+    def counted(m):
+        calls.append(m)
+        return is_injective(m)
+
+    monkeypatch.setattr(classify_mod, "is_injective", counted)
+    ring = load_ring("z4xf2")
+    classify_report(ring)
+    verify_suite(ring)
+    assert sum(m is regular_module(ring) for m in calls) == 1

@@ -266,8 +266,8 @@ def test_malformed_document_raises_input_error(ring_doc, module_doc, message):
      "error: path algebra needs vertices >= 0"),
 ])
 def test_zero_ring_documents(tmp_path, capsys, ring_doc, code, first_line):
-    """Z/1 is the rank-0 zero ring that the other constructors give; a
-    negative vertex count is rejected."""
+    """Z/1 is the rank-0 zero ring that the other constructors give, and
+    it is not local; a negative vertex count is rejected."""
     ring = tmp_path / "zero.ring"
     ring.write_text(json.dumps({"construct": ring_doc}))
     got, text = run(["ring", "show", str(ring)])
@@ -276,7 +276,29 @@ def test_zero_ring_documents(tmp_path, capsys, ring_doc, code, first_line):
     assert lines[0] == first_line
     if code == 0:
         assert lines[1:] == ["order: 1", "generator orders: []", "one: []"]
-        assert run(["classify", str(ring)])[0] == 0
+        got, text = run(["classify", str(ring)])
+        assert got == 0
+        # no maximal right ideal, so not local
+        assert "local: False" in text.splitlines()
+
+
+def test_order_one_generator_is_accepted(tmp_path):
+    """F2 with a redundant zero generator classifies like Z/2."""
+    ring = tmp_path / "f2.ring"
+    ring.write_text(json.dumps({"construct": {
+        "type": "table", "orders": [2, 1],
+        "mul": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "one": [1, 0]}}))
+    z2 = tmp_path / "z2.ring"
+    z2.write_text(json.dumps({"construct": {"type": "zmod", "n": 2}}))
+    code, text = run(["classify", "--json", str(ring)])
+    assert code == 0
+    got = json.loads(text)
+    want = json.loads(run(["classify", "--json", str(z2)])[1])
+    assert (got.pop("label"), want.pop("label")) == ("table", "Z/2")
+    assert got == want
+    code, text = run(["verify", str(ring)])
+    assert code == 0
+    assert text.splitlines()[-1] == "all checks passed"
 
 
 def test_profile_requires_a_ring(capsys):

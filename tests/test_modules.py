@@ -6,6 +6,7 @@ oracle that never touches the linear algebra.
 
 import pytest
 
+from ringscope.cli import load_ring
 from ringscope.errors import BoundExceededError, InputError
 from ringscope.modules import (
     RightModule,
@@ -205,6 +206,35 @@ def test_enumerate_modules_z8():
 def test_enumeration_bound_is_enforced():
     with pytest.raises(BoundExceededError):
         enumerate_modules(corpus("m2z4"), max_free_rank=2)
+
+
+@pytest.mark.parametrize("max_order", [4, 64])
+def test_rank_one_modules_are_the_cyclic_classes(max_order):
+    """The rank-1 layer is the cyclic classes of order <= max_order, and
+    every R/I of that order is isomorphic to exactly one of them."""
+    for name in SMALL_CORPUS:
+        ring = corpus(name)
+        mods = enumerate_modules(ring, 1, max_order)
+        assert [m.key for m in mods] == [
+            c.key for c in cyclic_modules_up_to_iso(ring)
+            if c.order() <= max_order]
+        reg = regular_module(ring)
+        for ideal in submodules(reg):
+            if reg.order() // ideal.size() > max_order:
+                continue
+            q = cyclic_module(ring, ideal)[0]
+            assert sum(is_isomorphic_modules(q, m)[0] for m in mods) == 1
+
+
+def test_rank_one_bounds_are_checked_before_the_cyclic_classes():
+    with pytest.raises(BoundExceededError,
+                       match="^free module of order 5000 not enumerable$"):
+        enumerate_modules(zmod(5000), max_free_rank=1)
+    ring = load_ring("t2f2")
+    with pytest.raises(BoundExceededError,
+                       match="^7 submodules of R\\^1 exceed ceiling 6$"):
+        enumerate_modules(ring, max_free_rank=1, ceiling=6)
+    assert "cyclic_classes" not in ring._cache
 
 
 def test_socle_cross_check_runs_on_corpus():

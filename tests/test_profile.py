@@ -5,8 +5,9 @@ import importlib
 import pytest
 
 from ringscope.cli import load_ring
+from ringscope.errors import TheoremViolationError
 from ringscope.ideals import ideals_in_radical, jacobson_radical
-from ringscope.lattice import are_isomorphic, lattice_product
+from ringscope.lattice import are_isomorphic, build_lattice, lattice_product
 from ringscope.modules import (
     Submodule,
     cyclic_module,
@@ -210,3 +211,49 @@ def test_profiles_share_one_skeleton(monkeypatch, name):
     assert len(calls) == 2
     assert [f.members for f in fresh.filters] == \
         [f.members for f in ip.filters]
+
+
+def test_profile_order_is_filter_inclusion():
+    """Node a lies below node b iff η(I_a) ⊆ η(I_b), iff I_a ⊇ I_b."""
+    for name in SMALL_CORPUS:
+        rep = i_profile(corpus(name))
+        for a in range(rep.size):
+            for b in range(rep.size):
+                below = rep.lattice.le(a, b)
+                assert below == (rep.filters[a] <= rep.filters[b])
+                assert below == rep.ideals[a].contains_sub(rep.ideals[b])
+
+
+def test_skeleton_checks_filter_order_against_ideal_order(monkeypatch):
+    """The anti-isomorphism check compares the filter order with the
+    lattice that ideals_in_radical builds; a wrong ideal lattice fails."""
+    real = profile_mod.ideals_in_radical
+
+    def as_chain(ring):
+        _, nodes = real(ring)
+        return build_lattice(list(range(len(nodes))),
+                             leq=lambda a, b: a <= b), nodes
+
+    monkeypatch.setattr(profile_mod, "ideals_in_radical", as_chain)
+    assert i_profile(load_ring("z8")).size == 3  # a chain: the check passes
+    with pytest.raises(TheoremViolationError, match="anti-isomorphic"):
+        i_profile(load_ring("f2xy_x2y2"))
+
+
+def test_i_witness_is_the_factor_or_the_regular_module():
+    """An i-witness is R/I or R when one of them realises the node, and
+    None otherwise."""
+    for name in ("z8", "t2f2", "quiver_f2"):
+        ring = corpus(name)
+        rep = i_profile(ring)
+        for ideal, w in zip(rep.ideals, rep.witnesses):
+            target = killed_by(ring, ideal)
+            realising = [c.key for c in (cyclic_module(ring, ideal)[0],
+                                         regular_module(ring))
+                         if inj_fingerprint(c) == target]
+            if w is None:
+                assert not realising
+            else:
+                assert inj_fingerprint(w) == target
+                assert w.key == realising[0]
+    assert None in i_profile(corpus("t2f2")).witnesses
