@@ -16,7 +16,7 @@ from .ideals import (
     jacobson_radical,
     maximal_right_ideals,
     minimal_right_ideals,
-    right_ideals,
+    right_ideal_lattice,
     two_sided_ideals,
 )
 from .lattice import are_isomorphic, build_lattice
@@ -56,9 +56,7 @@ def is_local(ring: FiniteRing) -> bool:
 
 
 def is_chain_ring(ring: FiniteRing) -> bool:
-    ideals = right_ideals(ring)
-    return all(a.contains_sub(b) or b.contains_sub(a)
-               for a, b in itertools.combinations(ideals, 2))
+    return right_ideal_lattice(ring).is_chain()
 
 
 def is_uniform_ring(ring: FiniteRing) -> bool:

@@ -131,6 +131,18 @@ def _flatten_map_rows(rows):
     return tuple(x for row in rows for x in row)
 
 
+def _missing_map(homs: HomGroup, images):
+    """A map of homs outside the span of the flattened images, or None
+    when the images span all of homs."""
+    image = howell_span(homs.basis.col_moduli, images)
+    if image.span_size() == homs.size():
+        return None
+    for phi in homs.maps():
+        if not image.contains(_flatten_map_rows(phi.rows)):
+            return phi
+    raise TheoremViolationError("span size mismatch without a missing map")
+
+
 def is_relatively_injective(m: RightModule, n: RightModule):
     """(flag, certificate): certificate is (K, φ) with φ: K → m
     non-extendable to n when the answer is negative."""
@@ -142,20 +154,11 @@ def is_relatively_injective(m: RightModule, n: RightModule):
         homs_km = hom_group(kmod, m)
         if homs_km.size() == 1:
             continue
-        flat_mods = tuple(m.orders[j] for _ in range(kmod.rank)
-                          for j in range(m.rank))
-        restrictions = []
-        for gen in nm_gens:
-            restricted = [gen.apply(incl.rows[t]) for t in range(kmod.rank)]
-            restrictions.append(_flatten_map_rows(restricted))
-        image = howell_span(flat_mods, restrictions)
-        if image.span_size() == homs_km.size():
-            continue
-        for phi in homs_km.maps():
-            if not image.contains(_flatten_map_rows(phi.rows)):
-                return False, (k, phi)
-        raise TheoremViolationError(
-            "span size mismatch without a missing map")
+        restrictions = [_flatten_map_rows(gen.apply(r) for r in incl.rows)
+                        for gen in nm_gens]
+        phi = _missing_map(homs_km, restrictions)
+        if phi is not None:
+            return False, (k, phi)
     return True, None
 
 
@@ -173,20 +176,11 @@ def is_relatively_projective(m: RightModule, n: RightModule):
         homs_mq = hom_group(m, q)
         if homs_mq.size() == 1:
             continue
-        flat_mods = tuple(q.orders[j] for _ in range(m.rank)
-                          for j in range(q.rank))
-        composites = []
-        for gen in mn_gens:
-            composed = [proj.apply(r) for r in gen.rows]
-            composites.append(_flatten_map_rows(composed))
-        image = howell_span(flat_mods, composites)
-        if image.span_size() == homs_mq.size():
-            continue
-        for psi in homs_mq.maps():
-            if not image.contains(_flatten_map_rows(psi.rows)):
-                return False, (l, psi)
-        raise TheoremViolationError(
-            "span size mismatch without a missing map")
+        composites = [_flatten_map_rows(proj.apply(r) for r in gen.rows)
+                      for gen in mn_gens]
+        psi = _missing_map(homs_mq, composites)
+        if psi is not None:
+            return False, (l, psi)
     return True, None
 
 

@@ -2,19 +2,19 @@
 
 Right ideals of R are the submodules of the regular module; everything
 here works with that list materialized, so bounds are inherited from the
-submodule enumerator.
+submodule enumerator.  Their order is one lattice per ring,
+right_ideal_lattice, which every inclusion and meet question reads.
 """
 
 from __future__ import annotations
 
-from .errors import TheoremViolationError
-from .lattice import build_lattice
+from .errors import InputError, NotALatticeError, TheoremViolationError
+from .lattice import FiniteLattice, build_lattice
 from .modules import (
     Submodule,
-    extremal_submodules,
-    full_submodule,
     regular_module,
     submodule_intersection,
+    submodule_sum,
     submodules,
 )
 from .ring import FiniteRing
@@ -23,6 +23,43 @@ from .ring import FiniteRing
 def right_ideals(ring: FiniteRing):
     """All right ideals, canonically sorted (0 and R included)."""
     return submodules(regular_module(ring))
+
+
+def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
+    """The right ideals under inclusion, memoised on the ring.
+
+    Element t is right_ideals(ring)[t]; meet is intersection and join is
+    sum.  The order comes from contains_sub and is checked once, when the
+    lattice is built, for every pair A, B: the join must be A+B, built by
+    stacking generators, which pins the order (A ⊆ B iff A+B = B); and
+    |meet|·|A+B| = |A|·|B| must hold, so the meet, lying in A∩B, is A∩B.
+    """
+    key = "right_ideal_lattice"
+    if key in ring._cache:
+        return ring._cache[key]
+    ideals = right_ideals(ring)
+    sizes = [i.size() for i in ideals]
+    n = len(ideals)
+    # a distinct ideal inside another one is strictly smaller
+    up = [1 << a | sum(1 << b for b in range(n) if sizes[b] > sizes[a]
+                       and ideals[b].contains_sub(ideals[a]))
+          for a in range(n)]
+    try:
+        lat = FiniteLattice(range(n), up)
+    except (InputError, NotALatticeError) as exc:
+        raise TheoremViolationError(
+            f"{ring.label}: right ideals under inclusion: {exc}") from exc
+    index = {i.gens: t for t, i in enumerate(ideals)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            meet, join = lat.meet[a][b], lat.join[a][b]
+            if (index.get(submodule_sum(ideals[a], ideals[b]).gens) != join
+                    or sizes[meet] * sizes[join] != sizes[a] * sizes[b]):
+                raise TheoremViolationError(
+                    f"{ring.label}: right ideals {a}, {b} have meet {meet} "
+                    f"and join {join}, not their intersection and sum")
+    ring._cache[key] = lat
+    return lat
 
 
 def is_two_sided(ring: FiniteRing, ideal: Submodule) -> bool:
@@ -43,11 +80,12 @@ def two_sided_ideals(ring: FiniteRing):
 
 
 def maximal_right_ideals(ring: FiniteRing):
-    return extremal_submodules(regular_module(ring), maximal=True)
+    """The coatoms of the right-ideal lattice, in canonical order."""
+    return [right_ideals(ring)[t] for t in right_ideal_lattice(ring).coatoms()]
 
 
 def jacobson_radical(ring: FiniteRing) -> Submodule:
-    """Intersection of the maximal right ideals.
+    """Intersection of the maximal right ideals: the meet of the coatoms.
 
     Post-verified: nilpotent, two-sided, and with semisimple quotient
     (the quotient's radical is zero).  Failure of any check is a bug in
@@ -57,10 +95,11 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
     if key in ring._cache:
         return ring._cache[key]
     reg = regular_module(ring)
-    maxes = maximal_right_ideals(ring)
-    jac = full_submodule(reg)
-    for m in maxes:
-        jac = submodule_intersection(jac, m)
+    lat = right_ideal_lattice(ring)
+    t = lat.top
+    for c in lat.coatoms():
+        t = lat.meet[t][c]
+    jac = right_ideals(ring)[t]
     if not is_two_sided(ring, jac):
         raise TheoremViolationError(
             f"radical of {ring.label} is not two-sided")
@@ -94,7 +133,8 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
 
 
 def minimal_right_ideals(ring: FiniteRing):
-    return extremal_submodules(regular_module(ring))
+    """The atoms of the right-ideal lattice, in canonical order."""
+    return [right_ideals(ring)[t] for t in right_ideal_lattice(ring).atoms()]
 
 
 def is_essential(ring: FiniteRing, ideal: Submodule) -> bool:

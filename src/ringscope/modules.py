@@ -433,25 +433,17 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
 # -- socle, radical, singular, annihilator ------------------------------------
 
 
-def extremal_submodules(m: RightModule, maximal: bool = False):
-    """Minimal nonzero submodules, or with maximal=True the maximal proper
-    ones, in the canonical order of submodules(m).
+def minimal_submodules(m: RightModule):
+    """Minimal nonzero submodules, in the canonical order of submodules(m).
 
-    That list is sorted by size, so 0 comes first and m itself last.
+    That list is sorted by size, so 0 comes first.
     """
-    subs = submodules(m)
-    cands = subs[:-1] if maximal else subs[1:]
+    cands = submodules(m)[1:]
 
     def inside(a, b):  # a strictly inside b
         return a.size() < b.size() and b.contains_sub(a)
 
-    if maximal:
-        return [s for s in cands if not any(inside(s, t) for t in cands)]
     return [s for s in cands if not any(inside(t, s) for t in cands)]
-
-
-def minimal_submodules(m: RightModule):
-    return extremal_submodules(m)
 
 
 def socle(m: RightModule) -> Submodule:

@@ -56,24 +56,23 @@ class CyclicFingerprint:
         return f"CyclicFingerprint({sorted(self.members)})"
 
 
+def _fingerprint(m: RightModule, key: str, relative) -> CyclicFingerprint:
+    """{cyclic C : relative(m, C) holds}, memoised on m under key."""
+    if key not in m._cache:
+        reps = cyclic_modules_up_to_iso(m.ring)
+        members = [t for t, c in enumerate(reps) if relative(m, c)[0]]
+        m._cache[key] = CyclicFingerprint(m.ring, members)
+    return m._cache[key]
+
+
 def inj_fingerprint(m: RightModule) -> CyclicFingerprint:
     """{cyclic C : m is C-injective}, memoised on m."""
-    if "inj_fingerprint" not in m._cache:
-        reps = cyclic_modules_up_to_iso(m.ring)
-        members = [t for t, c in enumerate(reps)
-                   if is_relatively_injective(m, c)[0]]
-        m._cache["inj_fingerprint"] = CyclicFingerprint(m.ring, members)
-    return m._cache["inj_fingerprint"]
+    return _fingerprint(m, "inj_fingerprint", is_relatively_injective)
 
 
 def proj_fingerprint(m: RightModule) -> CyclicFingerprint:
     """{cyclic C : m is C-projective}, memoised on m."""
-    if "proj_fingerprint" not in m._cache:
-        reps = cyclic_modules_up_to_iso(m.ring)
-        members = [t for t, c in enumerate(reps)
-                   if is_relatively_projective(m, c)[0]]
-        m._cache["proj_fingerprint"] = CyclicFingerprint(m.ring, members)
-    return m._cache["proj_fingerprint"]
+    return _fingerprint(m, "proj_fingerprint", is_relatively_projective)
 
 
 def semisimple_cyclics(ring: FiniteRing) -> CyclicFingerprint:
@@ -206,17 +205,21 @@ def find_witness(ring: FiniteRing, ideal, kind: str):
 
     kind "p": R/I, verified, always found.  kind "i": R/I or the regular
     module when one of them realises the node, else None (absence of a
-    witness is not proved).
+    witness is not proved).  Both kinds read one R/I per ideal, kept on
+    the ring by the ideal's generators, so its fingerprints are shared.
     """
     target = killed_by(ring, ideal)
+    factors = ring._cache.setdefault("factor_modules", {})
+    if ideal.gens not in factors:
+        factors[ideal.gens] = cyclic_module(ring, ideal)[0]
+    w = factors[ideal.gens]
     if kind == "p":
-        w, _ = cyclic_module(ring, ideal)
         if proj_fingerprint(w) != target:
             raise TheoremViolationError(
                 f"{ring.label}: factor module fails its projectivity "
                 "fingerprint")
         return w
-    for cand in (cyclic_module(ring, ideal)[0], regular_module(ring)):
+    for cand in (w, regular_module(ring)):
         if inj_fingerprint(cand) == target:
             return cand
     return None

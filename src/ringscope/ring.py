@@ -71,9 +71,6 @@ class FiniteRing:
     def el_add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
 
-    def el_neg(self, x):
-        return tuple((-a) % m for a, m in zip(x, self.orders))
-
     def el_mul(self, x, y):
         acc = [0] * self.rank
         for i, xi in enumerate(x):
@@ -152,6 +149,9 @@ def verify_ring_axioms(r: FiniteRing):
 
 
 def _validated(ring: FiniteRing) -> FiniteRing:
+    if ring.order() > max_ring_order():
+        raise BoundExceededError(
+            f"ring order {ring.order()} exceeds bound {max_ring_order()}")
     report = verify_ring_axioms(ring)
     if report is not None:
         raise InputError(f"{ring.label}: {report}")
@@ -243,10 +243,7 @@ def path_algebra(p: int, num_vertices: int, arrows, label: str | None = None) ->
     for v in verts:
         one[index[(v, v, ())]] = 1
     name = label or f"F{p}-quiver({num_vertices}v,{len(arrows)}a)"
-    ring = FiniteRing((p,) * d, mul, one, label=name)
-    if ring.order() > max_ring_order():
-        raise BoundExceededError(f"path algebra order {ring.order()} too large")
-    return _validated(ring)
+    return _validated(FiniteRing((p,) * d, mul, one, label=name))
 
 
 def matrix_ring(base: FiniteRing, size: int) -> FiniteRing:
@@ -477,28 +474,23 @@ def _build(obj, where: str, label: str | None = None) -> FiniteRing:
         if depth is not None:
             int_field(obj, key, depth, where)
     if kind == "zmod":
-        ring = zmod(obj["n"])
-    elif kind == "table":
-        ring = table_ring(obj["orders"], obj["mul"], obj["one"],
+        return zmod(obj["n"])
+    if kind == "table":
+        return table_ring(obj["orders"], obj["mul"], obj["one"],
                           label=label or "table")
-    elif kind == "path_algebra":
+    if kind == "path_algebra":
         if any(len(a) != 2 for a in obj["arrows"]):
             raise InputError(f"{where}.arrows must be [source, target] pairs")
-        ring = path_algebra(obj["p"], obj["vertices"], obj["arrows"],
+        return path_algebra(obj["p"], obj["vertices"], obj["arrows"],
                             label=label)
-    elif kind == "matrix":
-        ring = matrix_ring(_build(obj["base"], where + ".base"), obj["size"])
-    elif kind == "product":
+    if kind == "matrix":
+        return matrix_ring(_build(obj["base"], where + ".base"), obj["size"])
+    if kind == "product":
         if not isinstance(obj["factors"], list):
             raise InputError(f"{where}.factors must be a list of constructs")
-        ring = product_ring([_build(f, f"{where}.factors[{t}]")
+        return product_ring([_build(f, f"{where}.factors[{t}]")
                              for t, f in enumerate(obj["factors"])])
-    elif kind == "quotient":
+    if kind == "quotient":
         base = _build(obj["base"], where + ".base")
-        ring, _, _ = quotient_ring(base, obj["ideal_gens"], label=label)
-    else:
-        ring = opposite_ring(_build(obj["base"], where + ".base"))
-    if ring.order() > max_ring_order():
-        raise BoundExceededError(
-            f"ring order {ring.order()} exceeds bound {max_ring_order()}")
-    return ring
+        return quotient_ring(base, obj["ideal_gens"], label=label)[0]
+    return opposite_ring(_build(obj["base"], where + ".base"))

@@ -13,14 +13,8 @@ import itertools
 
 from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import apply_matrix, quotient_presentation, solve_affine
-from .ideals import is_two_sided, maximal_right_ideals, right_ideals
-from .modules import (
-    RightModule,
-    Submodule,
-    element_annihilator,
-    regular_module,
-    submodule_intersection,
-)
+from .ideals import is_two_sided, right_ideal_lattice, right_ideals
+from .modules import RightModule, Submodule, element_annihilator, regular_module
 from .ring import FiniteRing
 
 FILTER_IDEAL_GUARD = 30
@@ -28,26 +22,18 @@ FILTER_IDEAL_GUARD = 30
 
 class IdealContext:
     """Per-ring tables over the canonical right-ideal list: index lookup,
-    pairwise intersections, the quotient R/I_t of each ideal, and colon
-    ideals memoized per coset."""
+    the right-ideal lattice (meet = intersection), the quotient R/I_t of
+    each ideal, and colon ideals memoized per coset."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
         self.ideals = right_ideals(ring)
         self.index = {i.gens: t for t, i in enumerate(self.ideals)}
-        n = len(self.ideals)
-        self.top = self.index[self.ideals[-1].gens]
+        self.lat = right_ideal_lattice(ring)
+        self.top = self.lat.top
         if self.ideals[self.top].size() != ring.order():
             raise TheoremViolationError(
-                f"{ring.label}: the last right ideal is not the whole ring")
-        self.inter = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                m = submodule_intersection(self.ideals[a], self.ideals[b])
-                t = self.index[m.gens]
-                self.inter[a][b] = t
-                self.inter[b][a] = t
-        self.leq = [[self.inter[a][b] == a for b in range(n)] for a in range(n)]
+                f"{ring.label}: the top right ideal is not the whole ring")
         self._quotients = {}
         self._colon = {}
         self._colons = {}
@@ -94,7 +80,7 @@ class IdealContext:
         return self._colons[t]
 
     def upset(self, t: int) -> frozenset:
-        return frozenset(b for b in range(len(self.ideals)) if self.leq[t][b])
+        return frozenset(b for b in range(self.lat.size) if self.lat.le(t, b))
 
 
 def ideal_context(ring: FiniteRing) -> IdealContext:
@@ -121,7 +107,7 @@ class LinearFilter:
         ctx = ideal_context(self.ring)
         t = ctx.top
         for s in self.members:
-            t = ctx.inter[t][s]
+            t = ctx.lat.meet[t][s]
         return ctx.ideals[t]
 
     def __len__(self):
@@ -162,7 +148,7 @@ def is_linear_filter(ring: FiniteRing, members):
                 return False, (f"F3: member {t} is contained in non-member {b}")
     for a in mem:
         for b in mem:
-            if ctx.inter[a][b] not in mem:
+            if ctx.lat.meet[a][b] not in mem:
                 return False, f"F2: intersection of members {a}, {b} missing"
     for t in mem:
         if not ctx.colons(t) <= mem:
@@ -222,14 +208,14 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
             f"{FILTER_IDEAL_GUARD}")
     required = set()
     if above_all_maximal:
-        required = {ctx.index[m.gens] for m in maximal_right_ideals(ring)}
+        required = set(ctx.lat.coatoms())
     out = []
     for cand in _upsets(ctx):
         if ctx.top not in cand:
             continue
         if not required <= cand:
             continue
-        if any(ctx.inter[a][b] not in cand
+        if any(ctx.lat.meet[a][b] not in cand
                for a, b in itertools.combinations(cand, 2)):
             continue
         if any(not ctx.colons(t) <= cand for t in cand):
@@ -241,25 +227,14 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
 
 def sigma_filter(m: RightModule) -> LinearFilter:
     """The filter of σ[M]: right ideals containing a finite intersection
-    of element annihilators."""
+    of element annihilators, i.e. the up-set of the meet of them all
+    (that meet is itself one of the finite intersections)."""
     ring = m.ring
     ctx = ideal_context(ring)
-    anns = {ctx.index[element_annihilator(m, x).gens] for x in m.elements()}
-    closed = set(anns)
-    frontier = set(anns)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in closed:
-                c = ctx.inter[a][b]
-                if c not in closed:
-                    fresh.add(c)
-        closed |= fresh
-        frontier = fresh
-    members = set()
-    for t in closed:
-        members |= ctx.upset(t)
-    filt = LinearFilter(ring, members)
+    t = ctx.top
+    for x in m.elements():
+        t = ctx.lat.meet[t][ctx.index[element_annihilator(m, x).gens]]
+    filt = LinearFilter(ring, ctx.upset(t))
     ok, report = is_linear_filter(ring, filt)
     if not ok:
         raise TheoremViolationError(f"sigma filter violates {report}")

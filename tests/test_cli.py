@@ -195,6 +195,22 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert err == "internal error: forced cross-check failure\n"
 
 
+def test_broken_ideal_order_exits_4(monkeypatch, capsys):
+    """A right-ideal order that is not a lattice is an internal error
+    (exit 4), not bad input (exit 2)."""
+    from ringscope.modules import Submodule
+
+    real = Submodule.contains_sub
+
+    def lossy(self, other):  # forgets that 0 lies in the whole ring
+        return other.size() > 1 and real(self, other)
+
+    monkeypatch.setattr(Submodule, "contains_sub", lossy)
+    code, _ = run(["classify", "z8"])
+    assert code == 4
+    assert "no meet" in capsys.readouterr().err
+
+
 def test_bound_exceeded_exit_code(monkeypatch):
     monkeypatch.setenv("RINGSCOPE_MAX_ORDER", "4")
     code, _ = run(["ring", "show", "z8"])

@@ -2,6 +2,10 @@
 
 import itertools
 
+import pytest
+
+from ringscope.cli import load_ring
+from ringscope.errors import TheoremViolationError
 from ringscope.ideals import (
     ideals_in_radical,
     is_essential,
@@ -9,16 +13,20 @@ from ringscope.ideals import (
     jacobson_radical,
     maximal_right_ideals,
     minimal_right_ideals,
+    right_ideal_lattice,
     right_ideals,
     two_sided_ideals,
 )
 from ringscope.modules import (
     Submodule,
+    cyclic_modules_up_to_iso,
+    element_annihilator,
     regular_module,
     submodule_as_module,
     submodule_intersection,
     submodules,
 )
+from ringscope.torsion import sigma_filter
 
 from conftest import SMALL_CORPUS, corpus
 
@@ -141,3 +149,71 @@ def test_ideal_lattice_order_consistency():
         for a, b in itertools.combinations(ideals, 2):
             inter = submodule_intersection(a, b)
             assert a.contains_sub(inter) and b.contains_sub(inter)
+
+
+def test_right_ideal_lattice_matches_element_sets():
+    """le, meet, atoms and coatoms of the lattice agree with inclusion of
+    element sets and with the element-scan intersection."""
+    for name in SMALL_CORPUS:
+        ring = corpus(name)
+        ideals = right_ideals(ring)
+        lat = right_ideal_lattice(ring)
+        assert lat is right_ideal_lattice(ring)
+        elems = [frozenset(i.elements()) for i in ideals]
+        n = len(ideals)
+        for a in range(n):
+            for b in range(n):
+                assert lat.le(a, b) == (elems[a] <= elems[b])
+                assert ideals[lat.meet[a][b]] == \
+                    submodule_intersection(ideals[a], ideals[b])
+        nonzero = [t for t in range(n) if len(elems[t]) > 1]
+        proper = [t for t in range(n) if len(elems[t]) < ring.order()]
+        atoms = [t for t in nonzero
+                 if not any(elems[s] < elems[t] for s in nonzero)]
+        coatoms = [t for t in proper
+                   if not any(elems[t] < elems[s] for s in proper)]
+        assert lat.atoms() == atoms
+        assert lat.coatoms() == coatoms
+        assert minimal_right_ideals(ring) == [ideals[t] for t in atoms]
+        assert maximal_right_ideals(ring) == [ideals[t] for t in coatoms]
+
+
+def test_sigma_filter_is_the_closure_of_annihilators():
+    """σ[C] of every cyclic class is the up-set of the closure of its
+    element annihilators under pairwise intersection."""
+    for name in SMALL_CORPUS:
+        ring = corpus(name)
+        ideals = right_ideals(ring)
+        for c in cyclic_modules_up_to_iso(ring):
+            closed = {element_annihilator(c, x) for x in c.elements()}
+            while True:
+                fresh = {submodule_intersection(a, b)
+                         for a in closed for b in closed} - closed
+                if not fresh:
+                    break
+                closed |= fresh
+            members = {t for t, i in enumerate(ideals)
+                       if any(i.contains_sub(a) for a in closed)}
+            assert sigma_filter(c).members == members
+
+
+@pytest.mark.parametrize("name, count", [("t2f2", 15), ("z8", 6)])
+def test_lattice_check_catches_a_dropped_containment(monkeypatch, name,
+                                                     count):
+    """Dropping any one true containment from contains_sub makes the
+    right-ideal lattice fail its check.  On z8, dropping (4) ⊆ (2) leaves
+    a lattice whose orders multiply correctly; only the join check sees
+    it."""
+    ideals = right_ideals(load_ring(name))
+    strict = [(big.gens, small.gens) for big in ideals for small in ideals
+              if big != small and big.contains_sub(small)]
+    assert len(strict) == count
+    real = Submodule.contains_sub
+    for dropped in strict:
+        def lossy(self, other, dropped=dropped):
+            return (self.gens, other.gens) != dropped and real(self, other)
+
+        monkeypatch.setattr(Submodule, "contains_sub", lossy)
+        with pytest.raises(TheoremViolationError, match="right ideals"):
+            right_ideal_lattice(load_ring(name))
+        monkeypatch.setattr(Submodule, "contains_sub", real)

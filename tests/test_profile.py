@@ -213,6 +213,24 @@ def test_profiles_share_one_skeleton(monkeypatch, name):
         [f.members for f in ip.filters]
 
 
+def test_profiles_build_one_factor_module_per_node(monkeypatch):
+    """i_profile then p_profile build R/I once per node and share it."""
+    real = profile_mod.cyclic_module
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(profile_mod, "cyclic_module", counted)
+    ring = load_ring("f2xy_x2y2")
+    ip = i_profile(ring)
+    pp = p_profile(ring)
+    assert ip.size == 6 and len(calls) == 6
+    assert all(w in (None, v, regular_module(ring))
+               for w, v in zip(ip.witnesses, pp.witnesses))
+
+
 def test_profile_order_is_filter_inclusion():
     """Node a lies below node b iff η(I_a) ⊆ η(I_b), iff I_a ⊇ I_b."""
     for name in SMALL_CORPUS:

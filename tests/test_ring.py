@@ -159,6 +159,14 @@ def test_order_bound_env(monkeypatch):
     assert ring_from_spec(doc).order() == 8
 
 
+def test_order_cap_refuses_large_zmod_and_products(monkeypatch):
+    monkeypatch.delenv("RINGSCOPE_MAX_ORDER", raising=False)
+    with pytest.raises(BoundExceededError, match="exceeds bound 65536"):
+        zmod(2 ** 33)
+    with pytest.raises(BoundExceededError, match="exceeds bound 65536"):
+        product_ring([zmod(1000)] * 2)
+
+
 def test_corpus_rings_satisfy_axioms():
     for name in SMALL_CORPUS:
         assert verify_ring_axioms(corpus(name)) is None
