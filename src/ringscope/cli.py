@@ -55,6 +55,11 @@ def parse_module_file(text: str, ring: FiniteRing):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"module file is not valid JSON: {exc}") from exc
+    return _module_from_doc(doc, ring)
+
+
+def _module_from_doc(doc, ring: FiniteRing):
+    """The module of a parsed module document, or of a direct_sum summand."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputError("module file needs a top-level 'type'")
     kind = doc["type"]
@@ -81,8 +86,7 @@ def parse_module_file(text: str, ring: FiniteRing):
         summands = doc.get("summands", [])
         if not isinstance(summands, list) or not summands:
             raise InputError("direct_sum: needs a list of summands")
-        return direct_sum([parse_module_file(json.dumps(p), ring)
-                           for p in summands])
+        return direct_sum([_module_from_doc(p, ring) for p in summands])
     raise InputError(f"unknown module type {kind!r}")
 
 

@@ -15,6 +15,7 @@ from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import (
     ModMatrix,
     apply_matrix,
+    closed_span,
     howell_span,
     quotient_presentation,
     solve_affine,
@@ -85,14 +86,6 @@ class RightModule:
             for k in range(self.rank):
                 acc[k] += c * img[k]
         return tuple(a % m for a, m in zip(acc, self.orders))
-
-    def act_matrix(self, r) -> ModMatrix:
-        rows = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            rows.append(self.act(tuple(e), r))
-        return ModMatrix(self.orders, rows)
 
     def generator(self, i):
         e = [0] * self.rank
@@ -282,15 +275,12 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
     if not k.is_action_stable():
         raise InputError("span is not closed under the ring action")
     new_orders, proj, lift = quotient_presentation(n.orders, k.gens.rows)
-    d = len(new_orders)
 
     def down(vec):
         return apply_matrix(vec, proj, new_orders)
 
-    action = []
-    for j in range(n.ring.rank):
-        rows = [down(n.act_gen(tuple(lift_row), j)) for lift_row in lift]
-        action.append(rows if d else [])
+    action = [[down(n.act_gen(row, j)) for row in lift]
+              for j in range(n.ring.rank)]
     q = _validated(RightModule(n.ring, new_orders, action,
                                label=label or f"{n.label}/K"))
     projection = ModuleMap(n, q, [down(n.generator(i)) for i in range(n.rank)],
@@ -312,17 +302,8 @@ def cyclic_module(ring: FiniteRing, ideal: Submodule,
 
 def cyclic_span(m: RightModule, x) -> Submodule:
     """x·R: the smallest submodule containing x."""
-    span = howell_span(m.orders, [m.reduce_el(x)])
-    while True:
-        extra = []
-        for row in span.rows:
-            for j in range(m.ring.rank):
-                img = m.act_gen(row, j)
-                if not span.contains(img):
-                    extra.append(img)
-        if not extra:
-            return Submodule(m, span)
-        span = span.stack(ModMatrix(m.orders, extra, span.n)).howell_form()
+    return Submodule(m, closed_span(m.orders, [m.reduce_el(x)],
+                                    lambda row: _images(m, [row])))
 
 
 def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
@@ -385,49 +366,21 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
         zero = zero_module(parent.ring)
         incl = ModuleMap(zero, parent, [], check=False)
         return zero, incl, lambda v: () if not any(v) else None
-    ker = gens.kernel()
-    new_orders, proj, lift = quotient_presentation((gens.n,) * g, ker.rows)
+    new_orders, proj, lift = quotient_presentation((gens.n,) * g,
+                                                   gens.kernel().rows)
 
-    def coeffs_of(vec):
+    def express(vec):
         sol = gens.solve(vec)
         if sol is None:
             return None
-        return sol[0]
+        return apply_matrix(sol[0], proj, new_orders)
 
-    def into(coords):
-        # coordinates of the abstract module -> ambient vector
-        acc = [0] * parent.rank
-        for c, lrow in zip(coords, lift):
-            if not c:
-                continue
-            for t, l in enumerate(lrow):
-                amb = gens.rows[t]
-                for k in range(parent.rank):
-                    acc[k] += c * l * amb[k]
-        return parent.reduce_el(acc)
-
-    d = len(new_orders)
-    action = []
-    for j in range(parent.ring.rank):
-        rows = []
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            img = parent.act_gen(into(tuple(e)), j)
-            rows.append(apply_matrix(coeffs_of(img), proj, new_orders))
-        action.append(rows)
+    incl_rows = [apply_matrix(lrow, gens.rows, parent.orders) for lrow in lift]
+    action = [[express(parent.act_gen(row, j)) for row in incl_rows]
+              for j in range(parent.ring.rank)]
     mod = _validated(RightModule(parent.ring, new_orders, action,
                                  label=f"{parent.label} (sub)"))
-    incl_rows = [into(mod.generator(i)) for i in range(d)]
-    incl = ModuleMap(mod, parent, incl_rows, check=False)
-
-    def express(vec):
-        c = coeffs_of(vec)
-        if c is None:
-            return None
-        return apply_matrix(c, proj, new_orders)
-
-    return mod, incl, express
+    return mod, ModuleMap(mod, parent, incl_rows, check=False), express
 
 
 # -- socle, radical, singular, annihilator ------------------------------------
@@ -472,11 +425,9 @@ def annihilated_by(m: RightModule, ideal: Submodule) -> Submodule:
     gens = ideal.gens.rows
     if not gens:
         return full_submodule(m)
-    mats = [m.act_matrix(g) for g in gens]
-    rows = []
-    for i in range(m.rank):
-        rows.append(tuple(x for mat in mats for x in mat.rows[i]))
-    eq_moduli = m.orders * len(mats)
+    rows = [tuple(x for g in gens for x in m.act(m.generator(i), g))
+            for i in range(m.rank)]
+    eq_moduli = m.orders * len(gens)
     rhs = (0,) * len(eq_moduli)
     _, ker = solve_affine(rows, eq_moduli, rhs, m.orders)
     return Submodule(m, ker)
@@ -499,14 +450,9 @@ def socle_series(m: RightModule):
     while current.size() < m.order():
         q, proj = quotient_module(m, current)
         s = socle(q)
-        lifted = list(current.gens.rows)
-        for row in s.gens.rows:
-            amb = [0] * m.rank
-            for c, sec in zip(row, proj.section):
-                for k in range(m.rank):
-                    amb[k] += c * sec[k]
-            lifted.append(m.reduce_el(amb))
-        nxt = Submodule(m, lifted)
+        lifted = [apply_matrix(row, proj.section, m.orders)
+                  for row in s.gens.rows]
+        nxt = Submodule(m, current.gens.rows + tuple(lifted))
         if nxt.size() == current.size():
             raise TheoremViolationError(
                 f"socle series stalls on {m.label}")
@@ -539,10 +485,7 @@ def radical_series(m: RightModule):
 
 def element_annihilator(m: RightModule, x) -> Submodule:
     """ann(x) = {r in R : x·r = 0}, a right ideal."""
-    ring = m.ring
-    rows = [m.act_gen(x, j) for j in range(ring.rank)]
-    _, ker = solve_affine(rows, m.orders, (0,) * m.rank, ring.orders)
-    return Submodule(regular_module(ring), ker)
+    return Submodule(regular_module(m.ring), _relation_kernel(m, [x]))
 
 
 def singular_submodule(m: RightModule) -> Submodule:
@@ -573,10 +516,7 @@ def annihilator(m: RightModule) -> Submodule:
     reg = regular_module(ring)
     if m.rank == 0:
         return full_submodule(reg)
-    rows = []
-    for j in range(ring.rank):
-        rows.append(tuple(x for i in range(m.rank)
-                          for x in m.act_gen(m.generator(i), j)))
+    rows = [tuple(x for row in act.rows for x in row) for act in m.action]
     eq_moduli = m.orders * m.rank
     _, ker = solve_affine(rows, eq_moduli, (0,) * len(eq_moduli), ring.orders)
     return Submodule(reg, ker)
@@ -606,15 +546,16 @@ def minimal_generating_tuple(m: RightModule):
     return gens
 
 
+def _images(m: RightModule, gens):
+    """The rows x·g_j, for x in gens and then each ring generator g_j: the
+    matrix of (r_1..r_k) ↦ Σ gens[t]·r_t on R^k."""
+    return [m.act_gen(x, j) for x in gens for j in range(m.ring.rank)]
+
+
 def _relation_kernel(m: RightModule, gens):
     """Kernel of (r_1..r_k) ↦ Σ gens[t]·r_t inside R^k."""
-    ring = m.ring
-    rows = []
-    for x in gens:
-        for j in range(ring.rank):
-            rows.append(m.act_gen(x, j))
-    umods = ring.orders * len(gens)
-    _, ker = solve_affine(rows, m.orders, (0,) * m.rank, umods)
+    _, ker = solve_affine(_images(m, gens), m.orders, m.zero,
+                          m.ring.orders * len(gens))
     return ker
 
 
@@ -642,54 +583,33 @@ def is_isomorphic_modules(a: RightModule, b: RightModule,
         raise BoundExceededError(
             f"isomorphism search space {b.order()}**{k} too large")
     ker = _relation_kernel(a, gens)
-    ring = a.ring
-    for cand in itertools.product(list(b.elements()), repeat=k):
-        ok = True
-        for rel in ker.rows:
-            acc = [0] * b.rank
-            for t in range(k):
-                part = rel[t * ring.rank:(t + 1) * ring.rank]
-                img = b.act(cand[t], part)
-                for u in range(b.rank):
-                    acc[u] += img[u]
-            if any(x % mm for x, mm in zip(acc, b.orders)):
-                ok = False
-                break
-        if not ok:
+    images_of = {y: _images(b, [y]) for y in b.elements()}
+    for cand in itertools.product(images_of, repeat=k):
+        images = [row for y in cand for row in images_of[y]]
+        if any(any(apply_matrix(rel, images, b.orders)) for rel in ker.rows):
             continue
         span = zero_submodule(b)
         for y in cand:
             span = submodule_sum(span, cyclic_span(b, y))
         if span.size() != b.order():
             continue
-        witness = _map_from_generator_images(a, b, gens, cand)
+        witness = _map_from_generator_images(a, b, gens, images)
         if witness is not None:
             return True, witness
     return False, None
 
 
 def _map_from_generator_images(a, b, gens, images):
-    """Build the ModuleMap sending gens[t] ↦ images[t], or None."""
-    ring = a.ring
-    k = len(gens)
-    rows = []
-    for x in gens:
-        for j in range(ring.rank):
-            rows.append(a.act_gen(x, j))
-    umods = ring.orders * k
+    """Build the ModuleMap sending gens[t] ↦ y_t, or None; images are the
+    rows _images(b, [y_1..y_k])."""
+    rows = _images(a, gens)
+    umods = a.ring.orders * len(gens)
     out_rows = []
     for i in range(a.rank):
-        sol = solve_affine(rows, a.orders, a.generator(i), umods)
-        if sol[0] is None:
+        coeffs, _ = solve_affine(rows, a.orders, a.generator(i), umods)
+        if coeffs is None:
             return None
-        coeffs = sol[0]
-        acc = [0] * b.rank
-        for t in range(k):
-            part = coeffs[t * ring.rank:(t + 1) * ring.rank]
-            img = b.act(images[t], part)
-            for u in range(b.rank):
-                acc[u] += img[u]
-        out_rows.append(b.reduce_el(acc))
+        out_rows.append(apply_matrix(coeffs, images, b.orders))
     fmap = ModuleMap(a, b, out_rows, check=False)
     if not fmap.is_valid():
         return None

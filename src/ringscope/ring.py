@@ -16,13 +16,25 @@ import os
 from functools import reduce
 
 from .errors import BoundExceededError, InputError
-from .exactla import ModMatrix, apply_matrix, howell_span, quotient_presentation
+from .exactla import ModMatrix, apply_matrix, closed_span, quotient_presentation
 
 DEFAULT_MAX_ORDER = 65536
 
 
 def max_ring_order() -> int:
-    return int(os.environ.get("RINGSCOPE_MAX_ORDER", DEFAULT_MAX_ORDER))
+    """The ring order cap: RINGSCOPE_MAX_ORDER, a positive integer, when
+    set, else DEFAULT_MAX_ORDER."""
+    raw = os.environ.get("RINGSCOPE_MAX_ORDER")
+    if raw is None:
+        return DEFAULT_MAX_ORDER
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InputError("RINGSCOPE_MAX_ORDER must be a positive integer, "
+                         f"got {raw!r}")
+    return value
 
 
 def reduce_vector(vec, orders, what: str = "element"):
@@ -95,20 +107,12 @@ class FiniteRing:
 
     def left_mul_matrix(self, a) -> ModMatrix:
         """Matrix of x ↦ a·x in the generator coordinates (rows = images)."""
-        rows = []
-        for j in range(self.rank):
-            e = [0] * self.rank
-            e[j] = 1
-            rows.append(self.el_mul(a, tuple(e)))
+        rows = [self.el_mul(a, self.generator(j)) for j in range(self.rank)]
         return ModMatrix(self.orders, rows, self.exponent)
 
     def right_mul_matrix(self, a) -> ModMatrix:
         """Matrix of x ↦ x·a (rows = images of the generators)."""
-        rows = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            rows.append(self.el_mul(tuple(e), a))
+        rows = [self.el_mul(self.generator(i), a) for i in range(self.rank)]
         return ModMatrix(self.orders, rows, self.exponent)
 
     def generator(self, i):
@@ -310,18 +314,14 @@ def product_ring(factors) -> FiniteRing:
 
 def two_sided_closure(ring: FiniteRing, gens) -> ModMatrix:
     """Howell span of the smallest two-sided ideal containing gens."""
-    span = howell_span(ring.orders, [ring.reduce_el(g) for g in gens])
-    while True:
-        extra = []
-        for row in span.rows:
-            for i in range(ring.rank):
-                g = ring.generator(i)
-                for cand in (ring.el_mul(g, row), ring.el_mul(row, g)):
-                    if not span.contains(cand):
-                        extra.append(cand)
-        if not extra:
-            return span
-        span = span.stack(ModMatrix(ring.orders, extra, span.n)).howell_form()
+    ring_gens = [ring.generator(i) for i in range(ring.rank)]
+
+    def images(row):
+        for g in ring_gens:
+            yield ring.el_mul(g, row)
+            yield ring.el_mul(row, g)
+
+    return closed_span(ring.orders, [ring.reduce_el(g) for g in gens], images)
 
 
 def quotient_ring(base: FiniteRing, ideal_gens, label: str | None = None):
@@ -332,30 +332,18 @@ def quotient_ring(base: FiniteRing, ideal_gens, label: str | None = None):
     """
     ideal = two_sided_closure(base, ideal_gens)
     new_orders, proj, lift = quotient_presentation(base.orders, ideal.rows)
-    d = len(new_orders)
 
     def down(vec):
         return apply_matrix(vec, proj, new_orders)
 
     def up(vec):
-        acc = [0] * base.rank
-        for c, row in zip(vec, lift):
-            for k in range(base.rank):
-                acc[k] += c * row[k]
-        return base.reduce_el(acc)
+        return apply_matrix(vec, lift, base.orders)
 
-    mul = [[down(base.el_mul(up(_unit_vec(d, i)), up(_unit_vec(d, j))))
-            for j in range(d)] for i in range(d)]
+    mul = [[down(base.el_mul(a, b)) for b in lift] for a in lift]
     one = down(base.one)
     ring = FiniteRing(new_orders, mul, one,
                       label=label or f"{base.label}/I")
     return _validated(ring), down, up
-
-
-def _unit_vec(d, i):
-    e = [0] * d
-    e[i] = 1
-    return tuple(e)
 
 
 def opposite_ring(base: FiniteRing) -> FiniteRing:
@@ -370,15 +358,7 @@ def opposite_ring(base: FiniteRing) -> FiniteRing:
 
 def units(ring: FiniteRing, bound: int | None = None) -> set:
     """All elements with a two-sided inverse."""
-    out = set()
-    for x in ring.elements(bound):
-        sol = ring.left_mul_matrix(x).solve(ring.one)
-        if sol is None:
-            continue
-        y = ring.reduce_el(sol[0])
-        if ring.el_mul(y, x) == ring.one:
-            out.add(tuple(x))
-    return out
+    return {x for x in ring.elements(bound) if inverse(ring, x) is not None}
 
 
 def inverse(ring: FiniteRing, x):

@@ -76,6 +76,12 @@ def test_module_file_parsing():
         '{"type": "regular"}, {"type": "cyclic", "ideal_gens": [[4]]}]}',
         ring)
     assert ds.order() == 32
+    nested = parse_module_file(
+        '{"type": "direct_sum", "summands": [{"type": "regular"}, '
+        '{"type": "direct_sum", "summands": ['
+        '{"type": "cyclic", "ideal_gens": [[4]]}, '
+        '{"type": "cyclic", "ideal_gens": [[2]]}]}]}', ring)
+    assert nested.orders == (8, 4, 2)
     with pytest.raises(InputError):
         parse_module_file('{"type": "wat"}', ring)
     t2 = corpus("t2f2")
@@ -217,6 +223,16 @@ def test_bound_exceeded_exit_code(monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_order_cap_must_be_a_positive_integer(monkeypatch, capsys, value):
+    monkeypatch.setenv("RINGSCOPE_MAX_ORDER", value)
+    code, _ = run(["ring", "show", "z8"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: RINGSCOPE_MAX_ORDER must be a positive integer, "
+        f"got {value!r}\n")
+
+
 @pytest.mark.parametrize("ring_doc, module_doc, field", [
     ({"type": "zmod", "n": "abc"}, None, "construct.n"),
     ({"type": "zmod", "n": [2]}, None, "construct.n"),
@@ -263,6 +279,16 @@ def test_malformed_field_exits_2(tmp_path, capsys, ring_doc, module_doc,
      "construct.factors[1]: constructor 'zmod' has no field 'm'"),
     ({"construct": {"type": "zmod", "n": 8}, "label": {"a": 1}}, None,
      "label must be a string"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "direct_sum", "summands": [{"type": "regular"}, 5]},
+     "module file needs a top-level 'type'"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "direct_sum", "summands": [{"type": "direct_sum", "summands": [
+         {"type": "quotient_of_free", "rank": "abc"}]}]},
+     "quotient_of_free.rank must be an integer"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "direct_sum", "summands": [{"type": "wat"}]},
+     "unknown module type 'wat'"),
 ])
 def test_malformed_document_raises_input_error(ring_doc, module_doc, message):
     """Library callers get the checks the CLI relies on."""

@@ -6,6 +6,7 @@ and the domain predicates to pointwise extension/lift search.
 
 import pytest
 
+from ringscope.exactla import howell_span
 from ringscope.hom import (
     hom_basis,
     hom_group,
@@ -28,6 +29,7 @@ from ringscope.modules import (
     submodule_as_module,
     submodules,
 )
+from ringscope.ring import zmod
 
 from conftest import corpus
 from oracle_utils import brute_maps, oracle_rel_inj, oracle_rel_proj
@@ -201,3 +203,36 @@ def test_hom_memo_is_keyed_by_content():
                 assert first.source is a and second.source is a2
                 assert first.target is b and second.target is b
                 assert second.size() == len(brute_maps(a2, b))
+
+
+@pytest.mark.parametrize("free_summands", [0, 1])
+def test_certificates_past_the_hom_enumeration_bound(free_summands):
+    """Over Z/4, Hom((2), M) and Hom(M, Z/4/(2)) have at least 2**13 maps
+    for M = (Z/2)^13, beyond the 4096 that HomGroup.maps enumerates; the
+    certificate is still found, among the hom basis maps.  With a summand
+    Z/4 the restrictions and composites span a nonzero subgroup, which the
+    certificate must avoid."""
+    ring = zmod(4)
+    reg = regular_module(ring)
+    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
+    m = direct_sum([reg] * free_summands + [z2] * 13)
+
+    flag, (k, phi) = is_relatively_injective(m, reg)
+    assert not flag
+    kmod, incl, _ = submodule_as_module(k)
+    assert phi.source is kmod and phi.is_valid()
+    restrictions = howell_span(
+        m.orders * kmod.rank,
+        [[x for r in incl.rows for x in gen.apply(r)]
+         for gen in hom_basis(reg, m)])
+    assert not restrictions.contains([x for r in phi.rows for x in r])
+
+    flag, (l, psi) = is_relatively_projective(m, reg)
+    assert not flag
+    q, proj = quotient_module(reg, l)
+    assert psi.target.key == q.key and psi.is_valid()
+    composites = howell_span(
+        q.orders * m.rank,
+        [[x for r in gen.rows for x in proj.apply(r)]
+         for gen in hom_basis(m, reg)])
+    assert not composites.contains([x for r in psi.rows for x in r])

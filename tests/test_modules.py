@@ -254,3 +254,32 @@ def test_submodule_presentation_is_shared():
             mod, incl, _ = submodule_as_module(again)
             assert mod.order() == s.size()
             assert Submodule(reg, incl.rows) == s
+
+
+@pytest.mark.parametrize("name, summands", [
+    *((name, None) for name in SMALL_CORPUS),
+    ("z8", (1, 2)),     # Z/2 + Z/4
+    ("t2f2", (1, 2)),   # the two simple modules
+])
+def test_presented_submodules_match_element_sets(name, summands):
+    """Each submodule K of the regular module (or of a sum of two cyclic
+    classes) is presented with order |K|, a valid inclusion onto K and an
+    express map inverse to it on K and None off K."""
+    ring = corpus(name)
+    if summands is None:
+        m = regular_module(ring)
+    else:
+        cyc = cyclic_modules_up_to_iso(ring)
+        m = direct_sum([cyc[t] for t in summands])
+    everything = [tuple(v) for v in m.elements()]
+    for k in submodules(m):
+        mod, incl, express = submodule_as_module(k)
+        members = set(k.elements())
+        assert mod.order() == len(members)
+        assert incl.is_valid()
+        assert incl.image_span() == k.gens
+        for x in mod.elements():
+            assert express(incl.apply(x)) == x
+        for v in everything:
+            if v not in members:
+                assert express(v) is None

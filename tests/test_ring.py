@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ringscope.errors import BoundExceededError, InputError
+from ringscope.ideals import two_sided_ideals
 from ringscope.ring import (
     SPEC_FIELDS,
     FiniteRing,
@@ -19,6 +20,7 @@ from ringscope.ring import (
     quotient_ring,
     ring_from_spec,
     table_ring,
+    two_sided_closure,
     units,
     verify_ring_axioms,
     zmod,
@@ -105,6 +107,45 @@ def test_quotient_ring_of_z8():
     assert down((5,)) == down(q.reduce_el(up(down((5,)))))
     # projection is multiplicative
     assert down(zmod(8).el_mul((3,), (3,))) == q.el_mul(down((3,)), down((3,)))
+
+
+def _element_closure(ring, gens):
+    """The two-sided ideal generated by gens, closed on element sets."""
+    elems = [tuple(x) for x in ring.elements()]
+    closed = set()
+    queue = [ring.zero] + [ring.reduce_el(g) for g in gens]
+    while queue:
+        x = queue.pop()
+        if x in closed:
+            continue
+        closed.add(x)
+        queue.extend(ring.el_add(x, y) for y in closed)
+        queue.extend(ring.el_mul(r, x) for r in elems)
+        queue.extend(ring.el_mul(x, r) for r in elems)
+    return closed
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_quotient_rings_match_element_sets(name):
+    """For each two-sided ideal I: the Howell closure of I's generators, and
+    of each one alone, is the element-set closure; R -> R/I is a surjective
+    unital ring map with kernel I, and up is a section of it."""
+    ring = corpus(name)
+    elems = [tuple(x) for x in ring.elements()]
+    for ideal in two_sided_ideals(ring):
+        for gens in [ideal.gens.rows, *([g] for g in ideal.gens.rows)]:
+            closure = two_sided_closure(ring, gens)
+            assert set(closure.span_elements()) == _element_closure(ring, gens)
+        q, down, up = quotient_ring(ring, ideal.gens.rows)
+        assert down(ring.one) == q.one
+        for x in elems:
+            for y in elems:
+                assert down(ring.el_add(x, y)) == q.el_add(down(x), down(y))
+                assert down(ring.el_mul(x, y)) == q.el_mul(down(x), down(y))
+        assert {down(x) for x in elems} == set(q.elements())
+        assert {x for x in elems if down(x) == q.zero} == set(ideal.elements())
+        for v in q.elements():
+            assert down(up(v)) == v
 
 
 def test_opposite_involution():
