@@ -21,11 +21,11 @@ from .ideals import (
 )
 from .lattice import are_isomorphic, build_lattice
 from .modules import (
-    Submodule,
     cyclic_module,
     cyclic_modules_up_to_iso,
     direct_sum,
     enumerate_modules,
+    full_submodule,
     is_isomorphic_modules,
     minimal_submodules,
     module_times_ideal,
@@ -279,8 +279,7 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
                 "skipped",
                 "semisimple ring" if semisimple else "middle class present")
     else:
-        jsq = Submodule(reg, [ring.el_mul(a, b)
-                              for a in jac.gens.rows for b in jac.gens.rows])
+        jsq = module_times_ideal(jac, jac)
         rep.add("V11", "no middle class forces a square-zero radical",
                 "pass" if jsq.size() == 1 else "fail")
 
@@ -327,7 +326,7 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
         for m in pool:
             if m.order() == 1:
                 continue
-            if module_times_ideal(m, jac).size() == 1:
+            if module_times_ideal(full_submodule(m), jac).size() == 1:
                 continue  # semisimple module
             if is_quasi(m, "injective") and not is_injective(m):
                 bad = m

@@ -25,13 +25,12 @@ from .lattice import to_dot
 from .modules import (
     Submodule,
     cyclic_module,
-    cyclic_span,
     direct_sum,
     enumerate_modules,
+    full_submodule,
+    module_times_ideal,
     quotient_module,
     regular_module,
-    submodule_sum,
-    zero_submodule,
 )
 from .profile import inj_fingerprint, profile, proj_fingerprint
 from .ring import FiniteRing, int_field, ring_from_spec
@@ -78,9 +77,10 @@ def _module_from_doc(doc, ring: FiniteRing):
             raise InputError("quotient_of_free: rank must be >= 1")
         free = direct_sum([regular_module(ring)] * rank, label=f"R^{rank}")
         relations = int_field(doc, "relations", 2, "quotient_of_free", [])
-        closed = zero_submodule(free)
-        for r in relations:
-            closed = submodule_sum(closed, cyclic_span(free, r))
+        # the submodule the relations generate: their span times R
+        closed = module_times_ideal(
+            Submodule(free, [free.reduce_el(r) for r in relations]),
+            full_submodule(regular_module(ring)))
         return quotient_module(free, closed)[0]
     if kind == "direct_sum":
         summands = doc.get("summands", [])
@@ -238,6 +238,14 @@ def _cmd_verify(args, out) -> int:
     return 1
 
 
+def _bound(text: str) -> int:
+    """A bound option's value: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringscope",
@@ -275,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     mods = sub.add_parser("modules", help="enumerate module iso-classes")
     mods.add_argument("ring", help="ring file or corpus name")
-    mods.add_argument("--max-rank", type=int, default=2)
-    mods.add_argument("--max-order", type=int, default=64)
+    mods.add_argument("--max-rank", type=_bound, default=2)
+    mods.add_argument("--max-order", type=_bound, default=64)
     mods.set_defaults(func=_cmd_modules)
 
     ver = sub.add_parser("verify", help="run the verification suite")
     ver.add_argument("ring", help="ring file or corpus name")
-    ver.add_argument("--max-rank", type=int, default=1)
-    ver.add_argument("--max-module-order", type=int, default=64)
+    ver.add_argument("--max-rank", type=_bound, default=1)
+    ver.add_argument("--max-module-order", type=_bound, default=64)
     ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -361,16 +361,3 @@ def howell_span(col_moduli, rows) -> ModMatrix:
     """Canonical span of a bunch of vectors in ⊕ Z/col_moduli."""
     return ModMatrix(col_moduli, rows).howell_form()
 
-
-def closed_span(col_moduli, rows, images) -> ModMatrix:
-    """Canonical span of the smallest subgroup holding rows and closed
-    under the additive maps behind images(row), which yields each map's
-    image of row.  Checking the Howell rows suffices, as the maps are
-    additive."""
-    span = howell_span(col_moduli, rows)
-    while True:
-        extra = [v for row in span.rows for v in images(row)
-                 if not span.contains(v)]
-        if not extra:
-            return span
-        span = span.stack(ModMatrix(col_moduli, extra, span.n)).howell_form()

@@ -12,6 +12,7 @@ from .errors import InputError, NotALatticeError, TheoremViolationError
 from .lattice import FiniteLattice, build_lattice
 from .modules import (
     Submodule,
+    module_times_ideal,
     regular_module,
     submodule_intersection,
     submodule_sum,
@@ -94,7 +95,6 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
     key = "jacobson_radical"
     if key in ring._cache:
         return ring._cache[key]
-    reg = regular_module(ring)
     lat = right_ideal_lattice(ring)
     t = lat.top
     for c in lat.coatoms():
@@ -107,9 +107,7 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
     power = jac
     steps = 0
     while power.size() > 1:
-        rows = [ring.el_mul(a, b)
-                for a in power.gens.rows for b in jac.gens.rows]
-        nxt = Submodule(reg, rows)
+        nxt = module_times_ideal(power, jac)
         if nxt.size() >= power.size():
             raise TheoremViolationError(
                 f"radical of {ring.label} is not nilpotent")

@@ -15,7 +15,6 @@ from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import (
     ModMatrix,
     apply_matrix,
-    closed_span,
     howell_span,
     quotient_presentation,
     solve_affine,
@@ -270,7 +269,7 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
     The returned projection carries a ``section`` attribute: integer rows
     lifting each quotient generator back into n.
     """
-    if k.parent is not n and k.parent.orders != n.orders:
+    if k.parent is not n and k.parent.key != n.key:
         raise InputError("submodule does not live in the given module")
     if not k.is_action_stable():
         raise InputError("span is not closed under the ring action")
@@ -301,9 +300,10 @@ def cyclic_module(ring: FiniteRing, ideal: Submodule,
 
 
 def cyclic_span(m: RightModule, x) -> Submodule:
-    """x·R: the smallest submodule containing x."""
-    return Submodule(m, closed_span(m.orders, [m.reduce_el(x)],
-                                    lambda row: _images(m, [row])))
+    """x·R: the smallest submodule containing x, the span of x and the
+    x·g_j, as the ring generators g_j span R."""
+    x = m.reduce_el(x)
+    return Submodule(m, [x] + _images(m, [x]))
 
 
 def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
@@ -405,9 +405,8 @@ def socle(m: RightModule) -> Submodule:
     key = "socle"
     if key in m._cache:
         return m._cache[key]
-    acc = zero_submodule(m)
-    for s in minimal_submodules(m):
-        acc = submodule_sum(acc, s)
+    acc = Submodule(m, [row for s in minimal_submodules(m)
+                        for row in s.gens.rows])
     from .ideals import jacobson_radical  # deferred: ideals builds on modules
 
     jac = jacobson_radical(m.ring)
@@ -433,14 +432,12 @@ def annihilated_by(m: RightModule, ideal: Submodule) -> Submodule:
     return Submodule(m, ker)
 
 
-def module_times_ideal(m: RightModule, ideal: Submodule) -> Submodule:
-    """The span M·I for a right ideal I of the ring."""
-    rows = []
-    for i in range(m.rank):
-        e = m.generator(i)
-        for g in ideal.gens.rows:
-            rows.append(m.act(e, g))
-    return Submodule(m, rows)
+def module_times_ideal(sub: Submodule, ideal: Submodule) -> Submodule:
+    """sub·I for a right ideal I: the span of the x·s over the generators
+    x of sub and s of I, the product being bilinear."""
+    m = sub.parent
+    return Submodule(m, [m.act(x, s) for x in sub.gens.rows
+                         for s in ideal.gens.rows])
 
 
 def socle_series(m: RightModule):
@@ -470,11 +467,7 @@ def radical_series(m: RightModule):
     chain = [full_submodule(m)]
     while chain[-1].size() > 1:
         prev = chain[-1]
-        rows = []
-        for x in prev.gens.rows:
-            for g in jac.gens.rows:
-                rows.append(m.act(x, g))
-        nxt = Submodule(m, rows)
+        nxt = module_times_ideal(prev, jac)
         if nxt.size() == prev.size():
             raise TheoremViolationError(
                 f"radical series stalls on {m.label}; ring radical is "
@@ -588,10 +581,8 @@ def is_isomorphic_modules(a: RightModule, b: RightModule,
         images = [row for y in cand for row in images_of[y]]
         if any(any(apply_matrix(rel, images, b.orders)) for rel in ker.rows):
             continue
-        span = zero_submodule(b)
-        for y in cand:
-            span = submodule_sum(span, cyclic_span(b, y))
-        if span.size() != b.order():
+        # the images y·g_j span Σ y·R, since the g_j span R
+        if howell_span(b.orders, images).span_size() != b.order():
             continue
         witness = _map_from_generator_images(a, b, gens, images)
         if witness is not None:

@@ -20,6 +20,7 @@ from .modules import (
     cyclic_module,
     cyclic_modules_up_to_iso,
     enumerate_modules,
+    full_submodule,
     module_times_ideal,
     regular_module,
 )
@@ -87,7 +88,7 @@ def killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
     if ideal.gens not in table:
         reps = cyclic_modules_up_to_iso(ring)
         members = [t for t, c in enumerate(reps)
-                   if module_times_ideal(c, ideal).size() == 1]
+                   if module_times_ideal(full_submodule(c), ideal).size() == 1]
         table[ideal.gens] = CyclicFingerprint(ring, members)
     return table[ideal.gens]
 

@@ -16,7 +16,7 @@ import os
 from functools import reduce
 
 from .errors import BoundExceededError, InputError
-from .exactla import ModMatrix, apply_matrix, closed_span, quotient_presentation
+from .exactla import ModMatrix, apply_matrix, howell_span, quotient_presentation
 
 DEFAULT_MAX_ORDER = 65536
 
@@ -313,15 +313,16 @@ def product_ring(factors) -> FiniteRing:
 
 
 def two_sided_closure(ring: FiniteRing, gens) -> ModMatrix:
-    """Howell span of the smallest two-sided ideal containing gens."""
+    """Howell span of the smallest two-sided ideal containing gens: the
+    span of each x and the g_i·x·g_j, as the generators g_i span R."""
     ring_gens = [ring.generator(i) for i in range(ring.rank)]
-
-    def images(row):
+    rows = []
+    for x in map(ring.reduce_el, gens):
+        rows.append(x)
         for g in ring_gens:
-            yield ring.el_mul(g, row)
-            yield ring.el_mul(row, g)
-
-    return closed_span(ring.orders, [ring.reduce_el(g) for g in gens], images)
+            gx = ring.el_mul(g, x)
+            rows.extend(ring.el_mul(gx, h) for h in ring_gens)
+    return howell_span(ring.orders, rows)
 
 
 def quotient_ring(base: FiniteRing, ideal_gens, label: str | None = None):

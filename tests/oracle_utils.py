@@ -50,6 +50,26 @@ def brute_subgroup_spans(mod):
     return found
 
 
+def additive_closure(mod, vecs):
+    """The subgroup generated by vecs, as a frozenset: each new vector v
+    adds the cosets grp + k·v until k·v falls back into grp."""
+    grp = {mod.zero}
+    for v in set(vecs):
+        step, w = set(grp), v
+        while w not in grp:
+            step |= {mod.add(g, w) for g in grp}
+            w = mod.add(w, v)
+        grp = step
+    return frozenset(grp)
+
+
+def is_bijective(f) -> bool:
+    """f is a bijection between modules of equal order."""
+    src, tgt = f.source, f.target
+    return (src.order() == tgt.order()
+            and len({f.apply(x) for x in src.elements()}) == tgt.order())
+
+
 def additive_hom_count(a, b) -> int:
     return math.prod(math.gcd(oa, ob) for oa in a.orders for ob in b.orders)
 

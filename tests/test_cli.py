@@ -233,6 +233,21 @@ def test_order_cap_must_be_a_positive_integer(monkeypatch, capsys, value):
         f"got {value!r}\n")
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("modules", "--max-rank"),
+    ("modules", "--max-order"),
+    ("verify", "--max-rank"),
+    ("verify", "--max-module-order"),
+])
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_bound_options_must_be_at_least_one(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "f2xy_x2y2", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: must be an integer >= 1, got {value!r}\n")
+
+
 @pytest.mark.parametrize("ring_doc, module_doc, field", [
     ({"type": "zmod", "n": "abc"}, None, "construct.n"),
     ({"type": "zmod", "n": [2]}, None, "construct.n"),
@@ -357,6 +372,8 @@ def test_profile_requires_a_ring(capsys):
     ({"type": "quotient", "base": {"type": "zmod", "n": 8},
       "ideal_gens": [[4, 0]]}, None),
     ({"type": "table", "orders": [2], "mul": [[[1, 0]]], "one": [1]}, None),
+    ({"type": "quotient", "base": {"type": "zmod", "n": 1},
+      "ideal_gens": [[1]]}, None),
 ])
 def test_wrong_length_vector_exits_2(tmp_path, capsys, ring_doc, module_doc):
     """A coordinate vector longer than the rank is rejected, not truncated."""
@@ -411,3 +428,25 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_imports_only_names_it_uses():
+    """No module (the package's __init__ aside, which re-exports) imports
+    a name it never reads."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
+    files = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+    assert files
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

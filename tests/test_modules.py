@@ -8,6 +8,7 @@ import pytest
 
 from ringscope.cli import load_ring
 from ringscope.errors import BoundExceededError, InputError
+from ringscope.ideals import jacobson_radical, right_ideals
 from ringscope.modules import (
     RightModule,
     Submodule,
@@ -21,6 +22,7 @@ from ringscope.modules import (
     full_submodule,
     is_isomorphic_modules,
     minimal_submodules,
+    module_times_ideal,
     quotient_module,
     radical_series,
     regular_module,
@@ -33,10 +35,15 @@ from ringscope.modules import (
     verify_module_axioms,
     zero_submodule,
 )
-from ringscope.ring import zmod
+from ringscope.ring import product_ring, zmod
 
 from conftest import SMALL_CORPUS, corpus
-from oracle_utils import brute_subgroup_spans
+from oracle_utils import (
+    additive_closure,
+    brute_maps,
+    brute_subgroup_spans,
+    is_bijective,
+)
 
 
 def test_submodule_counts_match_subgroup_oracle():
@@ -149,6 +156,24 @@ def test_quotient_rejects_unstable_span():
         quotient_module(reg, Submodule(reg, [(1, 0, 0)]))
 
 
+def test_quotient_rejects_a_submodule_of_another_module():
+    """Over F2 x F2, the regular module and S1 + S1 (S1 the simple module
+    on which the first factor acts as 1) share the orders (2, 2); the
+    diagonal is a submodule of the second but not of the first."""
+    ring = product_ring([zmod(2), zmod(2)])
+    reg = regular_module(ring)
+    s1 = cyclic_module(ring, Submodule(reg, [(0, 1)]))[0]
+    m2 = direct_sum([s1, s1])
+    assert m2.orders == reg.orders and m2.key != reg.key
+    k = Submodule(m2, [(1, 1)])
+    assert k.is_action_stable()
+    assert quotient_module(m2, k)[0].order() == 2
+    with pytest.raises(InputError, match="does not live in"):
+        quotient_module(reg, k)
+    with pytest.raises(InputError, match="not closed under"):
+        quotient_module(reg, Submodule(reg, [(1, 1)]))
+
+
 def test_cyclic_class_counts():
     expected = {"z8": 4, "t2f2": 6, "m2f2": 3, "f2xy_j2": 6, "f2xy_x2y2": 7}
     for name, count in expected.items():
@@ -192,6 +217,44 @@ def test_isomorphism_witness_is_bijective_map():
     assert flag
     images = {witness.apply(x) for x in reg.elements()}
     assert len(images) == reg.order()
+
+
+def _same_as_brute_force(a, b):
+    """is_isomorphic_modules(a, b) agrees with a search of every module
+    map for a bijection, and a witness it returns is one."""
+    flag, witness = is_isomorphic_modules(a, b)
+    assert flag == any(is_bijective(f) for f in brute_maps(a, b))
+    if flag:
+        assert witness.is_valid() and is_bijective(witness)
+    return flag
+
+
+def test_cyclic_isomorphisms_match_brute_force():
+    """Every R/I of order <= 8 against each cyclic class of its order."""
+    pairs = 0
+    for name in SMALL_CORPUS:
+        ring = corpus(name)
+        classes = cyclic_modules_up_to_iso(ring)
+        for ideal in right_ideals(ring):
+            q = cyclic_module(ring, ideal)[0]
+            if q.order() > 8:
+                continue
+            same = [c for c in classes if c.order() == q.order()]
+            assert sum(_same_as_brute_force(q, c) for c in same) == 1
+            pairs += len(same)
+    assert pairs == 153
+
+
+def test_rank_two_classes_are_pairwise_non_isomorphic():
+    pairs = 0
+    for name in ("z8", "z4xf2", "t2f2"):
+        mods = enumerate_modules(corpus(name), 2, 8)
+        for t, a in enumerate(mods):
+            for b in mods[t + 1:]:
+                if a.order() == b.order():
+                    assert not _same_as_brute_force(a, b)
+                    pairs += 1
+    assert pairs == 28
 
 
 def test_enumerate_modules_z8():
@@ -264,7 +327,9 @@ def test_submodule_presentation_is_shared():
 def test_presented_submodules_match_element_sets(name, summands):
     """Each submodule K of the regular module (or of a sum of two cyclic
     classes) is presented with order |K|, a valid inclusion onto K and an
-    express map inverse to it on K and None off K."""
+    express map inverse to it on K and None off K.  Each x·R is
+    {x·r : r in R}, and K·J(R) is the subgroup generated by the x·r, x in
+    K and r in J(R)."""
     ring = corpus(name)
     if summands is None:
         m = regular_module(ring)
@@ -272,7 +337,15 @@ def test_presented_submodules_match_element_sets(name, summands):
         cyc = cyclic_modules_up_to_iso(ring)
         m = direct_sum([cyc[t] for t in summands])
     everything = [tuple(v) for v in m.elements()]
+    ring_elements = [tuple(r) for r in ring.elements()]
+    for x in everything:
+        assert set(cyclic_span(m, x).elements()) == {
+            m.act(x, r) for r in ring_elements}
+    jac = jacobson_radical(ring)
+    jac_elements = list(jac.elements())
     for k in submodules(m):
+        assert set(module_times_ideal(k, jac).elements()) == additive_closure(
+            m, [m.act(x, r) for x in k.elements() for r in jac_elements])
         mod, incl, express = submodule_as_module(k)
         members = set(k.elements())
         assert mod.order() == len(members)
