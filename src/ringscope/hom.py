@@ -11,7 +11,7 @@ side uses composition with the projections N → N/L.
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, TheoremViolationError
+from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import ModMatrix, howell_span, solve_affine, zero_matrix
 from .modules import (
     ModuleMap,
@@ -22,6 +22,7 @@ from .modules import (
     submodule_as_module,
     submodules,
 )
+from .ring import same_ring
 
 
 class HomGroup:
@@ -65,6 +66,8 @@ def hom_group(a: RightModule, b: RightModule) -> HomGroup:
     built separately share the entry; the table holds no module, and the
     returned group's ``source`` and ``target`` are the objects passed in.
     """
+    if not same_ring(a.ring, b.ring):
+        raise InputError("hom between modules over different rings")
     table = a.ring._cache.setdefault("hom_bases", {})
     key = (a.key, b.key)
     basis = table.get(key)

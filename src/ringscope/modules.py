@@ -20,9 +20,11 @@ from .exactla import (
     solve_affine,
     zero_matrix,
 )
-from .ring import FiniteRing, reduce_vector
+from .ring import FiniteRing, reduce_vector, same_ring
 
 SUBMODULE_ENUM_BOUND = 4096
+# largest hom group that the isomorphism search walks
+ISO_SEARCH_BOUND = 1 << 20
 
 
 class RightModule:
@@ -242,7 +244,7 @@ def direct_sum(mods, label: str | None = None) -> RightModule:
     if not mods:
         raise InputError("direct sum of nothing; pass the zero module instead")
     ring = mods[0].ring
-    if any(m.ring is not ring for m in mods):
+    if not all(same_ring(m.ring, ring) for m in mods):
         raise InputError("direct sum components must share the ring")
     orders = tuple(m for mod in mods for m in mod.orders)
     offsets = []
@@ -299,11 +301,16 @@ def cyclic_module(ring: FiniteRing, ideal: Submodule,
 # -- submodule enumeration -----------------------------------------------------
 
 
+def _images(m: RightModule, x):
+    """The rows x·g_j over the ring generators g_j: the matrix of r ↦ x·r."""
+    return [m.act_gen(x, j) for j in range(m.ring.rank)]
+
+
 def cyclic_span(m: RightModule, x) -> Submodule:
     """x·R: the smallest submodule containing x, the span of x and the
     x·g_j, as the ring generators g_j span R."""
     x = m.reduce_el(x)
-    return Submodule(m, [x] + _images(m, [x]))
+    return Submodule(m, [x] + _images(m, x))
 
 
 def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
@@ -477,8 +484,9 @@ def radical_series(m: RightModule):
 
 
 def element_annihilator(m: RightModule, x) -> Submodule:
-    """ann(x) = {r in R : x·r = 0}, a right ideal."""
-    return Submodule(regular_module(m.ring), _relation_kernel(m, [x]))
+    """ann(x) = {r in R : x·r = 0}, a right ideal: the kernel of r ↦ x·r."""
+    _, ker = solve_affine(_images(m, x), m.orders, m.zero, m.ring.orders)
+    return Submodule(regular_module(m.ring), ker)
 
 
 def singular_submodule(m: RightModule) -> Submodule:
@@ -523,88 +531,26 @@ def additive_type(orders) -> tuple:
     return new_orders
 
 
-def minimal_generating_tuple(m: RightModule):
-    """A small generating set, greedily built from module elements."""
-    gens = []
-    span = zero_submodule(m)
-    if m.order() == 1:
-        return []
-    for x in sorted(m.elements(), key=lambda v: tuple(v), reverse=True):
-        if span.contains(x):
-            continue
-        gens.append(tuple(x))
-        span = submodule_sum(span, cyclic_span(m, x))
-        if span.size() == m.order():
-            return gens
-    return gens
+def is_isomorphic_modules(a: RightModule, b: RightModule):
+    """(flag, witness): witness is an isomorphism a → b.
 
-
-def _images(m: RightModule, gens):
-    """The rows x·g_j, for x in gens and then each ring generator g_j: the
-    matrix of (r_1..r_k) ↦ Σ gens[t]·r_t on R^k."""
-    return [m.act_gen(x, j) for x in gens for j in range(m.ring.rank)]
-
-
-def _relation_kernel(m: RightModule, gens):
-    """Kernel of (r_1..r_k) ↦ Σ gens[t]·r_t inside R^k."""
-    _, ker = solve_affine(_images(m, gens), m.orders, m.zero,
-                          m.ring.orders * len(gens))
-    return ker
-
-
-def is_isomorphic_modules(a: RightModule, b: RightModule,
-                          search_bound: int = 1 << 20):
-    """(flag, witness): witness maps the generators of a generating tuple.
-
-    Decision: pick a generating tuple of `a`, compute its relation kernel
-    in R^k, and search b^k for a tuple satisfying the same relations that
-    generates `b`.  Sound because any tuple passing both checks induces a
-    surjective module map, hence a bijection when |a| = |b|.
+    Decision: modules of the same finite order are isomorphic iff some
+    map in Hom_R(a, b) is onto.  The first onto map of the hom group is
+    the witness; it is checked against the module-map conditions, as an
+    independent check of the hom solve.
     """
-    if a.ring is not b.ring and (a.ring.orders != b.ring.orders
-                                 or a.ring.mul != b.ring.mul):
+    if (not same_ring(a.ring, b.ring) or a.order() != b.order()
+            or additive_type(a.orders) != additive_type(b.orders)):
         return False, None
-    if a.order() != b.order():
-        return False, None
-    if additive_type(a.orders) != additive_type(b.orders):
-        return False, None
-    if a.order() == 1:
-        return True, ModuleMap(a, b, [(0,) * b.rank] * a.rank, check=False)
-    gens = minimal_generating_tuple(a)
-    k = len(gens)
-    if b.order() ** k > search_bound:
-        raise BoundExceededError(
-            f"isomorphism search space {b.order()}**{k} too large")
-    ker = _relation_kernel(a, gens)
-    images_of = {y: _images(b, [y]) for y in b.elements()}
-    for cand in itertools.product(images_of, repeat=k):
-        images = [row for y in cand for row in images_of[y]]
-        if any(any(apply_matrix(rel, images, b.orders)) for rel in ker.rows):
-            continue
-        # the images y·g_j span Σ y·R, since the g_j span R
-        if howell_span(b.orders, images).span_size() != b.order():
-            continue
-        witness = _map_from_generator_images(a, b, gens, images)
-        if witness is not None:
-            return True, witness
+    from .hom import hom_group  # deferred: hom builds on modules
+
+    for f in hom_group(a, b).maps(bound=ISO_SEARCH_BOUND):
+        if f.image_span().span_size() == b.order():
+            if not f.is_valid():
+                raise TheoremViolationError(
+                    f"hom solve from {a.label} to {b.label} gave a non-map")
+            return True, f
     return False, None
-
-
-def _map_from_generator_images(a, b, gens, images):
-    """Build the ModuleMap sending gens[t] ↦ y_t, or None; images are the
-    rows _images(b, [y_1..y_k])."""
-    rows = _images(a, gens)
-    umods = a.ring.orders * len(gens)
-    out_rows = []
-    for i in range(a.rank):
-        coeffs, _ = solve_affine(rows, a.orders, a.generator(i), umods)
-        if coeffs is None:
-            return None
-        out_rows.append(apply_matrix(coeffs, images, b.orders))
-    fmap = ModuleMap(a, b, out_rows, check=False)
-    if not fmap.is_valid():
-        return None
-    return fmap
 
 
 def cyclic_modules_up_to_iso(ring: FiniteRing):
@@ -640,8 +586,9 @@ def enumerate_modules(ring: FiniteRing, max_free_rank: int = 2,
                       max_order: int = 64, ceiling: int = 20000):
     """All iso-classes of quotients of R^k, k ≤ max_free_rank, of order
     ≤ max_order.  The quotients of R^1 are the cyclic classes."""
-    if max_free_rank < 1:
-        return []
+    if max_free_rank < 1 or max_order < 1:
+        raise InputError(f"module bounds must be >= 1, got rank "
+                         f"{max_free_rank} and order {max_order}")
     reg = regular_module(ring)
     _free_submodules(reg, 1, ceiling)
     reps = [c for c in cyclic_modules_up_to_iso(ring)

@@ -121,6 +121,12 @@ class FiniteRing:
         return tuple(e)
 
 
+def same_ring(r: FiniteRing, s: FiniteRing) -> bool:
+    """True iff r and s are one ring: the same object, or the same
+    generator orders and structure constants."""
+    return r is s or (r.orders == s.orders and r.mul == s.mul)
+
+
 def verify_ring_axioms(r: FiniteRing):
     """None when the tables define a ring with identity r.one; otherwise a
     human-readable description of the first violated law."""

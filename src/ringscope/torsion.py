@@ -15,7 +15,7 @@ from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import apply_matrix, quotient_presentation, solve_affine
 from .ideals import is_two_sided, right_ideal_lattice, right_ideals
 from .modules import RightModule, Submodule, element_annihilator, regular_module
-from .ring import FiniteRing
+from .ring import FiniteRing, same_ring
 
 FILTER_IDEAL_GUARD = 30
 
@@ -244,6 +244,8 @@ def sigma_filter(m: RightModule) -> LinearFilter:
 def sigma_contains(m: RightModule, n: RightModule) -> bool:
     """True iff N belongs to σ[M]: every element annihilator of N is in
     the filter of M."""
+    if not same_ring(m.ring, n.ring):
+        raise InputError("sigma[M] membership of a module over another ring")
     filt = sigma_filter(m)
     ctx = ideal_context(m.ring)
     for x in n.elements():

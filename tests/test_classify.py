@@ -18,7 +18,9 @@ from ringscope.classify import (
     verify_suite,
 )
 from ringscope.cli import load_ring
+from ringscope.errors import InputError
 from ringscope.modules import Submodule, regular_module
+from ringscope.profile import rises_bounded
 from ringscope.ring import product_ring, quotient_ring, units, zmod
 
 from conftest import SMALL_CORPUS, corpus
@@ -130,6 +132,17 @@ def test_verify_suite_skip_reasons():
     assert len(lines) == 16
     assert all(line.split()[1] in ("pass", "fail", "skipped")
                for line in lines)
+
+
+def test_verify_and_rises_refuse_bounds_below_one():
+    """A rank or order bound below 1 is refused, not read as an empty
+    module pool."""
+    ring = corpus("f2xy_x2y2")
+    with pytest.raises(InputError, match="rank 0"):
+        verify_suite(ring, max_free_rank=0)
+    reg = regular_module(ring)
+    with pytest.raises(InputError, match="order 0"):
+        rises_bounded(reg, reg, max_order=0)
 
 
 def test_verify_report_rejects_unknown_status():

@@ -6,6 +6,8 @@ and the domain predicates to pointwise extension/lift search.
 
 import pytest
 
+from ringscope.cli import load_ring
+from ringscope.errors import InputError
 from ringscope.exactla import howell_span
 from ringscope.hom import (
     hom_basis,
@@ -22,6 +24,7 @@ from ringscope.modules import (
     cyclic_module,
     cyclic_modules_up_to_iso,
     direct_sum,
+    is_isomorphic_modules,
     minimal_submodules,
     quotient_module,
     regular_module,
@@ -30,6 +33,7 @@ from ringscope.modules import (
     submodules,
 )
 from ringscope.ring import zmod
+from ringscope.torsion import sigma_contains
 
 from conftest import corpus
 from oracle_utils import brute_maps, oracle_rel_inj, oracle_rel_proj
@@ -236,3 +240,22 @@ def test_certificates_past_the_hom_enumeration_bound(free_summands):
         [[x for r in gen.rows for x in proj.apply(r)]
          for gen in hom_basis(m, reg)])
     assert not composites.contains([x for r in psi.rows for x in r])
+
+
+def test_modules_over_different_rings_are_refused():
+    """Z/8 and Z/4 x F2 have the same order but are different rings: the
+    hom solve, the sigma test and the direct sum refuse the pair, and the
+    isomorphism test answers no.  A separately built copy of a ring is the
+    same ring."""
+    a = regular_module(corpus("z8"))
+    b = regular_module(corpus("z4xf2"))
+    for call in (hom_group, is_relatively_injective, sigma_contains,
+                 lambda m, n: direct_sum([m, n])):
+        with pytest.raises(InputError, match="ring"):
+            call(a, b)
+    assert is_isomorphic_modules(a, b) == (False, None)
+    copy = regular_module(load_ring("z8"))
+    assert hom_group(a, copy).size() == 8
+    assert sigma_contains(a, copy)
+    assert is_isomorphic_modules(a, copy)[0]
+    assert direct_sum([a, copy]).order() == 64

@@ -6,12 +6,16 @@ oracle that never touches the linear algebra.
 
 import pytest
 
+from ringscope import hom, modules
 from ringscope.cli import load_ring
-from ringscope.errors import BoundExceededError, InputError
+from ringscope.errors import BoundExceededError, InputError, TheoremViolationError
+from ringscope.exactla import howell_span
 from ringscope.ideals import jacobson_radical, right_ideals
 from ringscope.modules import (
+    ModuleMap,
     RightModule,
     Submodule,
+    additive_type,
     annihilator,
     cyclic_module,
     cyclic_modules_up_to_iso,
@@ -255,6 +259,58 @@ def test_rank_two_classes_are_pairwise_non_isomorphic():
                     assert not _same_as_brute_force(a, b)
                     pairs += 1
     assert pairs == 28
+
+
+def _hom_free_invariants(m):
+    """Isomorphism invariants computed without Hom: order, additive type,
+    submodule count, radical and socle series sizes, the annihilator and
+    the multiset of element annihilators."""
+    return (m.order(), additive_type(m.orders), len(submodules(m)),
+            [s.size() for s in radical_series(m)],
+            [s.size() for s in socle_series(m)[0]],
+            annihilator(m).gens.rows,
+            sorted(element_annihilator(m, x).gens.rows
+                   for x in m.elements()))
+
+
+@pytest.mark.parametrize("name, classes", [("t2f2", 18), ("f2xy_x2y2", 32)])
+def test_rank_two_classes_differ_in_hom_free_invariants(name, classes):
+    """Each pair of rank-2 classes is told apart without Hom, so no two
+    classes are isomorphic; the pinned count shows none was merged."""
+    mods = enumerate_modules(corpus(name), 2, 64)
+    assert len(mods) == classes
+    invariants = [_hom_free_invariants(m) for m in mods]
+    for t, inv in enumerate(invariants):
+        assert inv not in invariants[t + 1:]
+
+
+def test_isomorphism_witness_must_pass_the_map_check(monkeypatch):
+    """A hom basis holding a non-map is caught by the witness check."""
+    ring = load_ring("t2f2")  # fresh, so the hom memo is not shared
+    reg = regular_module(ring)
+    swap = [reg.generator(1), reg.generator(0), reg.generator(2)]
+    assert not ModuleMap(reg, reg, swap, check=False).is_valid()
+    flat = [x for row in swap for x in row]
+    monkeypatch.setattr(hom, "_hom_kernel",
+                        lambda a, b: howell_span(b.orders * a.rank, [flat]))
+    with pytest.raises(TheoremViolationError, match="non-map"):
+        is_isomorphic_modules(reg, reg)
+
+
+def test_isomorphism_search_is_bounded_by_the_hom_group(monkeypatch):
+    reg = regular_module(corpus("t2f2"))
+    monkeypatch.setattr(modules, "ISO_SEARCH_BOUND", 4)
+    with pytest.raises(BoundExceededError,
+                       match="^hom group of order 8 exceeds bound 4$"):
+        is_isomorphic_modules(reg, reg)
+
+
+def test_module_bounds_below_one_are_refused():
+    ring = corpus("f2xy_x2y2")
+    with pytest.raises(InputError, match="rank 0 and order 64"):
+        enumerate_modules(ring, 0)
+    with pytest.raises(InputError, match="rank 2 and order 0"):
+        enumerate_modules(ring, 2, max_order=0)
 
 
 def test_enumerate_modules_z8():
