@@ -5,11 +5,28 @@ the pure-Python kernel, ``cython`` (or ``c``) requires the compiled one,
 and unset or empty uses the compiled kernel when it is built.  Requiring
 the compiled kernel when it is not built, or any other value, fails at
 import.
+
+The compiled kernel works in signed 64-bit integers, where a sum of two
+products of residues is exact only below COMPILED_MODULUS_LIMIT; larger
+moduli go to the Python kernel, so both kernels answer every modulus.
 """
 
 import os
 
 from ._howell_py import howell_mod as howell_mod_py
+
+COMPILED_MODULUS_LIMIT = 1 << 31
+
+
+def _routed(compiled):
+    """The compiled kernel below COMPILED_MODULUS_LIMIT, the Python one
+    from there on."""
+    def howell_mod(rows, ncols, n):
+        if n >= COMPILED_MODULUS_LIMIT:
+            return howell_mod_py(rows, ncols, n)
+        return compiled(rows, ncols, n)
+    return howell_mod
+
 
 _SPELLINGS = {"": "auto", "python": "python", "py": "python",
               "cython": "cython", "c": "cython"}
@@ -26,7 +43,7 @@ if _choice == "python":
 else:
     try:
         from ._howell import howell_mod as _howell_mod_c
-        howell_mod = _howell_mod_c
+        howell_mod = _routed(_howell_mod_c)
         BACKEND = "cython"
     except ImportError as exc:
         if _choice == "cython":

@@ -289,9 +289,10 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
         pool = enumerate_modules(ring, max_free_rank, max_order)
     except BoundExceededError:
         pool = None
+    out_of_bounds = "module enumeration out of bounds"
     if pool is None:
         rep.add("V12", "super QF fingerprint agreement within bounds",
-                "skipped", "module enumeration out of bounds")
+                "skipped", out_of_bounds)
     elif sflag:
         bad = None
         for m in pool:
@@ -320,8 +321,10 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
         rep.add("V14", "quasi-injective collapse without middle class",
                 "skipped",
                 "semisimple ring" if semisimple else "middle class present")
+    elif pool is None:
+        rep.add("V14", "quasi-injective collapse without middle class",
+                "skipped", out_of_bounds)
     else:
-        pool = pool if pool is not None else []
         bad = None
         for m in pool:
             if m.order() == 1:

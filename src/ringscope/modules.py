@@ -313,26 +313,68 @@ def cyclic_span(m: RightModule, x) -> Submodule:
     return Submodule(m, [x] + _images(m, x))
 
 
+def _socle_lifts(n: RightModule, s: Submodule, jgens):
+    """Lifts to n of the nonzero y in Soc(N/S) = {y : y·j = 0 for the rows
+    j of jgens}, solved in the coordinates of N/S; no rows: all of N/S."""
+    new_orders, proj, lift = quotient_presentation(n.orders, s.gens.rows)
+    if not new_orders:
+        return
+    if jgens:
+        rows = [tuple(x for g in jgens
+                      for x in apply_matrix(n.act(l, g), proj, new_orders))
+                for l in lift]
+        eq_moduli = new_orders * len(jgens)
+        _, soc = solve_affine(rows, eq_moduli, (0,) * len(eq_moduli),
+                              new_orders)
+        ys = soc.span_elements()
+    else:
+        ys = itertools.product(*(range(m) for m in new_orders))
+    for y in ys:
+        if any(y):
+            yield apply_matrix(y, lift, n.orders)
+
+
 def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
-    """Every submodule, canonically sorted; 0 and N included."""
+    """Every submodule, canonically sorted; 0 and N included.
+
+    A walk from 0 by steps S → S + x·R, x + S in Soc(N/S) (Anderson–Fuller
+    §11): for T ⊋ S the socle of T/S is nonzero and lies in Soc(N/S), so
+    some step from S stays inside T, and every submodule is reached.  J(R)
+    is read off the right ideals, which this lists on the regular module;
+    there, and on rings too large to list them, every y in N/S steps,
+    which is the socle when J = 0 and reaches every submodule anyway.
+    """
     key = ("submodules", bound)
     if key in n._cache:
         return n._cache[key]
     if n.order() > bound:
         raise BoundExceededError(
             f"module of order {n.order()} exceeds enumeration bound {bound}")
-    cyclics = {zero_submodule(n)}
-    for x in n.elements(bound):
-        cyclics.add(cyclic_span(n, x))
-    seen = set(cyclics)
-    frontier = list(cyclics)
+    ring = n.ring
+    if (ring.order() > SUBMODULE_ENUM_BOUND
+            or n.key == regular_module(ring).key):
+        jgens = ()
+    else:
+        from .ideals import jacobson_radical  # deferred: ideals builds on modules
+
+        jgens = jacobson_radical(ring).gens.rows
+    zero = zero_submodule(n)
+    seen = {zero}
+    frontier = [zero]
+    spans = {}  # x -> x·R, as the same lift recurs from many S
     while frontier:
         s = frontier.pop()
-        for c in cyclics:
-            joined = Submodule(n, s.gens.stack(c.gens))
-            if joined not in seen:
-                seen.add(joined)
-                frontier.append(joined)
+        steps = set()
+        for x in _socle_lifts(n, s, jgens):
+            c = spans.get(x)
+            if c is None:
+                c = spans[x] = cyclic_span(n, x)
+            steps.add(c)
+        for c in steps:
+            t = submodule_sum(s, c)
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
     out = sorted(seen, key=lambda s: (s.size(), s.gens.rows))
     n._cache[key] = out
     return out

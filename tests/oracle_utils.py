@@ -8,7 +8,15 @@ elements, subgroups by closing subsets.  Slow on purpose.
 import itertools
 import math
 
-from ringscope.modules import ModuleMap, quotient_module, submodule_as_module, submodules
+from ringscope.modules import (
+    ModuleMap,
+    cyclic_span,
+    quotient_module,
+    submodule_as_module,
+    submodule_sum,
+    submodules,
+    zero_submodule,
+)
 
 
 def brute_subgroup_spans(mod):
@@ -48,6 +56,23 @@ def brute_subgroup_spans(mod):
         found |= fresh
         frontier = fresh
     return found
+
+
+def join_all_submodules(n):
+    """Every submodule of n by the join route: the cyclic submodules x·R
+    closed under sums, sorted as submodules() sorts them.  Asks nothing of
+    the radical or the socle."""
+    cyclics = {zero_submodule(n)} | {cyclic_span(n, x) for x in n.elements()}
+    seen = set(cyclics)
+    frontier = list(cyclics)
+    while frontier:
+        s = frontier.pop()
+        for c in cyclics:
+            joined = submodule_sum(s, c)
+            if joined not in seen:
+                seen.add(joined)
+                frontier.append(joined)
+    return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
 
 
 def additive_closure(mod, vecs):

@@ -134,6 +134,16 @@ def test_verify_suite_skip_reasons():
                for line in lines)
 
 
+def test_module_checks_skip_when_the_pool_is_out_of_bounds():
+    """R² of m2z4 has 65,536 elements, past the enumeration bound: V12
+    and V14 check no module, so both say skipped, not pass."""
+    rep = verify_suite(corpus("m2z4"), max_free_rank=2)
+    by_id = {e["id"]: e for e in rep.entries}
+    for check in ("V12", "V14"):
+        assert by_id[check]["status"] == "skipped"
+        assert by_id[check]["certificate"] == "module enumeration out of bounds"
+
+
 def test_verify_and_rises_refuse_bounds_below_one():
     """A rank or order bound below 1 is refused, not read as an empty
     module pool."""

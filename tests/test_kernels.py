@@ -4,6 +4,11 @@ import importlib
 import importlib.util
 import itertools
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -133,4 +138,48 @@ def test_backend_variable(monkeypatch, value, expected):
             assert importlib.reload(_backend).BACKEND == expected
     finally:
         monkeypatch.delenv("RINGSCOPE_BACKEND")
+        importlib.reload(_backend)
+
+
+def _build_shipped_kernel(tmp_path):
+    """The shipped _howell.c built with gcc into tmp_path and loaded; skips
+    when gcc or Python.h is missing."""
+    gcc = shutil.which("gcc")
+    include = Path(sysconfig.get_paths()["include"])
+    if gcc is None or not (include / "Python.h").exists():
+        pytest.skip("building the C kernel needs gcc and Python.h")
+    source = Path(_backend.__file__).with_name("_howell.c")
+    target = tmp_path / ("_howell" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run([gcc, "-shared", "-fPIC", "-O1", "-w", f"-I{include}",
+                    str(source), "-o", str(target)], check=True)
+    spec = importlib.util.spec_from_file_location("ringscope._howell", target)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_compiled_kernel_agrees_on_every_modulus(tmp_path, monkeypatch):
+    """The compiled kernel agrees with the Python one below its modulus
+    limit; under the cython backend, larger moduli reach the Python kernel,
+    so the backend's kernel agrees at 2^33 and 2^62 too."""
+    compiled = _build_shipped_kernel(tmp_path)
+    rng = random.Random(20261018)
+
+    def agree(kernel, n):
+        for _ in range(50):
+            m = [[rng.randrange(n) for _ in range(4)] for _ in range(4)]
+            assert ([tuple(r) for r in kernel([list(r) for r in m], 4, n)]
+                    == [tuple(r) for r in howell_py(m, 4, n)]), (n, m)
+
+    for n in (1 << 16, _backend.COMPILED_MODULUS_LIMIT - 1):
+        agree(compiled.howell_mod, n)
+    monkeypatch.setitem(sys.modules, "ringscope._howell", compiled)
+    monkeypatch.setenv("RINGSCOPE_BACKEND", "cython")
+    try:
+        backend = importlib.reload(_backend)
+        assert backend.BACKEND == "cython"
+        for n in (1 << 16, 1 << 33, 1 << 62):
+            agree(backend.howell_mod, n)
+    finally:
+        monkeypatch.undo()
         importlib.reload(_backend)

@@ -4,6 +4,10 @@ Submodule counts are cross-checked against an exhaustive subgroup-closure
 oracle that never touches the linear algebra.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from ringscope import hom, modules
@@ -47,6 +51,7 @@ from oracle_utils import (
     brute_maps,
     brute_subgroup_spans,
     is_bijective,
+    join_all_submodules,
 )
 
 
@@ -69,6 +74,62 @@ def test_submodules_are_action_stable_and_sorted():
     assert sizes == sorted(sizes)
     assert subs[0] == zero_submodule(reg)
     assert subs[-1] == full_submodule(reg)
+
+
+RECIPES = Path(__file__).resolve().parents[1] / "perfbench" / "recipes.py"
+# random-ring recipes of the benchmark; F2 × F3 is a product of fields,
+# with J = 0
+WALK_RECIPES = {
+    "t2f2xz2": {"kind": "pathz", "k": 2,
+                "path": {"kind": "path", "p": 2, "vertices": 2,
+                         "arrows": [[1, 2]], "cut": None}},
+    "path3_cut_op": {"kind": "path", "p": 2, "vertices": 3,
+                     "arrows": [[1, 2], [1, 3]], "cut": [0, 0, 0, 1, 0],
+                     "op": True},
+    "z3xz4": {"kind": "zprod", "ks": [3, 4]},
+    "f2xf3": {"kind": "zprod", "ks": [2, 3]},
+}
+
+
+def _recipe_ring(recipe):
+    sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_recipes",
+                                                      RECIPES)
+        recipes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(recipes)
+    finally:
+        sys.dont_write_bytecode = saved
+    return recipes.build(recipe)
+
+
+@pytest.mark.parametrize("source", [*WALK_RECIPES, *SMALL_CORPUS, "m2z4"])
+def test_socle_walk_matches_the_join_route(source):
+    """submodules() walks S → S + x·R over Soc(N/S); the join of every
+    submodule with every cyclic one must give the same list, in the same
+    order, on R, on R² and on three quotients of R², up to order 256.
+    The join route takes seconds on R² of the order-16 recipe rings (600
+    submodules), so there only R is compared."""
+    recipe = WALK_RECIPES.get(source)
+    ring = _recipe_ring(recipe) if recipe else corpus(source)
+    reg = regular_module(ring)
+    mods = [reg]
+    if reg.order() ** 2 <= (144 if recipe else 256):
+        free = direct_sum([reg, reg], label="R^2")
+        subs = submodules(free)
+        mods += [free] + [quotient_module(free, subs[t])[0]
+                          for t in (1, len(subs) // 2, -2)]
+    for m in mods:
+        assert submodules(m) == join_all_submodules(m), m.label
+
+
+def test_submodules_over_a_ring_too_large_to_list_its_ideals():
+    """Z/2 over Z/8192: the right ideals are past the enumeration bound,
+    so the walk steps over all of N/S and needs no radical."""
+    ring = zmod(8192)
+    reg = regular_module(ring)
+    q, _ = quotient_module(reg, Submodule(reg, [[2]]))
+    assert [s.size() for s in submodules(q)] == [1, 2]
 
 
 def test_module_axioms_reject_broken_action():
