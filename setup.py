@@ -1,10 +1,13 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional Howell kernel extension.
 
-The package works without the extension (a pure-Python kernel is used as
-fallback), so a failed compile only costs speed.
+With Cython installed the kernel is cythonized from ``_howell.pyx``;
+without it the shipped ``_howell.c``, which a plain C compiler builds, is
+compiled instead.  The package works without the extension (a
+pure-Python kernel is used as fallback), so a failed compile only costs
+speed.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -13,7 +16,7 @@ class OptionalBuildExt(build_ext):
         try:
             super().run()
         except Exception as exc:  # compiler missing, etc.
-            print(f"warning: skipping Cython kernel build ({exc})")
+            print(f"warning: skipping the kernel extension build ({exc})")
 
     def build_extension(self, ext):
         try:
@@ -27,7 +30,7 @@ def extensions():
     try:
         from Cython.Build import cythonize
     except ImportError:
-        return []
+        return [Extension("ringscope._howell", ["src/ringscope/_howell.c"])]
     return cythonize(
         ["src/ringscope/_howell.pyx"],
         compiler_directives={"language_level": "3"},

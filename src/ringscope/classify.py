@@ -42,7 +42,7 @@ from .profile import (
     p_profile,
     proj_fingerprint,
 )
-from .ring import FiniteRing, quotient_ring
+from .ring import FiniteRing, memo, quotient_ring
 from .torsion import all_linear_filters, eta_filter
 
 
@@ -69,9 +69,7 @@ def is_uniform_ring(ring: FiniteRing) -> bool:
 def is_qf(ring: FiniteRing) -> bool:
     """Self-injectivity of the regular module (finite rings are
     noetherian), memoised on the ring."""
-    if "qf" not in ring._cache:
-        ring._cache["qf"] = is_injective(regular_module(ring))
-    return ring._cache["qf"]
+    return memo(ring, "qf", is_injective, regular_module(ring))
 
 
 def is_super_qf(ring: FiniteRing):

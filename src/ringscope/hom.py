@@ -22,7 +22,7 @@ from .modules import (
     submodule_as_module,
     submodules,
 )
-from .ring import same_ring
+from .ring import memo, same_ring
 
 
 class HomGroup:
@@ -61,18 +61,14 @@ def hom_group(a: RightModule, b: RightModule) -> HomGroup:
     """Hom_R(a, b), wrapping a memoised canonical basis.
 
     The basis depends only on the contents of the two modules, so it is
-    kept in one table per ring, ``ring._cache["hom_bases"]``, keyed by
-    ``(a.key, b.key)`` (generator orders and action rows).  Equal modules
-    built separately share the entry; the table holds no module, and the
-    returned group's ``source`` and ``target`` are the objects passed in.
+    memoised on the ring under ``("hom_bases", a.key, b.key)`` (generator
+    orders and action rows).  Equal modules built separately share the
+    entry; the table holds no module, and the returned group's ``source``
+    and ``target`` are the objects passed in.
     """
     if not same_ring(a.ring, b.ring):
         raise InputError("hom between modules over different rings")
-    table = a.ring._cache.setdefault("hom_bases", {})
-    key = (a.key, b.key)
-    basis = table.get(key)
-    if basis is None:
-        basis = table[key] = _hom_kernel(a, b)
+    basis = memo(a.ring, ("hom_bases", a.key, b.key), _hom_kernel, a, b)
     return HomGroup(a, b, basis)
 
 
@@ -170,13 +166,10 @@ def is_relatively_projective(m: RightModule, n: RightModule):
     """(flag, certificate): certificate is (L, ψ) with ψ: m → n/L
     non-liftable through the projection when the answer is negative."""
     mn_gens = hom_group(m, n).gen_maps()
-    quotients = n._cache.setdefault("quotients", {})
     for l in submodules(n):
         if l.size() == 1:
             continue  # lifting along the identity
-        if l.gens not in quotients:
-            quotients[l.gens] = quotient_module(n, l)
-        q, proj = quotients[l.gens]
+        q, proj = memo(n, ("quotients", l.gens), quotient_module, n, l)
         homs_mq = hom_group(m, q)
         if homs_mq.size() == 1:
             continue

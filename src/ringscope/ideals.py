@@ -18,7 +18,7 @@ from .modules import (
     submodule_sum,
     submodules,
 )
-from .ring import FiniteRing
+from .ring import FiniteRing, memo
 
 
 def right_ideals(ring: FiniteRing):
@@ -35,9 +35,10 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     stacking generators, which pins the order (A ⊆ B iff A+B = B); and
     |meet|·|A+B| = |A|·|B| must hold, so the meet, lying in A∩B, is A∩B.
     """
-    key = "right_ideal_lattice"
-    if key in ring._cache:
-        return ring._cache[key]
+    return memo(ring, "right_ideal_lattice", _right_ideal_lattice, ring)
+
+
+def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     ideals = right_ideals(ring)
     sizes = [i.size() for i in ideals]
     n = len(ideals)
@@ -59,7 +60,6 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
                 raise TheoremViolationError(
                     f"{ring.label}: right ideals {a}, {b} have meet {meet} "
                     f"and join {join}, not their intersection and sum")
-    ring._cache[key] = lat
     return lat
 
 
@@ -73,11 +73,11 @@ def is_two_sided(ring: FiniteRing, ideal: Submodule) -> bool:
 
 
 def two_sided_ideals(ring: FiniteRing):
-    key = "two_sided_ideals"
-    if key not in ring._cache:
-        ring._cache[key] = [i for i in right_ideals(ring)
-                            if is_two_sided(ring, i)]
-    return ring._cache[key]
+    return memo(ring, "two_sided_ideals", _two_sided_ideals, ring)
+
+
+def _two_sided_ideals(ring: FiniteRing):
+    return [i for i in right_ideals(ring) if is_two_sided(ring, i)]
 
 
 def maximal_right_ideals(ring: FiniteRing):
@@ -90,11 +90,12 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
 
     Post-verified: nilpotent, two-sided, and with semisimple quotient
     (the quotient's radical is zero).  Failure of any check is a bug in
-    the enumeration, reported as a hard error.
+    the enumeration, reported as a hard error; nothing is memoised then.
     """
-    key = "jacobson_radical"
-    if key in ring._cache:
-        return ring._cache[key]
+    return memo(ring, "jacobson_radical", _jacobson_radical, ring)
+
+
+def _jacobson_radical(ring: FiniteRing) -> Submodule:
     lat = right_ideal_lattice(ring)
     t = lat.top
     for c in lat.coatoms():
@@ -115,7 +116,6 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
         steps += 1
         if steps > ring.order():
             raise TheoremViolationError("radical power chain does not stop")
-    ring._cache[key] = jac
     # semisimple quotient: every maximal ideal of R/J pulls back to one of
     # ours, so it suffices that the radical of R/J vanishes
     from .ring import quotient_ring
@@ -124,7 +124,6 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
         quo, _, _ = quotient_ring(ring, jac.gens.rows,
                                   label=f"{ring.label}/J")
         if jacobson_radical(quo).size() != 1:
-            del ring._cache[key]
             raise TheoremViolationError(
                 f"{ring.label}: quotient by the radical is not semisimple")
     return jac

@@ -20,7 +20,7 @@ from .exactla import (
     solve_affine,
     zero_matrix,
 )
-from .ring import FiniteRing, reduce_vector, same_ring
+from .ring import FiniteRing, memo, reduce_vector, same_ring
 
 SUBMODULE_ENUM_BOUND = 4096
 # largest hom group that the isomorphism search walks
@@ -224,14 +224,14 @@ def full_submodule(m: RightModule) -> Submodule:
 
 def regular_module(ring: FiniteRing) -> RightModule:
     """The ring acting on itself by right multiplication."""
-    key = "regular"
-    if key not in ring._cache:
-        action = [ring.right_mul_matrix(ring.generator(j)).rows
-                  for j in range(ring.rank)]
-        mod = _validated(RightModule(ring, ring.orders, action,
-                                     label=f"{ring.label} (regular)"))
-        ring._cache[key] = mod
-    return ring._cache[key]
+    return memo(ring, "regular", _regular_module, ring)
+
+
+def _regular_module(ring: FiniteRing) -> RightModule:
+    action = [ring.right_mul_matrix(ring.generator(j)).rows
+              for j in range(ring.rank)]
+    return _validated(RightModule(ring, ring.orders, action,
+                                  label=f"{ring.label} (regular)"))
 
 
 def zero_module(ring: FiniteRing) -> RightModule:
@@ -344,9 +344,10 @@ def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
     there, and on rings too large to list them, every y in N/S steps,
     which is the socle when J = 0 and reaches every submodule anyway.
     """
-    key = ("submodules", bound)
-    if key in n._cache:
-        return n._cache[key]
+    return memo(n, ("submodules", bound), _submodules, n, bound)
+
+
+def _submodules(n: RightModule, bound: int):
     if n.order() > bound:
         raise BoundExceededError(
             f"module of order {n.order()} exceeds enumeration bound {bound}")
@@ -375,9 +376,7 @@ def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
-    out = sorted(seen, key=lambda s: (s.size(), s.gens.rows))
-    n._cache[key] = out
-    return out
+    return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
 
 
 def submodule_sum(a: Submodule, b: Submodule) -> Submodule:
@@ -401,12 +400,8 @@ def submodule_as_module(sub: Submodule):
     generators of the submodule, so equal submodules share one triple;
     callers must not mutate it.
     """
-    parent = sub.parent
-    table = parent._cache.setdefault("presentations", {})
-    found = table.get(sub.gens)
-    if found is None:
-        found = table[sub.gens] = _present_submodule(parent, sub.gens)
-    return found
+    return memo(sub.parent, ("presentations", sub.gens), _present_submodule,
+                sub.parent, sub.gens)
 
 
 def _present_submodule(parent: RightModule, gens: ModMatrix):
@@ -451,9 +446,6 @@ def minimal_submodules(m: RightModule):
 def socle(m: RightModule) -> Submodule:
     """Sum of the minimal submodules; cross-checked against the subgroup
     annihilated by the radical."""
-    key = "socle"
-    if key in m._cache:
-        return m._cache[key]
     acc = Submodule(m, [row for s in minimal_submodules(m)
                         for row in s.gens.rows])
     from .ideals import jacobson_radical  # deferred: ideals builds on modules
@@ -464,7 +456,6 @@ def socle(m: RightModule) -> Submodule:
         raise TheoremViolationError(
             f"socle mismatch on {m.label}: sum of minimal submodules differs "
             "from the radical annihilator")
-    m._cache[key] = acc
     return acc
 
 
@@ -597,9 +588,10 @@ def is_isomorphic_modules(a: RightModule, b: RightModule):
 
 def cyclic_modules_up_to_iso(ring: FiniteRing):
     """One representative R/I per isomorphism class of cyclic modules."""
-    key = "cyclic_classes"
-    if key in ring._cache:
-        return ring._cache[key]
+    return memo(ring, "cyclic_classes", _cyclic_classes, ring)
+
+
+def _cyclic_classes(ring: FiniteRing):
     from .ideals import right_ideals
 
     reps = []
@@ -608,7 +600,6 @@ def cyclic_modules_up_to_iso(ring: FiniteRing):
         if not any(is_isomorphic_modules(q, r)[0] for r in reps):
             reps.append(q)
     reps.sort(key=lambda m: (m.order(), m.orders))
-    ring._cache[key] = reps
     return reps
 
 

@@ -24,7 +24,7 @@ from .modules import (
     module_times_ideal,
     regular_module,
 )
-from .ring import FiniteRing
+from .ring import FiniteRing, memo, same_ring
 from .torsion import all_linear_filters, eta_filter
 
 
@@ -41,7 +41,7 @@ class CyclicFingerprint:
 
     def __eq__(self, other):
         return (isinstance(other, CyclicFingerprint)
-                and self.ring is other.ring
+                and same_ring(self.ring, other.ring)
                 and self.members == other.members)
 
     def __hash__(self):
@@ -57,23 +57,22 @@ class CyclicFingerprint:
         return f"CyclicFingerprint({sorted(self.members)})"
 
 
-def _fingerprint(m: RightModule, key: str, relative) -> CyclicFingerprint:
-    """{cyclic C : relative(m, C) holds}, memoised on m under key."""
-    if key not in m._cache:
-        reps = cyclic_modules_up_to_iso(m.ring)
-        members = [t for t, c in enumerate(reps) if relative(m, c)[0]]
-        m._cache[key] = CyclicFingerprint(m.ring, members)
-    return m._cache[key]
+def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
+    """{cyclic C : relative(m, C) holds}."""
+    reps = cyclic_modules_up_to_iso(m.ring)
+    return CyclicFingerprint(
+        m.ring, [t for t, c in enumerate(reps) if relative(m, c)[0]])
 
 
 def inj_fingerprint(m: RightModule) -> CyclicFingerprint:
     """{cyclic C : m is C-injective}, memoised on m."""
-    return _fingerprint(m, "inj_fingerprint", is_relatively_injective)
+    return memo(m, "inj_fingerprint", _fingerprint, m, is_relatively_injective)
 
 
 def proj_fingerprint(m: RightModule) -> CyclicFingerprint:
     """{cyclic C : m is C-projective}, memoised on m."""
-    return _fingerprint(m, "proj_fingerprint", is_relatively_projective)
+    return memo(m, "proj_fingerprint", _fingerprint, m,
+                is_relatively_projective)
 
 
 def semisimple_cyclics(ring: FiniteRing) -> CyclicFingerprint:
@@ -84,13 +83,14 @@ def semisimple_cyclics(ring: FiniteRing) -> CyclicFingerprint:
 def killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
     """Cyclic classes C with C·I = 0, memoised on the ring by I's
     generators."""
-    table = ring._cache.setdefault("killed_by", {})
-    if ideal.gens not in table:
-        reps = cyclic_modules_up_to_iso(ring)
-        members = [t for t, c in enumerate(reps)
-                   if module_times_ideal(full_submodule(c), ideal).size() == 1]
-        table[ideal.gens] = CyclicFingerprint(ring, members)
-    return table[ideal.gens]
+    return memo(ring, ("killed_by", ideal.gens), _killed_by, ring, ideal)
+
+
+def _killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
+    reps = cyclic_modules_up_to_iso(ring)
+    return CyclicFingerprint(
+        ring, [t for t, c in enumerate(reps)
+               if module_times_ideal(full_submodule(c), ideal).size() == 1])
 
 
 class ProfileReport:
@@ -122,8 +122,8 @@ class ProfileReport:
         return self.lattice.size
 
 
-def _profile_skeleton(ring: FiniteRing):
-    """(nodes, lattice, filters), shared by both profiles of one ring.
+def _skeleton(ring: FiniteRing):
+    """(nodes, lattice, filters), which both profiles share on the ring.
 
     nodes are the two-sided ideals inside J(R), filters their η-filters,
     and the lattice orders the nodes by filter inclusion.  Both
@@ -131,30 +131,27 @@ def _profile_skeleton(ring: FiniteRing):
     exactly the filters above all maximal right ideals, and the filter
     order is anti-isomorphic to the inclusion of the ideals.
     """
-    key = "profile_skeleton"
-    if key not in ring._cache:
-        ideal_lat, nodes = ideals_in_radical(ring)
-        filters = [eta_filter(ring, i) for i in nodes]
-        structural = set(filters)
-        brute = set(all_linear_filters(ring, above_all_maximal=True))
-        if structural != brute:
-            raise TheoremViolationError(
-                f"{ring.label}: filters above all maximal right ideals do "
-                f"not match eta-filters of ideals inside the radical "
-                f"({len(brute)} vs {len(structural)})")
-        lat = build_lattice(list(range(len(nodes))),
-                            leq=lambda a, b: filters[a] <= filters[b])
-        if not are_isomorphic(lat, ideal_lat, anti=True)[0]:
-            raise TheoremViolationError(
-                f"{ring.label}: profile lattice is not anti-isomorphic to "
-                "the lattice of ideals inside the radical")
-        ring._cache[key] = (nodes, lat, filters)
-    return ring._cache[key]
+    ideal_lat, nodes = ideals_in_radical(ring)
+    filters = [eta_filter(ring, i) for i in nodes]
+    structural = set(filters)
+    brute = set(all_linear_filters(ring, above_all_maximal=True))
+    if structural != brute:
+        raise TheoremViolationError(
+            f"{ring.label}: filters above all maximal right ideals do "
+            f"not match eta-filters of ideals inside the radical "
+            f"({len(brute)} vs {len(structural)})")
+    lat = build_lattice(list(range(len(nodes))),
+                        leq=lambda a, b: filters[a] <= filters[b])
+    if not are_isomorphic(lat, ideal_lat, anti=True)[0]:
+        raise TheoremViolationError(
+            f"{ring.label}: profile lattice is not anti-isomorphic to "
+            "the lattice of ideals inside the radical")
+    return nodes, lat, filters
 
 
 def i_profile(ring: FiniteRing) -> ProfileReport:
     """The injectivity profile, cross-validated against filter enumeration."""
-    nodes, lat, filters = _profile_skeleton(ring)
+    nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
     witnesses = [find_witness(ring, i, "i") for i in nodes]
     return ProfileReport("i", ring, lat, list(nodes), list(filters),
                          witnesses)
@@ -162,7 +159,7 @@ def i_profile(ring: FiniteRing) -> ProfileReport:
 
 def p_profile(ring: FiniteRing) -> ProfileReport:
     """The projectivity profile; every node's witness R/I is verified."""
-    nodes, lat, filters = _profile_skeleton(ring)
+    nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
     witnesses = [find_witness(ring, i, "p") for i in nodes]
     return ProfileReport("p", ring, lat, list(nodes), list(filters),
                          witnesses)
@@ -210,10 +207,8 @@ def find_witness(ring: FiniteRing, ideal, kind: str):
     the ring by the ideal's generators, so its fingerprints are shared.
     """
     target = killed_by(ring, ideal)
-    factors = ring._cache.setdefault("factor_modules", {})
-    if ideal.gens not in factors:
-        factors[ideal.gens] = cyclic_module(ring, ideal)[0]
-    w = factors[ideal.gens]
+    w, _ = memo(ring, ("factor_modules", ideal.gens), cyclic_module, ring,
+                ideal)
     if kind == "p":
         if proj_fingerprint(w) != target:
             raise TheoremViolationError(

@@ -46,6 +46,18 @@ def reduce_vector(vec, orders, what: str = "element"):
     return tuple(int(x) % m for x, m in zip(vec, orders))
 
 
+_MISSING = object()
+
+
+def memo(owner, key, build, *args):
+    """owner._cache[key], stored as build(*args) on first use; a build
+    that raises stores nothing.  A table is a tuple key naming it first."""
+    value = owner._cache.get(key, _MISSING)
+    if value is _MISSING:
+        value = owner._cache[key] = build(*args)
+    return value
+
+
 class FiniteRing:
     """A finite ring with identity, immutable once validated."""
 

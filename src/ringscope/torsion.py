@@ -15,7 +15,7 @@ from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import apply_matrix, quotient_presentation, solve_affine
 from .ideals import is_two_sided, right_ideal_lattice, right_ideals
 from .modules import RightModule, Submodule, element_annihilator, regular_module
-from .ring import FiniteRing, same_ring
+from .ring import FiniteRing, memo, same_ring
 
 FILTER_IDEAL_GUARD = 30
 
@@ -34,16 +34,12 @@ class IdealContext:
         if self.ideals[self.top].size() != ring.order():
             raise TheoremViolationError(
                 f"{ring.label}: the top right ideal is not the whole ring")
-        self._quotients = {}
-        self._colon = {}
-        self._colons = {}
+        self._cache = {}
 
     def _quotient(self, t: int):
         """R/I_t as (new_orders, proj, lift), see quotient_presentation."""
-        if t not in self._quotients:
-            self._quotients[t] = quotient_presentation(
-                self.ring.orders, self.ideals[t].gens.rows)
-        return self._quotients[t]
+        return memo(self, ("quotient", t), quotient_presentation,
+                    self.ring.orders, self.ideals[t].gens.rows)
 
     def colon(self, t: int, r) -> int:
         """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index.
@@ -51,43 +47,38 @@ class IdealContext:
         Memoized by the coset r + I_t: for i ∈ I_t, (r+i)·y = r·y + i·y
         and i·y ∈ I_t, so the colon ideal depends on the coset only.
         """
-        ring = self.ring
-        r = ring.reduce_el(r)
+        r = self.ring.reduce_el(r)
         new_orders, proj, _ = self._quotient(t)
-        key = (t, apply_matrix(r, proj, new_orders))
-        if key in self._colon:
-            return self._colon[key]
+        return memo(self, ("colon", t, apply_matrix(r, proj, new_orders)),
+                    self._colon_ideal, r, proj, new_orders)
+
+    def _colon_ideal(self, r, proj, new_orders) -> int:
         if not new_orders:
-            out = self.top
-        else:
-            rows = [apply_matrix(ring.el_mul(r, ring.generator(j)), proj,
-                                 new_orders)
-                    for j in range(ring.rank)]
-            _, ker = solve_affine(rows, new_orders, (0,) * len(new_orders),
-                                  ring.orders)
-            out = self.index[Submodule(regular_module(ring), ker).gens]
-        self._colon[key] = out
-        return out
+            return self.top
+        ring = self.ring
+        rows = [apply_matrix(ring.el_mul(r, ring.generator(j)), proj,
+                             new_orders)
+                for j in range(ring.rank)]
+        _, ker = solve_affine(rows, new_orders, (0,) * len(new_orders),
+                              ring.orders)
+        return self.index[Submodule(regular_module(ring), ker).gens]
 
     def colons(self, t: int) -> frozenset:
         """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t."""
-        if t not in self._colons:
-            new_orders, _, lift = self._quotient(t)
-            cosets = itertools.product(*(range(m) for m in new_orders))
-            self._colons[t] = frozenset(
-                self.colon(t, apply_matrix(c, lift, self.ring.orders))
-                for c in cosets)
-        return self._colons[t]
+        return memo(self, ("colons", t), self._colon_set, t)
+
+    def _colon_set(self, t: int) -> frozenset:
+        new_orders, _, lift = self._quotient(t)
+        cosets = itertools.product(*(range(m) for m in new_orders))
+        return frozenset(self.colon(t, apply_matrix(c, lift, self.ring.orders))
+                         for c in cosets)
 
     def upset(self, t: int) -> frozenset:
         return frozenset(b for b in range(self.lat.size) if self.lat.le(t, b))
 
 
 def ideal_context(ring: FiniteRing) -> IdealContext:
-    key = "ideal_context"
-    if key not in ring._cache:
-        ring._cache[key] = IdealContext(ring)
-    return ring._cache[key]
+    return memo(ring, "ideal_context", IdealContext, ring)
 
 
 class LinearFilter:
@@ -119,7 +110,7 @@ class LinearFilter:
 
     def __eq__(self, other):
         return (isinstance(other, LinearFilter)
-                and self.ring is other.ring
+                and same_ring(self.ring, other.ring)
                 and self.members == other.members)
 
     def __hash__(self):

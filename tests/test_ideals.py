@@ -217,3 +217,24 @@ def test_lattice_check_catches_a_dropped_containment(monkeypatch, name,
         with pytest.raises(TheoremViolationError, match="right ideals"):
             right_ideal_lattice(load_ring(name))
         monkeypatch.setattr(Submodule, "contains_sub", real)
+
+
+def test_failed_radical_check_memoises_nothing(monkeypatch):
+    """A radical whose quotient R/J is not semisimple is refused and not
+    kept; once the fault is gone the true radical is found."""
+    import ringscope.ring as ring_mod
+
+    ring = load_ring("z8")
+    real = ring_mod.quotient_ring
+
+    def faulty(base, ideal_gens, label=None):
+        # R/0 = R for the ring under test, which is not semisimple
+        return real(base, [] if base is ring else ideal_gens, label=label)
+
+    monkeypatch.setattr(ring_mod, "quotient_ring", faulty)
+    with pytest.raises(TheoremViolationError, match="not semisimple"):
+        jacobson_radical(ring)
+    assert "jacobson_radical" not in ring._cache
+    monkeypatch.undo()
+    jac = jacobson_radical(ring)
+    assert jac.size() == 4 and jac == jacobson_radical(load_ring("z8"))

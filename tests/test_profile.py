@@ -17,6 +17,7 @@ from ringscope.modules import (
     submodule_as_module,
 )
 from ringscope.profile import (
+    CyclicFingerprint,
     find_witness,
     has_middle_class,
     i_profile,
@@ -132,6 +133,17 @@ def test_regular_module_has_full_domains():
         ring = corpus(name)
         all_classes = frozenset(range(len(cyclic_modules_up_to_iso(ring))))
         assert proj_fingerprint(regular_module(ring)).members == all_classes
+
+
+def test_fingerprints_compare_rings_by_contents():
+    """One ring loaded twice gives equal fingerprints, as <= already says;
+    equal members over different rings stay unequal."""
+    a, b = load_ring("z8"), load_ring("z8")
+    fa = inj_fingerprint(regular_module(a))
+    fb = inj_fingerprint(regular_module(b))
+    assert fa <= fb <= fa
+    assert fa == fb and hash(fa) == hash(fb)
+    assert fa != CyclicFingerprint(load_ring("z4xf2"), fa.members)
 
 
 def test_killed_by_matches_proj_fingerprint_on_nodes():

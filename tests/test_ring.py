@@ -1,5 +1,6 @@
 """Ring constructors, axiom checking, and element-level queries."""
 
+import ast
 import os
 import re
 from pathlib import Path
@@ -14,6 +15,7 @@ from ringscope.ring import (
     central_idempotents,
     inverse,
     matrix_ring,
+    memo,
     opposite_ring,
     path_algebra,
     product_ring,
@@ -224,3 +226,54 @@ def test_format_doc_lists_the_parsed_fields():
             table[cells[0].strip("`")] = re.findall(r"`(\w+)`", cells[1])
     assert table == {kind: list(fields)
                      for kind, fields in SPEC_FIELDS.items()}
+
+
+def test_memo_builds_once_and_stores_no_failed_build():
+    ring = zmod(2)
+    builds = []
+
+    def build(x):
+        builds.append(x)
+        if x is None:
+            raise InputError("no value")
+        return x
+
+    assert memo(ring, ("t", 1), build, 1) == 1
+    assert memo(ring, ("t", 1), build, 2) == 1
+    with pytest.raises(InputError):
+        memo(ring, ("t", 2), build, None)
+    assert memo(ring, ("t", 2), build, 3) == 3
+    assert builds == [1, None, 3]
+
+
+# the functions that may name a cache: memo, and the constructors
+# that create one
+CACHE_OWNERS = {"memo", "FiniteRing.__init__", "RightModule.__init__",
+                "IdealContext.__init__"}
+
+
+def _scopes(node, prefix=""):
+    """(qualified name, first line, last line) of every def and class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            yield name, child.lineno, child.end_lineno
+            yield from _scopes(child, name + ".")
+        else:
+            yield from _scopes(child, prefix)
+
+
+def test_every_cache_goes_through_memo():
+    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        scopes = list(_scopes(ast.parse(text)))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if not re.search(r"\b_cache\b", line):
+                continue
+            inner = [s for s in scopes if s[1] <= lineno <= s[2]]
+            name = max(inner, key=lambda s: s[1])[0] if inner else "<module>"
+            if name not in CACHE_OWNERS:
+                stray.append(f"{path.name}:{lineno} ({name})")
+    assert stray == []

@@ -15,6 +15,7 @@ from ringscope.modules import (
     regular_module,
 )
 from ringscope.torsion import (
+    LinearFilter,
     all_linear_filters,
     eta_filter,
     ideal_context,
@@ -130,6 +131,17 @@ def test_eta_filter_basics():
         # one-sided span over T2(F2) is rejected
         t2 = corpus("t2f2")
         eta_filter(t2, Submodule(regular_module(t2), [(0, 0, 1)]))
+
+
+def test_eta_filters_compare_rings_by_contents():
+    """The η-filter of J is one filter for one ring loaded twice; equal
+    members over different rings stay unequal."""
+    a, b = load_ring("z8"), load_ring("z8")
+    fa = eta_filter(a, jacobson_radical(a))
+    fb = eta_filter(b, jacobson_radical(b))
+    assert fa <= fb <= fa
+    assert fa == fb and hash(fa) == hash(fb)
+    assert fa != LinearFilter(load_ring("z4xf2"), fa.members)
 
 
 def test_filter_counts():
