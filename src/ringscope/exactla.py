@@ -29,7 +29,7 @@ class ModMatrix:
     modulus (a common multiple of all column moduli, by default the lcm).
     """
 
-    __slots__ = ("n", "col_moduli", "rows", "_howell")
+    __slots__ = ("n", "col_moduli", "rows", "_howell", "_scaled")
 
     def __init__(self, col_moduli, rows, n: int | None = None):
         col_moduli = tuple(int(m) for m in col_moduli)
@@ -47,6 +47,20 @@ class ModMatrix:
         object.__setattr__(self, "col_moduli", col_moduli)
         object.__setattr__(self, "rows", tuple(norm))
         object.__setattr__(self, "_howell", None)
+        object.__setattr__(self, "_scaled", None)
+
+    @classmethod
+    def _reduced(cls, col_moduli, rows, n: int) -> "ModMatrix":
+        """A matrix from a tuple of row tuples already reduced modulo the
+        tuple col_moduli, whose moduli all divide n: nothing is checked
+        and nothing reduced."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "col_moduli", col_moduli)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "_howell", None)
+        object.__setattr__(out, "_scaled", None)
+        return out
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ModMatrix is immutable")
@@ -87,22 +101,25 @@ class ModMatrix:
         if self._howell is not None:
             return self._howell
         sc = self._scales()
-        h = howell_mod(self._scaled_rows(), self.ncols, self.n)
-        rows = [tuple(x // s for x, s in zip(r, sc)) for r in h]
-        out = ModMatrix(self.col_moduli, rows, self.n)
+        h = tuple(map(tuple, howell_mod(self._scaled_rows(), self.ncols,
+                                        self.n)))
+        rows = tuple(tuple(x // s for x, s in zip(r, sc)) for r in h)
+        out = ModMatrix._reduced(self.col_moduli, rows, self.n)
         object.__setattr__(out, "_howell", out)
+        object.__setattr__(out, "_scaled", h)
         object.__setattr__(self, "_howell", out)
         return out
 
     def _howell_scaled(self):
-        sc = self._scales()
-        h = self.howell_form()
-        return [[x * s for x, s in zip(r, sc)] for r in h.rows]
+        """The Howell rows scaled to the working modulus, as the kernel
+        returned them."""
+        return self.howell_form()._scaled
 
     def stack(self, other: "ModMatrix") -> "ModMatrix":
         if self.col_moduli != other.col_moduli:
             raise InputError("column moduli mismatch in stack")
-        return ModMatrix(self.col_moduli, self.rows + other.rows, self.n)
+        return ModMatrix._reduced(self.col_moduli, self.rows + other.rows,
+                                  self.n)
 
     def span_size(self) -> int:
         n = self.n
@@ -193,7 +210,8 @@ class ModMatrix:
                     part = [(a + q * x) % n for a, x in zip(part, row[c:])]
         if any(b):
             return None
-        kernel = ModMatrix((n,) * L, kernel_rows, n).howell_form()
+        kernel = ModMatrix._reduced((n,) * L, tuple(kernel_rows),
+                                    n).howell_form()
         return tuple(part), kernel
 
     def kernel(self) -> "ModMatrix":
@@ -217,6 +235,8 @@ def solve_affine(coeff_rows, eq_moduli, rhs, unknown_moduli):
     """
     eq_moduli = tuple(int(m) for m in eq_moduli)
     unknown_moduli = tuple(int(m) for m in unknown_moduli)
+    if any(u < 1 for u in unknown_moduli):
+        raise InputError("column moduli must be positive")
     big = lcm_all(eq_moduli + unknown_moduli)
     mat = ModMatrix(eq_moduli, coeff_rows, big)
     if mat.nrows < len(unknown_moduli):
@@ -230,8 +250,10 @@ def solve_affine(coeff_rows, eq_moduli, rhs, unknown_moduli):
         return None, zero_matrix(unknown_moduli)
     part, ker = sol
     part = tuple(x % u for x, u in zip(part, unknown_moduli))
-    rows = [tuple(x % u for x, u in zip(r, unknown_moduli)) for r in ker.rows]
-    kernel = ModMatrix(unknown_moduli, rows).howell_form()
+    rows = tuple(tuple(x % u for x, u in zip(r, unknown_moduli))
+                 for r in ker.rows)
+    kernel = ModMatrix._reduced(unknown_moduli, rows,
+                                lcm_all(unknown_moduli)).howell_form()
     return part, kernel
 
 

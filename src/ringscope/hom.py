@@ -1,9 +1,12 @@
 """Hom groups and relative injectivity/projectivity.
 
-Hom_R(A, B) is computed in one linear solve: a map is a matrix F over
-the target moduli that is additively well defined and commutes with the
-action of every ring generator, all of which are linear conditions on
-the entries.  Relative injectivity of M with respect to N is decided by
+Hom_R(A, B) is computed one block pair at a time: the coordinates of each
+module split into blocks that its action never mixes, so A = ⊕ A_s and
+B = ⊕ B_t, and Hom(A, B) = ⊕ Hom(A_s, B_t) (Anderson–Fuller §16).  Each
+Hom(A_s, B_t) is one linear solve: a map is a matrix F over the target
+moduli that is additively well defined and commutes with the action of
+every ring generator, all of which are linear conditions on the
+entries.  Relative injectivity of M with respect to N is decided by
 surjectivity of the restriction maps Hom(N,M) → Hom(K,M) over all
 submodules K ≤ N, one span comparison per submodule; the projective
 side uses composition with the projections N → N/L.
@@ -72,8 +75,83 @@ def hom_group(a: RightModule, b: RightModule) -> HomGroup:
     return HomGroup(a, b, basis)
 
 
+def _blocks(m: RightModule):
+    """The coordinates of m split into blocks, as sorted tuples ordered by
+    their first coordinate: the classes of the union-find joining i and k
+    whenever some action row sends e_i to an element with a nonzero k-th
+    entry.  The action maps the span of each block into itself, so m is
+    the direct sum of its blocks; an indecomposable m is one block."""
+    parent = list(range(m.rank))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for act in m.action:
+        for i, row in enumerate(act.rows):
+            for k, x in enumerate(row):
+                if x:
+                    parent[find(i)] = find(k)
+    blocks = {}
+    for i in range(m.rank):
+        blocks.setdefault(find(i), []).append(i)
+    return [tuple(b) for b in blocks.values()]
+
+
+def _summands(m: RightModule):
+    """(coordinates, module) for each block of m: m itself when it is one
+    block, else the blocks as modules, memoised on m, as one module meets
+    many others in Hom."""
+    blocks = _blocks(m)
+    if len(blocks) <= 1:
+        return [(coords, m) for coords in blocks]
+    return memo(m, "summands", _block_modules, m, blocks)
+
+
+def _block_modules(m: RightModule, blocks):
+    out = []
+    for coords in blocks:
+        action = [[[act.rows[i][k] for k in coords] for i in coords]
+                  for act in m.action]
+        out.append((coords, RightModule(m.ring, [m.orders[i] for i in coords],
+                                        action, label=f"{m.label} (block)")))
+    return out
+
+
 def _hom_kernel(a: RightModule, b: RightModule) -> ModMatrix:
-    """The solution space of the linear conditions defining Hom_R(a, b)."""
+    """The canonical basis of Hom_R(a, b), one block pair at a time.
+
+    Each Hom(a_s, b_t) is memoised on the ring under the same
+    ``("hom_bases", ...)`` key as hom_group, so a pair that repeats is
+    solved once; its rows are placed at the flattened coordinates of the
+    pair, and one Howell span canonicalises them.  The result is the
+    basis that _hom_kernel_mono gives for the whole pair of modules.
+    """
+    sa, sb = _summands(a), _summands(b)
+    if len(sa) <= 1 and len(sb) <= 1:
+        return _hom_kernel_mono(a, b)
+    br = b.rank
+    umods = b.orders * a.rank
+    rows = []
+    for cs, ms in sa:
+        for ct, mt in sb:
+            basis = memo(a.ring, ("hom_bases", ms.key, mt.key),
+                         _hom_kernel_mono, ms, mt)
+            w = len(ct)
+            for flat in basis.rows:
+                row = [0] * len(umods)
+                for p, x in enumerate(flat):
+                    if x:
+                        row[cs[p // w] * br + ct[p % w]] = x
+                rows.append(row)
+    return howell_span(umods, rows)
+
+
+def _hom_kernel_mono(a: RightModule, b: RightModule) -> ModMatrix:
+    """The solution space of the linear conditions defining Hom_R(a, b),
+    in one solve over all the coordinates."""
     ar, br = a.rank, b.rank
     ncols = ar * br
     umods = b.orders * ar

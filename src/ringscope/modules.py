@@ -105,17 +105,18 @@ def verify_module_axioms(m: RightModule):
                     return f"action of g{j} not additive on generator {i}"
                 if (ring.orders[j] * rows[i][k]) % m.orders[k]:
                     return f"action of g{j} ignores the order of g{j}"
+    # once the orders pass, e_i·g_c is row i of action[c], and e_i·r is
+    # r times the matrix of those rows
+    images = [[act.rows[i] for act in m.action] for i in range(m.rank)]
     for i in range(m.rank):
-        e = m.generator(i)
-        if m.act(e, ring.one) != e:
+        if apply_matrix(ring.one, images[i], m.orders) != m.generator(i):
             return f"identity does not fix module generator {i}"
     for a in range(ring.rank):
         for b in range(ring.rank):
             prod = ring.mul[a][b]
             for i in range(m.rank):
-                e = m.generator(i)
-                lhs = m.act_gen(m.act_gen(e, a), b)
-                rhs = m.act(e, prod)
+                lhs = m.act_gen(images[i][a], b)
+                rhs = apply_matrix(prod, images[i], m.orders)
                 if lhs != rhs:
                     return f"action incompatible with g{a}*g{b} on generator {i}"
     return None
@@ -275,7 +276,7 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
         raise InputError("submodule does not live in the given module")
     if not k.is_action_stable():
         raise InputError("span is not closed under the ring action")
-    new_orders, proj, lift = quotient_presentation(n.orders, k.gens.rows)
+    new_orders, proj, lift = _quotient_presentation(n, k)
 
     def down(vec):
         return apply_matrix(vec, proj, new_orders)
@@ -313,10 +314,18 @@ def cyclic_span(m: RightModule, x) -> Submodule:
     return Submodule(m, [x] + _images(m, x))
 
 
+def _quotient_presentation(n: RightModule, s: Submodule):
+    """quotient_presentation of N/S, memoised on n by the Howell rows of
+    S: the submodule walk presents each N/S, and quotient_module reads the
+    same presentation.  Callers must not mutate it."""
+    return memo(n, ("quotient_presentation", s.gens), quotient_presentation,
+                n.orders, s.gens.rows)
+
+
 def _socle_lifts(n: RightModule, s: Submodule, jgens):
     """Lifts to n of the nonzero y in Soc(N/S) = {y : y·j = 0 for the rows
     j of jgens}, solved in the coordinates of N/S; no rows: all of N/S."""
-    new_orders, proj, lift = quotient_presentation(n.orders, s.gens.rows)
+    new_orders, proj, lift = _quotient_presentation(n, s)
     if not new_orders:
         return
     if jgens:

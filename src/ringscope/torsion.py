@@ -23,7 +23,7 @@ FILTER_IDEAL_GUARD = 30
 class IdealContext:
     """Per-ring tables over the canonical right-ideal list: index lookup,
     the right-ideal lattice (meet = intersection), the quotient R/I_t of
-    each ideal, and colon ideals memoized per coset."""
+    each ideal, and the colon ideals of each ideal."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
@@ -42,20 +42,13 @@ class IdealContext:
                     self.ring.orders, self.ideals[t].gens.rows)
 
     def colon(self, t: int, r) -> int:
-        """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index.
-
-        Memoized by the coset r + I_t: for i ∈ I_t, (r+i)·y = r·y + i·y
-        and i·y ∈ I_t, so the colon ideal depends on the coset only.
-        """
-        r = self.ring.reduce_el(r)
+        """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index: the kernel of
+        y ↦ r·y + I_t, solved in the coordinates of R/I_t."""
+        ring = self.ring
+        r = ring.reduce_el(r)
         new_orders, proj, _ = self._quotient(t)
-        return memo(self, ("colon", t, apply_matrix(r, proj, new_orders)),
-                    self._colon_ideal, r, proj, new_orders)
-
-    def _colon_ideal(self, r, proj, new_orders) -> int:
         if not new_orders:
             return self.top
-        ring = self.ring
         rows = [apply_matrix(ring.el_mul(r, ring.generator(j)), proj,
                              new_orders)
                 for j in range(ring.rank)]
@@ -64,7 +57,9 @@ class IdealContext:
         return self.index[Submodule(regular_module(ring), ker).gens]
 
     def colons(self, t: int) -> frozenset:
-        """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t."""
+        """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t: for
+        i ∈ I_t, (r+i)·y = r·y + i·y and i·y ∈ I_t, so the colon ideal
+        depends on the coset only."""
         return memo(self, ("colons", t), self._colon_set, t)
 
     def _colon_set(self, t: int) -> frozenset:

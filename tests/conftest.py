@@ -1,7 +1,10 @@
 """Shared fixtures: bundled rings are loaded once per session so that
 per-ring caches (ideal lists, hom groups) are reused across tests."""
 
+import importlib.util
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +14,39 @@ from ringscope.cli import load_ring
 SMALL_CORPUS = ("z8", "z4xf2", "t2f2", "m2f2", "quiver_f2",
                 "f2xy_j2", "f2xy_x2y2")
 
+RECIPES = Path(__file__).resolve().parents[1] / "perfbench" / "recipes.py"
+# random-ring recipes of the benchmark; F2 × F3 is a product of fields,
+# with J = 0
+RECIPE_RINGS = {
+    "t2f2xz2": {"kind": "pathz", "k": 2,
+                "path": {"kind": "path", "p": 2, "vertices": 2,
+                         "arrows": [[1, 2]], "cut": None}},
+    "path3_cut_op": {"kind": "path", "p": 2, "vertices": 3,
+                     "arrows": [[1, 2], [1, 3]], "cut": [0, 0, 0, 1, 0],
+                     "op": True},
+    "z3xz4": {"kind": "zprod", "ks": [3, 4]},
+    "f2xf3": {"kind": "zprod", "ks": [2, 3]},
+}
+
 
 @lru_cache(maxsize=None)
 def corpus(name):
     return load_ring(name)
+
+
+@lru_cache(maxsize=None)
+def recipe_ring(name):
+    """The RECIPE_RINGS ring built by perfbench/recipes.py, which is loaded
+    from its place without writing bytecode next to it."""
+    sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_recipes",
+                                                      RECIPES)
+        recipes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(recipes)
+    finally:
+        sys.dont_write_bytecode = saved
+    return recipes.build(RECIPE_RINGS[name])
 
 
 @pytest.fixture(scope="session")

@@ -170,6 +170,62 @@ def test_solve_affine_counts_all_solutions():
         assert got == sols
 
 
+def _as_public(m):
+    """m rebuilt from its rows through the checked constructor."""
+    return ModMatrix(m.col_moduli, m.rows, m.n)
+
+
+def _assert_canonical(m):
+    """m equals its checked rebuild, row tuples and working modulus too,
+    and is its own Howell form."""
+    public = _as_public(m)
+    assert m == public and m.n == public.n
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+    assert m.howell_form() == public.howell_form() == m
+
+
+def test_internal_constructions_equal_the_public_ones():
+    """howell_form, stack, solve and solve_affine build their results from
+    rows that are already reduced; on random mixed-moduli matrices each
+    result equals the matrix built from the same rows the checked way, and
+    the scaled rows kept with a Howell form are its rows times the scales."""
+    rng = random.Random(31)
+    for _ in range(120):
+        moduli = tuple(rng.choice([2, 3, 4, 6, 8, 9])
+                       for _ in range(rng.randrange(1, 5)))
+
+        def draw():
+            return ModMatrix(moduli, [[rng.randrange(-9, 2 * m) for m in moduli]
+                                      for _ in range(rng.randrange(0, 5))])
+
+        a, b = draw(), draw()
+        h = a.howell_form()
+        _assert_canonical(h)
+        scaled = [[x * s for x, s in zip(r, h._scales())] for r in h.rows]
+        assert [list(r) for r in a._howell_scaled()] == scaled
+        assert [list(r) for r in h._howell_scaled()] == scaled
+
+        st_ab = a.stack(b)
+        assert st_ab == _as_public(st_ab) and st_ab.n == a.n
+        assert st_ab.rows == a.rows + b.rows
+
+        target = [0] * a.ncols
+        for r in a.rows:
+            c = rng.randrange(a.n)
+            target = [(t + c * x) % m for t, x, m in zip(target, r, moduli)]
+        _, ker = a.solve(target)
+        _assert_canonical(ker)
+        assert ker == ModMatrix((a.n,) * a.nrows, ker.rows, a.n).howell_form()
+
+        umods = tuple(rng.choice([2, 3, 4, 6]) for _ in range(a.nrows))
+        rows = [[x * (m // math.gcd(m, u)) for x, m in zip(r, moduli)]
+                for r, u in zip(a.rows, umods)]
+        _, ker = solve_affine(rows, moduli, [0] * len(moduli), umods)
+        _assert_canonical(ker)
+        assert ker.n == math.lcm(*umods)
+        assert ker == ModMatrix(umods, ker.rows).howell_form()
+
+
 def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
@@ -258,6 +314,8 @@ def test_bad_inputs():
         ModMatrix((4, 2), [(1, 1)], n=2)
     with pytest.raises(InputError):
         ModMatrix((4,), [(1,)]).solve((1, 2))
+    with pytest.raises(InputError, match="positive"):
+        solve_affine([(1,)], (2,), (0,), (-2,))
 
 
 def test_solve_affine_rejects_ill_defined_systems():

@@ -10,6 +10,9 @@ from ringscope.cli import load_ring
 from ringscope.errors import InputError
 from ringscope.exactla import howell_span
 from ringscope.hom import (
+    _blocks,
+    _hom_kernel,
+    _hom_kernel_mono,
     hom_basis,
     hom_group,
     is_injective,
@@ -35,7 +38,13 @@ from ringscope.modules import (
 from ringscope.ring import zmod
 from ringscope.torsion import sigma_contains
 
-from conftest import corpus
+from conftest import (
+    RECIPE_RINGS,
+    SMALL_CORPUS,
+    corpus,
+    recipe_ring,
+    simple_modules,
+)
 from oracle_utils import brute_maps, oracle_rel_inj, oracle_rel_proj
 
 
@@ -61,6 +70,41 @@ def test_hom_group_matches_brute_force():
                 grp = hom_group(a, b)
                 brute = {f.rows for f in brute_maps(a, b)}
                 assert {f.rows for f in grp.maps()} == brute
+
+
+@pytest.mark.parametrize("source", [*SMALL_CORPUS, "t2f2xz2", "z3xz4"])
+def test_block_pairs_assemble_the_single_solve(source):
+    """Hom of modules that split into blocks is assembled from one solve
+    per block pair; the basis must equal the one solve over all
+    coordinates, row for row, on every pair among R, the cyclic classes
+    and the sums X ⊕ Y that pair the i-th of those with the i-th from the
+    end (so X ⊕ Y and Y ⊕ X both occur, and the middle one as X ⊕ X)."""
+    ring = recipe_ring(source) if source in RECIPE_RINGS else corpus(source)
+    base = [regular_module(ring)] + cyclic_modules_up_to_iso(ring)
+    mods = base + [direct_sum([x, y]) for x, y in zip(base, base[::-1])]
+    split = 0
+    for a in mods:
+        for b in mods:
+            assert _hom_kernel(a, b) == _hom_kernel_mono(a, b), (a, b)
+            split += len(_blocks(a)) > 1 or len(_blocks(b)) > 1
+    assert split > len(mods)
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_blocks_of_a_sum_of_indecomposables_are_the_summands(name):
+    """A simple module is indecomposable, and so is every nonzero cyclic
+    module over a local ring; the blocks of their direct sum are exactly
+    the coordinates of the summands."""
+    ring = corpus(name)
+    parts = simple_modules(ring)
+    if name in ("z8", "f2xy_j2", "f2xy_x2y2"):   # local rings
+        parts += [c for c in cyclic_modules_up_to_iso(ring) if c.rank]
+    parts += parts[:1]
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p.rank)
+    assert _blocks(direct_sum(parts)) == [
+        tuple(range(lo, hi)) for lo, hi in zip(offsets, offsets[1:])]
 
 
 def test_hom_basis_maps_are_valid():

@@ -4,10 +4,6 @@ Submodule counts are cross-checked against an exhaustive subgroup-closure
 oracle that never touches the linear algebra.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from ringscope import hom, modules
@@ -43,9 +39,9 @@ from ringscope.modules import (
     verify_module_axioms,
     zero_submodule,
 )
-from ringscope.ring import product_ring, zmod
+from ringscope.ring import product_ring, table_ring, zmod
 
-from conftest import SMALL_CORPUS, corpus
+from conftest import RECIPE_RINGS, SMALL_CORPUS, corpus, recipe_ring
 from oracle_utils import (
     additive_closure,
     brute_maps,
@@ -76,42 +72,15 @@ def test_submodules_are_action_stable_and_sorted():
     assert subs[-1] == full_submodule(reg)
 
 
-RECIPES = Path(__file__).resolve().parents[1] / "perfbench" / "recipes.py"
-# random-ring recipes of the benchmark; F2 × F3 is a product of fields,
-# with J = 0
-WALK_RECIPES = {
-    "t2f2xz2": {"kind": "pathz", "k": 2,
-                "path": {"kind": "path", "p": 2, "vertices": 2,
-                         "arrows": [[1, 2]], "cut": None}},
-    "path3_cut_op": {"kind": "path", "p": 2, "vertices": 3,
-                     "arrows": [[1, 2], [1, 3]], "cut": [0, 0, 0, 1, 0],
-                     "op": True},
-    "z3xz4": {"kind": "zprod", "ks": [3, 4]},
-    "f2xf3": {"kind": "zprod", "ks": [2, 3]},
-}
-
-
-def _recipe_ring(recipe):
-    sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_recipes",
-                                                      RECIPES)
-        recipes = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(recipes)
-    finally:
-        sys.dont_write_bytecode = saved
-    return recipes.build(recipe)
-
-
-@pytest.mark.parametrize("source", [*WALK_RECIPES, *SMALL_CORPUS, "m2z4"])
+@pytest.mark.parametrize("source", [*RECIPE_RINGS, *SMALL_CORPUS, "m2z4"])
 def test_socle_walk_matches_the_join_route(source):
     """submodules() walks S → S + x·R over Soc(N/S); the join of every
     submodule with every cyclic one must give the same list, in the same
     order, on R, on R² and on three quotients of R², up to order 256.
     The join route takes seconds on R² of the order-16 recipe rings (600
     submodules), so there only R is compared."""
-    recipe = WALK_RECIPES.get(source)
-    ring = _recipe_ring(recipe) if recipe else corpus(source)
+    recipe = source in RECIPE_RINGS
+    ring = recipe_ring(source) if recipe else corpus(source)
     reg = regular_module(ring)
     mods = [reg]
     if reg.order() ** 2 <= (144 if recipe else 256):
@@ -132,13 +101,27 @@ def test_submodules_over_a_ring_too_large_to_list_its_ideals():
     assert [s.size() for s in submodules(q)] == [1, 2]
 
 
-def test_module_axioms_reject_broken_action():
-    ring = zmod(4)
+# F2[x]/(x²) on the basis 1, x
+DUAL_NUMBERS = table_ring((2, 2), [[(1, 0), (0, 1)], [(0, 1), (0, 0)]],
+                          (1, 0))
+
+
+@pytest.mark.parametrize("ring, orders, action, report", [
+    (zmod(4), (2,), [[(1,)]], None),
     # "action" of 1 sends the order-2 generator to an order-4 element
-    m = RightModule(ring, (2,), [[(1,)]])
-    bad = RightModule(ring, (2, 4), [[(0, 1), (0, 1)]])
-    assert verify_module_axioms(m) is None
-    assert verify_module_axioms(bad) is not None
+    (zmod(4), (2, 4), [[(0, 1), (0, 1)]],
+     "action of g0 not additive on generator 0"),
+    # 1 has order 2 in Z/2, but acts on Z/4 as the identity
+    (zmod(2), (4,), [[(1,)]], "action of g0 ignores the order of g0"),
+    (zmod(3), (3, 3), [[(1, 0), (0, 2)]],
+     "identity does not fix module generator 1"),
+    # x acts as the identity on F2, but x·x = 0
+    (DUAL_NUMBERS, (2,), [[(1,)], [(1,)]],
+     "action incompatible with g1*g1 on generator 0"),
+])
+def test_module_axioms_reject_broken_action(ring, orders, action, report):
+    """Each broken module fails its first check, with that check's report."""
+    assert verify_module_axioms(RightModule(ring, orders, action)) == report
 
 
 def test_cyclic_span_z8():
@@ -434,6 +417,23 @@ def test_submodule_presentation_is_shared():
             mod, incl, _ = submodule_as_module(again)
             assert mod.order() == s.size()
             assert Submodule(reg, incl.rows) == s
+
+
+def test_quotients_reuse_the_walks_presentations(monkeypatch):
+    """submodules(N) presents every N/S; quotient_module(N, S) then reads
+    that presentation, and only a module the walk never saw presents again."""
+    reg = regular_module(corpus("z4xf2"))
+    free = direct_sum([reg, reg])
+    subs = submodules(free)
+    calls = []
+    real = modules.quotient_presentation
+    monkeypatch.setattr(modules, "quotient_presentation",
+                        lambda *args: calls.append(args) or real(*args))
+    for s in subs:
+        quotient_module(free, s)
+    assert calls == []
+    quotient_module(direct_sum([reg, reg]), subs[1])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name, summands", [
