@@ -119,9 +119,19 @@ DUAL_NUMBERS = table_ring((2, 2), [[(1, 0), (0, 1)], [(0, 1), (0, 0)]],
     (DUAL_NUMBERS, (2,), [[(1,)], [(1,)]],
      "action incompatible with g1*g1 on generator 0"),
 ])
-def test_module_axioms_reject_broken_action(ring, orders, action, report):
+def test_module_axioms_report_the_first_broken_check(ring, orders, action,
+                                                    report):
     """Each broken module fails its first check, with that check's report."""
     assert verify_module_axioms(RightModule(ring, orders, action)) == report
+
+
+def test_module_axioms_reject_broken_action():
+    ring = zmod(4)
+    # "action" of 1 sends the order-2 generator to an order-4 element
+    m = RightModule(ring, (2,), [[(1,)]])
+    bad = RightModule(ring, (2, 4), [[(0, 1), (0, 1)]])
+    assert verify_module_axioms(m) is None
+    assert verify_module_axioms(bad) is not None
 
 
 def test_cyclic_span_z8():
