@@ -102,12 +102,13 @@ def _blocks(m: RightModule):
 
 def _summands(m: RightModule):
     """(coordinates, module) for each block of m: m itself when it is one
-    block, else the blocks as modules, memoised on m, as one module meets
-    many others in Hom."""
+    block, else the blocks as modules, memoised on the ring by m's
+    content, as one module meets many others in Hom (the block modules
+    carry the label of the first module of that content)."""
     blocks = _blocks(m)
     if len(blocks) <= 1:
         return [(coords, m) for coords in blocks]
-    return memo(m, "summands", _block_modules, m, blocks)
+    return memo(m.ring, ("summands", m.key), _block_modules, m, blocks)
 
 
 def _block_modules(m: RightModule, blocks):
@@ -242,12 +243,17 @@ def is_relatively_injective(m: RightModule, n: RightModule):
 
 def is_relatively_projective(m: RightModule, n: RightModule):
     """(flag, certificate): certificate is (L, ψ) with ψ: m → n/L
-    non-liftable through the projection when the answer is negative."""
+    non-liftable through the projection when the answer is negative.
+
+    Each n/L is memoised on the ring by the contents of n and L, so the
+    quotient, and ψ's target, may be one built from an equal-content twin
+    of n."""
     mn_gens = hom_group(m, n).gen_maps()
     for l in submodules(n):
         if l.size() == 1:
             continue  # lifting along the identity
-        q, proj = memo(n, ("quotients", l.gens), quotient_module, n, l)
+        q, proj = memo(n.ring, ("quotients", n.key, l.gens), quotient_module,
+                       n, l)
         homs_mq = hom_group(m, q)
         if homs_mq.size() == 1:
             continue

@@ -14,7 +14,6 @@ from .modules import (
     Submodule,
     module_times_ideal,
     regular_module,
-    submodule_intersection,
     submodule_sum,
     submodules,
 )
@@ -138,13 +137,10 @@ def is_essential(ring: FiniteRing, ideal: Submodule) -> bool:
     """True iff the ideal meets every nonzero right ideal nontrivially.
 
     It suffices to test the minimal right ideals: any nonzero ideal
-    contains one.
+    contains one, and the ideal meets a minimal one nontrivially exactly
+    when it contains it.
     """
-    for atom in minimal_right_ideals(ring):
-        inter = submodule_intersection(ideal, atom)
-        if inter.size() == 1:
-            return False
-    return True
+    return all(ideal.contains_sub(atom) for atom in minimal_right_ideals(ring))
 
 
 def ideals_in_radical(ring: FiniteRing):

@@ -28,7 +28,13 @@ ISO_SEARCH_BOUND = 1 << 20
 
 
 class RightModule:
-    """Right module over a finite ring, immutable once validated."""
+    """Right module over a finite ring, immutable once validated.
+
+    The module keeps no memo of its own: every fact about it is memoised
+    on its ring under a key carrying ``key``, its content, so equal
+    modules built separately share the work and the label stays with
+    each object.
+    """
 
     def __init__(self, ring: FiniteRing, orders, action, label: str = "module"):
         self.ring = ring
@@ -49,7 +55,6 @@ class RightModule:
         self.key = (self.orders, tuple(a.rows for a in acts))
         self.label = label
         self.zero = (0,) * len(self.orders)
-        self._cache = {}
 
     @property
     def rank(self) -> int:
@@ -123,7 +128,10 @@ def verify_module_axioms(m: RightModule):
 
 
 def _validated(mod: RightModule) -> RightModule:
-    report = verify_module_axioms(mod)
+    """mod, once its content passes verify_module_axioms; the report is
+    memoised on the ring, so broken content is refused on every build."""
+    report = memo(mod.ring, ("module_axioms", mod.key), verify_module_axioms,
+                  mod)
     if report is not None:
         raise InputError(f"{mod.label}: {report}")
     return mod
@@ -276,7 +284,7 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
         raise InputError("submodule does not live in the given module")
     if not k.is_action_stable():
         raise InputError("span is not closed under the ring action")
-    new_orders, proj, lift = _quotient_presentation(n, k)
+    new_orders, proj, lift = factor_presentation(n, k)
 
     def down(vec):
         return apply_matrix(vec, proj, new_orders)
@@ -314,18 +322,20 @@ def cyclic_span(m: RightModule, x) -> Submodule:
     return Submodule(m, [x] + _images(m, x))
 
 
-def _quotient_presentation(n: RightModule, s: Submodule):
-    """quotient_presentation of N/S, memoised on n by the Howell rows of
-    S: the submodule walk presents each N/S, and quotient_module reads the
-    same presentation.  Callers must not mutate it."""
-    return memo(n, ("quotient_presentation", s.gens), quotient_presentation,
-                n.orders, s.gens.rows)
+def factor_presentation(n: RightModule, s: Submodule):
+    """quotient_presentation of N/S, memoised on the ring by the Howell
+    rows of S, which carry the orders of N as their column moduli and are
+    all it reads: the submodule walk presents each N/S, and
+    quotient_module and the colon ideals read the same presentation.
+    Callers must not mutate it."""
+    return memo(n.ring, ("quotient_presentation", s.gens),
+                quotient_presentation, n.orders, s.gens.rows)
 
 
 def _socle_lifts(n: RightModule, s: Submodule, jgens):
     """Lifts to n of the nonzero y in Soc(N/S) = {y : y·j = 0 for the rows
     j of jgens}, solved in the coordinates of N/S; no rows: all of N/S."""
-    new_orders, proj, lift = _quotient_presentation(n, s)
+    new_orders, proj, lift = factor_presentation(n, s)
     if not new_orders:
         return
     if jgens:
@@ -352,8 +362,12 @@ def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
     is read off the right ideals, which this lists on the regular module;
     there, and on rings too large to list them, every y in N/S steps,
     which is the socle when J = 0 and reaches every submodule anyway.
+
+    The list is memoised on the ring by n's content, so an equal module
+    built separately shares it: the ``parent`` of each submodule is the
+    first module of that content to be walked.
     """
-    return memo(n, ("submodules", bound), _submodules, n, bound)
+    return memo(n.ring, ("submodules", n.key, bound), _submodules, n, bound)
 
 
 def _submodules(n: RightModule, bound: int):
@@ -405,12 +419,14 @@ def submodule_as_module(sub: Submodule):
     ambient coordinate vector to coordinates of the presented module
     (None when the vector lies outside the submodule).
 
-    The triple is memoised on the parent module, keyed by the Howell
-    generators of the submodule, so equal submodules share one triple;
-    callers must not mutate it.
+    The triple is memoised on the ring, keyed by the parent's content and
+    the Howell generators of the submodule, so equal submodules share one
+    triple, even in parents built separately: the presented module and the
+    inclusion's target may belong to an equal-content twin of sub.parent.
+    Callers must not mutate it.
     """
-    return memo(sub.parent, ("presentations", sub.gens), _present_submodule,
-                sub.parent, sub.gens)
+    return memo(sub.parent.ring, ("presentations", sub.parent.key, sub.gens),
+                _present_submodule, sub.parent, sub.gens)
 
 
 def _present_submodule(parent: RightModule, gens: ModMatrix):

@@ -65,13 +65,15 @@ def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
 
 
 def inj_fingerprint(m: RightModule) -> CyclicFingerprint:
-    """{cyclic C : m is C-injective}, memoised on m."""
-    return memo(m, "inj_fingerprint", _fingerprint, m, is_relatively_injective)
+    """{cyclic C : m is C-injective}, memoised on the ring by m's content."""
+    return memo(m.ring, ("inj_fingerprint", m.key), _fingerprint, m,
+                is_relatively_injective)
 
 
 def proj_fingerprint(m: RightModule) -> CyclicFingerprint:
-    """{cyclic C : m is C-projective}, memoised on m."""
-    return memo(m, "proj_fingerprint", _fingerprint, m,
+    """{cyclic C : m is C-projective}, memoised on the ring by m's
+    content."""
+    return memo(m.ring, ("proj_fingerprint", m.key), _fingerprint, m,
                 is_relatively_projective)
 
 

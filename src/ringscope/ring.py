@@ -49,12 +49,15 @@ def reduce_vector(vec, orders, what: str = "element"):
 _MISSING = object()
 
 
-def memo(owner, key, build, *args):
-    """owner._cache[key], stored as build(*args) on first use; a build
-    that raises stores nothing.  A table is a tuple key naming it first."""
-    value = owner._cache.get(key, _MISSING)
+def memo(ring, key, build, *args):
+    """ring._cache[key], stored as build(*args) on first use; a build
+    that raises stores nothing.  The ring owns every memo table: a table
+    is a tuple key naming it first, and a fact about a module carries the
+    module's content key, never the module object.  Entries are kept for
+    as long as the ring lives, including those of modules since dropped."""
+    value = ring._cache.get(key, _MISSING)
     if value is _MISSING:
-        value = owner._cache[key] = build(*args)
+        value = ring._cache[key] = build(*args)
     return value
 
 

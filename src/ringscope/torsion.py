@@ -12,9 +12,15 @@ from __future__ import annotations
 import itertools
 
 from .errors import BoundExceededError, InputError, TheoremViolationError
-from .exactla import apply_matrix, quotient_presentation, solve_affine
+from .exactla import apply_matrix, solve_affine
 from .ideals import is_two_sided, right_ideal_lattice, right_ideals
-from .modules import RightModule, Submodule, element_annihilator, regular_module
+from .modules import (
+    RightModule,
+    Submodule,
+    element_annihilator,
+    factor_presentation,
+    regular_module,
+)
 from .ring import FiniteRing, memo, same_ring
 
 FILTER_IDEAL_GUARD = 30
@@ -23,7 +29,8 @@ FILTER_IDEAL_GUARD = 30
 class IdealContext:
     """Per-ring tables over the canonical right-ideal list: index lookup,
     the right-ideal lattice (meet = intersection), the quotient R/I_t of
-    each ideal, and the colon ideals of each ideal."""
+    each ideal, and the colon ideals of each ideal.  The last two are
+    memoised on the ring, by the ideal's Howell rows."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
@@ -34,12 +41,12 @@ class IdealContext:
         if self.ideals[self.top].size() != ring.order():
             raise TheoremViolationError(
                 f"{ring.label}: the top right ideal is not the whole ring")
-        self._cache = {}
 
     def _quotient(self, t: int):
-        """R/I_t as (new_orders, proj, lift), see quotient_presentation."""
-        return memo(self, ("quotient", t), quotient_presentation,
-                    self.ring.orders, self.ideals[t].gens.rows)
+        """R/I_t as (new_orders, proj, lift), see quotient_presentation:
+        the presentation of the regular module's quotient, which the
+        cyclic classes have usually made already."""
+        return factor_presentation(regular_module(self.ring), self.ideals[t])
 
     def colon(self, t: int, r) -> int:
         """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index: the kernel of
@@ -60,7 +67,8 @@ class IdealContext:
         """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t: for
         i ∈ I_t, (r+i)·y = r·y + i·y and i·y ∈ I_t, so the colon ideal
         depends on the coset only."""
-        return memo(self, ("colons", t), self._colon_set, t)
+        return memo(self.ring, ("colons", self.ideals[t].gens),
+                    self._colon_set, t)
 
     def _colon_set(self, t: int) -> frozenset:
         new_orders, _, lift = self._quotient(t)

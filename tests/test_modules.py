@@ -431,7 +431,8 @@ def test_submodule_presentation_is_shared():
 
 def test_quotients_reuse_the_walks_presentations(monkeypatch):
     """submodules(N) presents every N/S; quotient_module(N, S) then reads
-    that presentation, and only a module the walk never saw presents again."""
+    that presentation, also from an equal N built separately, and only
+    content the walk never saw presents again."""
     reg = regular_module(corpus("z4xf2"))
     free = direct_sum([reg, reg])
     subs = submodules(free)
@@ -442,8 +443,60 @@ def test_quotients_reuse_the_walks_presentations(monkeypatch):
     for s in subs:
         quotient_module(free, s)
     assert calls == []
-    quotient_module(direct_sum([reg, reg]), subs[1])
+    twin = direct_sum([reg, reg])
+    assert twin is not free and twin.key == free.key
+    quotient_module(twin, Submodule(twin, subs[1].gens))
+    assert calls == []
+    triple = direct_sum([reg, reg, reg])
+    quotient_module(triple, zero_submodule(triple))
     assert len(calls) == 1
+
+
+def test_equal_modules_keep_their_labels_and_share_their_submodules():
+    """Two builds of R/I are two objects carrying the caller's labels, and
+    the submodule walk, memoised on the ring by content, runs once."""
+    ring = load_ring("z4xf2")  # fresh, so nothing is memoised yet
+    ideal = right_ideals(ring)[1]
+    a, _ = cyclic_module(ring, ideal, label="first")
+    b, _ = cyclic_module(ring, ideal, label="second")
+    assert a is not b and a.key == b.key
+    assert (a.label, b.label) == ("first", "second")
+    assert submodules(a) is submodules(b)
+
+
+def test_module_axioms_run_once_per_content(monkeypatch):
+    ring = load_ring("t2f2")
+    keys = []
+    real = modules.verify_module_axioms
+    monkeypatch.setattr(modules, "verify_module_axioms",
+                        lambda m: keys.append(m.key) or real(m))
+    reg = regular_module(ring)
+    ideals = right_ideals(ring)
+
+    def build():
+        return ([cyclic_module(ring, i)[0] for i in ideals]
+                + [direct_sum([reg, reg])])
+
+    first = build()
+    checked = len(keys)
+    second = build()
+    assert len(keys) == checked
+    assert len(keys) == len(set(keys))
+    assert {m.key for m in first} <= set(keys)
+    assert all(x is not y and x.key == y.key for x, y in zip(first, second))
+
+
+def test_broken_content_is_refused_on_every_build():
+    """The axiom report is memoised, the refusal is not: each build of
+    broken content raises the same error."""
+    ring = zmod(4)
+    messages = []
+    for _ in range(2):
+        bad = RightModule(ring, (2, 4), [[(0, 1), (0, 1)]], label="bad")
+        with pytest.raises(InputError) as exc:
+            modules._validated(bad)
+        messages.append(str(exc.value))
+    assert messages == ["bad: action of g0 not additive on generator 0"] * 2
 
 
 @pytest.mark.parametrize("name, summands", [

@@ -186,6 +186,41 @@ def test_find_witness_i_on_qf_ring():
         assert inj_fingerprint(w) == killed_by(ring, ideal)
 
 
+def test_equal_modules_share_one_fingerprint():
+    """Fingerprints are memoised on the ring by content: two builds of R/I
+    with their own labels read one fingerprint object."""
+    ring = load_ring("z4xf2")  # fresh, so nothing is memoised yet
+    ideal = i_profile(ring).ideals[-1]
+    a, _ = cyclic_module(ring, ideal, label="first")
+    b, _ = cyclic_module(ring, ideal, label="second")
+    assert a is not b and (a.label, b.label) == ("first", "second")
+    assert inj_fingerprint(a) is inj_fingerprint(b)
+    assert proj_fingerprint(a) is proj_fingerprint(b)
+
+
+def test_witness_labels_name_the_module_chosen():
+    """A witness carries the label of the candidate find_witness chose, R/I
+    or R, also at I = 0, where R/I has the content of R and shares its
+    facts (z8 among others)."""
+    shared = set()
+    for name in SMALL_CORPUS:
+        ring = corpus(name)
+        reg = regular_module(ring)
+        inj_fingerprint(reg)
+        factor, regular = f"{ring.label}/I", reg.label
+        rep = p_profile(ring)
+        assert [w.label for w in rep.witnesses] == [factor] * rep.size
+        if any(w.key == reg.key for w in rep.witnesses):
+            shared.add(name)
+        rep = i_profile(ring)
+        for ideal, w in zip(rep.ideals, rep.witnesses):
+            if w is not None:
+                q, _ = cyclic_module(ring, ideal)
+                realised = inj_fingerprint(q) == killed_by(ring, ideal)
+                assert w.label == (factor if realised else regular)
+    assert "z8" in shared
+
+
 def test_profile_kind_validation():
     with pytest.raises(ValueError):
         profile(corpus("z8"), "x")

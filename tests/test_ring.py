@@ -9,6 +9,7 @@ import pytest
 
 from ringscope.errors import BoundExceededError, InputError
 from ringscope.ideals import two_sided_ideals
+from ringscope.modules import regular_module
 from ringscope.ring import (
     SPEC_FIELDS,
     FiniteRing,
@@ -27,6 +28,7 @@ from ringscope.ring import (
     verify_ring_axioms,
     zmod,
 )
+from ringscope.torsion import ideal_context
 
 from conftest import SMALL_CORPUS, corpus
 
@@ -246,10 +248,9 @@ def test_memo_builds_once_and_stores_no_failed_build():
     assert builds == [1, None, 3]
 
 
-# the functions that may name a cache: memo, and the constructors
-# that create one
-CACHE_OWNERS = {"memo", "FiniteRing.__init__", "RightModule.__init__",
-                "IdealContext.__init__"}
+# the functions that may name a cache: memo, and the one constructor
+# that creates one, the ring's
+CACHE_OWNERS = {"memo", "FiniteRing.__init__"}
 
 
 def _scopes(node, prefix=""):
@@ -277,3 +278,10 @@ def test_every_cache_goes_through_memo():
             if name not in CACHE_OWNERS:
                 stray.append(f"{path.name}:{lineno} ({name})")
     assert stray == []
+
+
+def test_modules_and_ideal_contexts_hold_no_cache():
+    """Every memo table is owned by a ring."""
+    ring = zmod(4)
+    assert not hasattr(regular_module(ring), "_cache")
+    assert not hasattr(ideal_context(ring), "_cache")
