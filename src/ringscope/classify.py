@@ -74,7 +74,9 @@ def is_qf(ring: FiniteRing) -> bool:
 
 def is_super_qf(ring: FiniteRing):
     """(flag, certificate): certificate is a two-sided ideal with non-QF
-    factor ring when the answer is negative."""
+    factor ring when the answer is negative.  A factor ring equal in
+    content to one already found QF is not tested again."""
+    qf_contents = set()
     for ideal in two_sided_ideals(ring):
         if ideal.size() == ring.order():
             continue  # zero factor ring
@@ -82,8 +84,12 @@ def is_super_qf(ring: FiniteRing):
             factor = ring
         else:
             factor, _, _ = quotient_ring(ring, ideal.gens.rows)
+        content = (factor.orders, factor.mul)
+        if content in qf_contents:
+            continue
         if not is_qf(factor):
             return False, ideal
+        qf_contents.add(content)
     return True, None
 
 

@@ -323,13 +323,18 @@ def cyclic_span(m: RightModule, x) -> Submodule:
 
 
 def factor_presentation(n: RightModule, s: Submodule):
-    """quotient_presentation of N/S, memoised on the ring by the Howell
-    rows of S, which carry the orders of N as their column moduli and are
-    all it reads: the submodule walk presents each N/S, and
-    quotient_module and the colon ideals read the same presentation.
-    Callers must not mutate it."""
-    return memo(n.ring, ("quotient_presentation", s.gens),
-                quotient_presentation, n.orders, s.gens.rows)
+    """quotient_presentation of N/S: the submodule walk presents each
+    N/S, and quotient_module and the colon ideals read the same
+    presentation.  See _presentation."""
+    return _presentation(n.ring, s.gens)
+
+
+def _presentation(ring: FiniteRing, rels: ModMatrix):
+    """quotient_presentation of (⊕ Z/rels.col_moduli) / ⟨rels⟩, memoised
+    on the ring by rels, a canonical Howell matrix whose column moduli
+    and rows are all it reads.  Callers must not mutate it."""
+    return memo(ring, ("quotient_presentation", rels),
+                quotient_presentation, rels.col_moduli, rels.rows)
 
 
 def _socle_lifts(n: RightModule, s: Submodule, jgens):
@@ -435,8 +440,7 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
         zero = zero_module(parent.ring)
         incl = ModuleMap(zero, parent, [], check=False)
         return zero, incl, lambda v: () if not any(v) else None
-    new_orders, proj, lift = quotient_presentation((gens.n,) * g,
-                                                   gens.kernel().rows)
+    new_orders, proj, lift = _presentation(parent.ring, gens.kernel())
 
     def express(vec):
         sol = gens.solve(vec)

@@ -5,6 +5,14 @@ under pairwise intersection; F3 upward closed; F4 closed under
 (I : r) = {y : r·y ∈ I} for every ring element r.  Filters are stored
 extensionally as index sets into the canonical right-ideal list, which
 makes all the axioms finite checks.
+
+Two facts of a finite lattice make the checks short:
+(a) a set of right ideals with F1 and F2 has a least member m, the meet
+of them all, and with F3 it is exactly up(m), the ideals above m;
+(b) s ⊆ t gives (s : r) ⊆ (t : r), so F4 holds on an up-closed set once
+it holds at its least member.  The filters are therefore the up(m) that
+pass F4 at m; the exhaustive walk over every up-set is the tests'
+oracle for (a).
 """
 
 from __future__ import annotations
@@ -63,21 +71,31 @@ class IdealContext:
                               ring.orders)
         return self.index[Submodule(regular_module(ring), ker).gens]
 
-    def colons(self, t: int) -> frozenset:
+    def colons(self, t: int) -> dict:
         """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t: for
         i ∈ I_t, (r+i)·y = r·y + i·y and i·y ∈ I_t, so the colon ideal
-        depends on the coset only."""
+        depends on the coset only.  Each colon ideal maps to the first
+        lift r that gives it."""
         return memo(self.ring, ("colons", self.ideals[t].gens),
-                    self._colon_set, t)
+                    self._colon_table, t)
 
-    def _colon_set(self, t: int) -> frozenset:
+    def _colon_table(self, t: int) -> dict:
         new_orders, _, lift = self._quotient(t)
-        cosets = itertools.product(*(range(m) for m in new_orders))
-        return frozenset(self.colon(t, apply_matrix(c, lift, self.ring.orders))
-                         for c in cosets)
+        table = {}
+        for c in itertools.product(*(range(m) for m in new_orders)):
+            r = apply_matrix(c, lift, self.ring.orders)
+            table.setdefault(self.colon(t, r), r)
+        return table
 
     def upset(self, t: int) -> frozenset:
         return frozenset(b for b in range(self.lat.size) if self.lat.le(t, b))
+
+    def meet_all(self, members) -> int:
+        """The intersection of the indexed ideals; R when there are none."""
+        t = self.top
+        for s in members:
+            t = self.lat.meet[t][s]
+        return t
 
 
 def ideal_context(ring: FiniteRing) -> IdealContext:
@@ -99,10 +117,7 @@ class LinearFilter:
         """Intersection of the members; the generating ideal when the
         filter is an η(I)."""
         ctx = ideal_context(self.ring)
-        t = ctx.top
-        for s in self.members:
-            t = ctx.lat.meet[t][s]
-        return ctx.ideals[t]
+        return ctx.ideals[ctx.meet_all(self.members)]
 
     def __len__(self):
         return len(self.members)
@@ -144,10 +159,11 @@ def is_linear_filter(ring: FiniteRing, members):
         for b in mem:
             if ctx.lat.meet[a][b] not in mem:
                 return False, f"F2: intersection of members {a}, {b} missing"
-    for t in mem:
-        if not ctx.colons(t) <= mem:
-            r = next(r for r in ring.elements() if ctx.colon(t, r) not in mem)
-            return False, f"F4: ({t} : {r}) missing"
+    m = ctx.meet_all(mem)
+    # fact (b): the colons of every member contain those of m
+    for colon, r in ctx.colons(m).items():
+        if colon not in mem:
+            return False, f"F4: ({m} : {r}) missing"
     return True, None
 
 
@@ -165,32 +181,10 @@ def eta_filter(ring: FiniteRing, ideal: Submodule) -> LinearFilter:
     return filt
 
 
-def _upsets(ctx: IdealContext):
-    """All up-sets of the right-ideal poset, each yielded once.
-
-    Elements are processed from large to small, so membership of
-    everything above is already decided when an element is considered.
-    """
-    n = len(ctx.ideals)
-    order = sorted(range(n), key=lambda t: -ctx.ideals[t].size())
-    strict_above = [[b for b in ctx.upset(t) if b != t] for t in range(n)]
-
-    def rec(pos, chosen):
-        if pos == n:
-            yield frozenset(chosen)
-            return
-        t = order[pos]
-        yield from rec(pos + 1, chosen)
-        if all(b in chosen for b in strict_above[t]):
-            chosen.add(t)
-            yield from rec(pos + 1, chosen)
-            chosen.remove(t)
-
-    yield from rec(0, set())
-
-
 def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
-    """Every linear filter, by brute force over up-sets of the ideal poset.
+    """Every linear filter: by fact (a) each is up(s) for its least
+    member s, so the candidates are the up(s), one per right ideal, and
+    is_linear_filter keeps those that pass F1–F4.
 
     With above_all_maximal, keeps only filters containing every maximal
     right ideal.
@@ -200,21 +194,12 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
         raise BoundExceededError(
             f"{len(ctx.ideals)} right ideals exceed the filter guard "
             f"{FILTER_IDEAL_GUARD}")
-    required = set()
-    if above_all_maximal:
-        required = set(ctx.lat.coatoms())
+    required = set(ctx.lat.coatoms()) if above_all_maximal else set()
     out = []
-    for cand in _upsets(ctx):
-        if ctx.top not in cand:
-            continue
-        if not required <= cand:
-            continue
-        if any(ctx.lat.meet[a][b] not in cand
-               for a, b in itertools.combinations(cand, 2)):
-            continue
-        if any(not ctx.colons(t) <= cand for t in cand):
-            continue
-        out.append(LinearFilter(ring, cand))
+    for s in range(len(ctx.ideals)):
+        cand = ctx.upset(s)
+        if required <= cand and is_linear_filter(ring, cand)[0]:
+            out.append(LinearFilter(ring, cand))
     out.sort(key=lambda f: (len(f.members), sorted(f.members)))
     return out
 
@@ -225,9 +210,8 @@ def sigma_filter(m: RightModule) -> LinearFilter:
     (that meet is itself one of the finite intersections)."""
     ring = m.ring
     ctx = ideal_context(ring)
-    t = ctx.top
-    for x in m.elements():
-        t = ctx.lat.meet[t][ctx.index[element_annihilator(m, x).gens]]
+    t = ctx.meet_all(ctx.index[element_annihilator(m, x).gens]
+                     for x in m.elements())
     filt = LinearFilter(ring, ctx.upset(t))
     ok, report = is_linear_filter(ring, filt)
     if not ok:

@@ -35,9 +35,9 @@ def corpus(name):
 
 
 @lru_cache(maxsize=None)
-def recipe_ring(name):
-    """The RECIPE_RINGS ring built by perfbench/recipes.py, which is loaded
-    from its place without writing bytecode next to it."""
+def recipes_module():
+    """perfbench/recipes.py, loaded from its place without writing
+    bytecode next to it."""
     sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode
     try:
         spec = importlib.util.spec_from_file_location("perfbench_recipes",
@@ -46,7 +46,20 @@ def recipe_ring(name):
         spec.loader.exec_module(recipes)
     finally:
         sys.dont_write_bytecode = saved
-    return recipes.build(RECIPE_RINGS[name])
+    return recipes
+
+
+@lru_cache(maxsize=None)
+def recipe_ring(name):
+    """The RECIPE_RINGS ring built by perfbench/recipes.py."""
+    return recipes_module().build(RECIPE_RINGS[name])
+
+
+def drawn_rings(seed):
+    """The rings perfbench/recipes.py draws for the profile_random
+    workload at this seed."""
+    recipes = recipes_module()
+    return [recipes.build(recipe) for recipe, _ in recipes.draw_recipes(seed)]
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from ringscope.modules import (
     submodules,
     zero_submodule,
 )
+from ringscope.torsion import LinearFilter, ideal_context
 
 
 def brute_subgroup_spans(mod):
@@ -170,3 +171,61 @@ def oracle_sigma(m, n) -> bool:
             return False
         assert all(n.act(x, r) == n.zero for r in wit)
     return True
+
+
+def filter_axiom_failed(ring, mem):
+    """The first of F1, F3, F2, F4 that the index set mem violates, or
+    None; F4 is checked on every member, not only on the least one.  The
+    colon ideals are IdealContext.colons, which the torsion tests check
+    against an element scan."""
+    ctx = ideal_context(ring)
+    if ctx.top not in mem:
+        return "F1"
+    if any(not ctx.upset(t) <= mem for t in mem):
+        return "F3"
+    return _f2_f4_failed(ctx, mem)
+
+
+def _f2_f4_failed(ctx, mem):
+    if any(ctx.lat.meet[a][b] not in mem for a in mem for b in mem):
+        return "F2"
+    if any(not ctx.colons(t).keys() <= mem for t in mem):
+        return "F4"
+    return None
+
+
+def _upsets(ctx):
+    """All up-sets of the right-ideal poset, each yielded once.
+
+    Elements are processed from large to small, so membership of
+    everything above is already decided when an element is considered.
+    """
+    n = len(ctx.ideals)
+    order = sorted(range(n), key=lambda t: -ctx.ideals[t].size())
+    strict_above = [[b for b in ctx.upset(t) if b != t] for t in range(n)]
+
+    def rec(pos, chosen):
+        if pos == n:
+            yield frozenset(chosen)
+            return
+        t = order[pos]
+        yield from rec(pos + 1, chosen)
+        if all(b in chosen for b in strict_above[t]):
+            chosen.add(t)
+            yield from rec(pos + 1, chosen)
+            chosen.remove(t)
+
+    yield from rec(0, set())
+
+
+def filters_by_upsets(ring, above_all_maximal=False):
+    """Every linear filter by the exhaustive walk: each up-set of the
+    right-ideal poset that passes F1, F2 and F4 on every member, sorted as
+    all_linear_filters sorts.  Assumes nothing about least members."""
+    ctx = ideal_context(ring)
+    required = set(ctx.lat.coatoms()) if above_all_maximal else set()
+    out = [LinearFilter(ring, cand) for cand in _upsets(ctx)
+           if ctx.top in cand and required <= cand
+           and _f2_f4_failed(ctx, cand) is None]
+    out.sort(key=lambda f: (len(f.members), sorted(f.members)))
+    return out

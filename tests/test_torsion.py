@@ -24,8 +24,14 @@ from ringscope.torsion import (
     sigma_filter,
 )
 
-from conftest import SMALL_CORPUS, corpus
-from oracle_utils import oracle_sigma
+from conftest import (
+    RECIPE_RINGS,
+    SMALL_CORPUS,
+    corpus,
+    drawn_rings,
+    recipe_ring,
+)
+from oracle_utils import filter_axiom_failed, filters_by_upsets, oracle_sigma
 
 
 def idx_of(ring, gens):
@@ -106,18 +112,51 @@ def test_filter_axiom_f4():
             assert_f4_report_names_a_witness(ring, members, rep)
 
 
+def test_principal_filters_match_the_upset_walk():
+    """The filters among the up(s), one per right ideal, are every filter
+    that the walk over all up-sets finds, in the same order."""
+    rings = ([corpus(n) for n in SMALL_CORPUS + ("m2z4",)]
+             + [recipe_ring(n) for n in RECIPE_RINGS] + drawn_rings(7))
+    assert len(rings) == len(SMALL_CORPUS) + 1 + len(RECIPE_RINGS) + 24
+    for ring in rings:
+        for above in (False, True):
+            assert (all_linear_filters(ring, above_all_maximal=above)
+                    == filters_by_upsets(ring, above)), (ring.label, above)
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_f4_at_the_least_member_matches_every_member(name):
+    """is_linear_filter fails exactly where F4 on every member fails, with
+    the same axiom letter, on the principal up-sets and their pairwise
+    unions; every F4 report names a witness."""
+    ring = corpus(name)
+    ctx = ideal_context(ring)
+    ups = [ctx.upset(t) for t in range(len(ctx.ideals))]
+    cands = {a | b for a in ups for b in ups}
+    for members in cands:
+        ok, report = is_linear_filter(ring, members)
+        failed = filter_axiom_failed(ring, members)
+        assert ok == (failed is None), (members, report)
+        if not ok:
+            assert report[:2] == failed, (members, report)
+        if failed == "F4":
+            assert_f4_report_names_a_witness(ring, members, report)
+
+
 @pytest.mark.parametrize("name", ["z8", "z4xf2", "t2f2", "m2f2", "f2xy_j2",
                                   "f2xy_x2y2"])
 def test_colon_matches_element_oracle(name):
     """colon(t, r) is (I_t : r) for every ideal and element, and colons(t)
-    is the set of them, although both are computed per coset."""
+    maps each of them to an element that gives it, although both are
+    computed per coset."""
     ring = load_ring(name)   # fresh, so colons(t) runs before any colon
     ctx = ideal_context(ring)
     for t in range(len(ctx.ideals)):
         colons = ctx.colons(t)
         for r in ring.elements():
             assert ctx.colon(t, r) == oracle_colon(ring, t, r), (t, r)
-        assert colons == {ctx.colon(t, r) for r in ring.elements()}
+        assert colons.keys() == {ctx.colon(t, r) for r in ring.elements()}
+        assert all(oracle_colon(ring, t, r) == c for c, r in colons.items())
 
 
 def test_eta_filter_basics():
