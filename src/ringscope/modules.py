@@ -23,7 +23,7 @@ from .exactla import (
 from .ring import FiniteRing, memo, reduce_vector, same_ring
 
 SUBMODULE_ENUM_BOUND = 4096
-# largest hom group that the isomorphism search walks
+# largest hom group that the isomorphism search takes on
 ISO_SEARCH_BOUND = 1 << 20
 
 
@@ -411,12 +411,6 @@ def submodule_sum(a: Submodule, b: Submodule) -> Submodule:
     return Submodule(a.parent, a.gens.stack(b.gens))
 
 
-def submodule_intersection(a: Submodule, b: Submodule) -> Submodule:
-    small, big = (a, b) if a.size() <= b.size() else (b, a)
-    rows = [v for v in small.elements() if big.contains(v)]
-    return Submodule(a.parent, rows)
-
-
 def submodule_as_module(sub: Submodule):
     """Present a submodule abstractly.
 
@@ -597,22 +591,71 @@ def is_isomorphic_modules(a: RightModule, b: RightModule):
     """(flag, witness): witness is an isomorphism a → b.
 
     Decision: modules of the same finite order are isomorphic iff some
-    map in Hom_R(a, b) is onto.  The first onto map of the hom group is
-    the witness; it is checked against the module-map conditions, as an
-    independent check of the hom solve.
+    map in Hom_R(a, b) is onto.  An isomorphism φ makes f ↦ f∘φ⁻¹ a
+    bijection Hom(a, b) → End(b), so hom groups of unequal size answer
+    no at once.  Otherwise the walk reads the tops: bJ is superfluous in
+    the finite b (Nakayama, Anderson–Fuller §9–10), so f is onto iff its
+    image in b/bJ is, and maps that differ by a map into bJ are onto
+    together.  One map per coset of Hom(a, bJ) is tested, as the span of
+    the hom basis pushed into Hom(a, b/bJ); the first image onto the top
+    is lifted to a map f.  The witness f is checked against the
+    module-map conditions, an independent check of the hom solve, and
+    for a full image, a check of J and of Nakayama's lemma.
     """
     if (not same_ring(a.ring, b.ring) or a.order() != b.order()
             or additive_type(a.orders) != additive_type(b.orders)):
         return False, None
     from .hom import hom_group  # deferred: hom builds on modules
 
-    for f in hom_group(a, b).maps(bound=ISO_SEARCH_BOUND):
-        if f.image_span().span_size() == b.order():
-            if not f.is_valid():
-                raise TheoremViolationError(
-                    f"hom solve from {a.label} to {b.label} gave a non-map")
-            return True, f
-    return False, None
+    homs = hom_group(a, b)
+    if homs.size() > ISO_SEARCH_BOUND:
+        raise BoundExceededError(f"hom group of order {homs.size()} "
+                                 f"exceeds bound {ISO_SEARCH_BOUND}")
+    if homs.size() != hom_group(b, b).size():
+        return False, None
+    top, proj = _top(b)
+    gens = homs.gen_maps()
+    images = ModMatrix(top.orders * a.rank,
+                       [[x for row in g.rows for x in proj.apply(row)]
+                        for g in gens])
+    t = top.rank
+    for flat in images.span_elements():
+        rows = [flat[i * t:(i + 1) * t] for i in range(a.rank)]
+        if howell_span(top.orders, rows).span_size() == top.order():
+            break
+    else:
+        return False, None
+    coeffs, _ = images.solve(flat)
+    f = ModuleMap(a, b, [apply_matrix(coeffs, [g.rows[i] for g in gens],
+                                      b.orders) for i in range(a.rank)],
+                  check=False)
+    if not f.is_valid():
+        raise TheoremViolationError(
+            f"hom solve from {a.label} to {b.label} gave a non-map")
+    if f.image_span().span_size() != b.order():
+        raise TheoremViolationError(
+            f"a map from {a.label} onto the top of {b.label} lifts to a "
+            f"map that is not onto {b.label}")
+    return True, f
+
+
+def _top(b: RightModule):
+    """(b/bJ, the projection b → b/bJ), memoised on the ring by b's
+    content; the projection's source is the first module of that content.
+    On rings too large to list their right ideals, J is not computed and
+    the superfluous submodule taken is 0, so the top is b itself."""
+    return memo(b.ring, ("top", b.key), _build_top, b)
+
+
+def _build_top(b: RightModule):
+    ring = b.ring
+    if ring.order() > SUBMODULE_ENUM_BOUND:
+        small = zero_submodule(b)
+    else:
+        from .ideals import jacobson_radical  # deferred: ideals builds on modules
+
+        small = module_times_ideal(full_submodule(b), jacobson_radical(ring))
+    return quotient_module(b, small, label=f"top of {b.label}")
 
 
 def cyclic_modules_up_to_iso(ring: FiniteRing):

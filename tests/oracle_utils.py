@@ -8,8 +8,10 @@ elements, subgroups by closing subsets.  Slow on purpose.
 import itertools
 import math
 
+from ringscope.hom import hom_group
 from ringscope.modules import (
     ModuleMap,
+    Submodule,
     cyclic_span,
     quotient_module,
     submodule_as_module,
@@ -74,6 +76,26 @@ def join_all_submodules(n):
                 seen.add(joined)
                 frontier.append(joined)
     return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
+
+
+def submodule_intersection(a, b):
+    """a ∩ b, spanned by the elements of the smaller one that lie in the
+    larger."""
+    small, big = (a, b) if a.size() <= b.size() else (b, a)
+    rows = [v for v in small.elements() if big.contains(v)]
+    return Submodule(a.parent, rows)
+
+
+def iso_by_hom_scan(a, b):
+    """(flag, witness) by walking every map of Hom(a, b): modules of equal
+    order are isomorphic iff some map is onto, and the first onto map is
+    the witness."""
+    if a.order() != b.order():
+        return False, None
+    for f in hom_group(a, b).maps(bound=1 << 20):
+        if f.image_span().span_size() == b.order():
+            return True, f
+    return False, None
 
 
 def additive_closure(mod, vecs):

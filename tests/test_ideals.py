@@ -23,12 +23,12 @@ from ringscope.modules import (
     element_annihilator,
     regular_module,
     submodule_as_module,
-    submodule_intersection,
     submodules,
 )
 from ringscope.torsion import sigma_filter
 
 from conftest import SMALL_CORPUS, corpus
+from oracle_utils import submodule_intersection
 
 
 def test_right_ideal_counts():

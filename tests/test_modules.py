@@ -34,7 +34,6 @@ from ringscope.modules import (
     socle,
     socle_series,
     submodule_as_module,
-    submodule_intersection,
     submodules,
     verify_module_axioms,
     zero_submodule,
@@ -47,7 +46,9 @@ from oracle_utils import (
     brute_maps,
     brute_subgroup_spans,
     is_bijective,
+    iso_by_hom_scan,
     join_all_submodules,
+    submodule_intersection,
 )
 
 
@@ -315,6 +316,52 @@ def test_rank_two_classes_are_pairwise_non_isomorphic():
     assert pairs == 28
 
 
+def _same_as_hom_scan(a, b):
+    """is_isomorphic_modules(a, b) agrees with the scan of every map of
+    Hom(a, b), and a witness it returns is a bijective module map."""
+    flag, witness = is_isomorphic_modules(a, b)
+    assert flag == iso_by_hom_scan(a, b)[0]
+    if flag:
+        assert witness.is_valid() and is_bijective(witness)
+    return flag
+
+
+def test_cyclic_isomorphisms_match_the_hom_scan():
+    """Every R/I against each cyclic class of its order: the End-size
+    check and the walk over the tops answer as the all-maps scan."""
+    pairs = 0
+    for name in SMALL_CORPUS + ("m2z4",):
+        ring = corpus(name)
+        classes = cyclic_modules_up_to_iso(ring)
+        for ideal in right_ideals(ring):
+            q = cyclic_module(ring, ideal)[0]
+            same = [c for c in classes if c.order() == q.order()]
+            assert sum(_same_as_hom_scan(q, c) for c in same) == 1
+            pairs += len(same)
+    assert pairs == 206
+
+
+def test_rank_two_isomorphisms_match_the_hom_scan():
+    """Every quotient of R^2 of order <= 16 against each class of its
+    order.  quiver_f2 sits this out: walking the 5907 submodules of its
+    R^2 and the pairs they give takes about 9 s."""
+    pairs = 0
+    for name in SMALL_CORPUS:
+        if name == "quiver_f2":
+            continue
+        ring = corpus(name)
+        classes = enumerate_modules(ring, 2, 16)
+        free = direct_sum([regular_module(ring)] * 2)
+        for s in submodules(free):
+            if free.order() // s.size() > 16:
+                continue
+            q = quotient_module(free, s)[0]
+            same = [c for c in classes if c.order() == q.order()]
+            assert sum(_same_as_hom_scan(q, c) for c in same) == 1
+            pairs += len(same)
+    assert pairs == 2294
+
+
 def _hom_free_invariants(m):
     """Isomorphism invariants computed without Hom: order, additive type,
     submodule count, radical and socle series sizes, the annihilator and
@@ -349,6 +396,33 @@ def test_isomorphism_witness_must_pass_the_map_check(monkeypatch):
                         lambda a, b: howell_span(b.orders * a.rank, [flat]))
     with pytest.raises(TheoremViolationError, match="non-map"):
         is_isomorphic_modules(reg, reg)
+
+
+def test_a_lift_onto_the_top_must_be_onto(monkeypatch):
+    """With b/b posing as the top, the zero map is onto the top; the full
+    image check of the lift catches it."""
+    reg = regular_module(load_ring("t2f2"))
+    monkeypatch.setattr(modules, "_top",
+                        lambda b: quotient_module(b, full_submodule(b)))
+    with pytest.raises(TheoremViolationError,
+                       match="lifts to a map that is not onto"):
+        is_isomorphic_modules(reg, reg)
+
+
+def test_hom_groups_of_unequal_size_answer_before_the_tops(monkeypatch):
+    """|Hom(a, b)| = 1 but |End(b)| = 2, so the z4xf2 simples are told
+    apart without building a top."""
+    reg = regular_module(corpus("z4xf2"))
+    a = submodule_as_module(Submodule(reg, [(2, 0)]))[0]
+    b = submodule_as_module(Submodule(reg, [(0, 1)]))[0]
+    assert hom.hom_group(a, b).size() == 1
+    assert hom.hom_group(b, b).size() == 2
+
+    def no_top(m):
+        raise AssertionError("the top was built")
+
+    monkeypatch.setattr(modules, "_top", no_top)
+    assert is_isomorphic_modules(a, b) == (False, None)
 
 
 def test_isomorphism_search_is_bounded_by_the_hom_group(monkeypatch):
