@@ -13,6 +13,7 @@ import itertools
 from .errors import BoundExceededError
 from .hom import is_injective, is_quasi
 from .ideals import (
+    factor_ring,
     jacobson_radical,
     maximal_right_ideals,
     minimal_right_ideals,
@@ -80,10 +81,7 @@ def is_super_qf(ring: FiniteRing):
     for ideal in two_sided_ideals(ring):
         if ideal.size() == ring.order():
             continue  # zero factor ring
-        if ideal.size() == 1:
-            factor = ring
-        else:
-            factor, _, _ = quotient_ring(ring, ideal.gens.rows)
+        factor = ring if ideal.size() == 1 else factor_ring(ring, ideal)
         content = (factor.orders, factor.mul)
         if content in qf_contents:
             continue

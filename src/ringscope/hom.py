@@ -20,7 +20,7 @@ from .modules import (
     ModuleMap,
     RightModule,
     Submodule,
-    quotient_module,
+    quotient_via_lattice,
     regular_module,
     submodule_as_module,
     submodules,
@@ -247,13 +247,14 @@ def is_relatively_projective(m: RightModule, n: RightModule):
 
     Each n/L is memoised on the ring by the contents of n and L, so the
     quotient, and ψ's target, may be one built from an equal-content twin
-    of n."""
+    of n; for a cyclic n = R/I it is the factor module R/K ≅ n/L, K the
+    preimage of L (see quotient_via_lattice)."""
     mn_gens = hom_group(m, n).gen_maps()
     for l in submodules(n):
         if l.size() == 1:
             continue  # lifting along the identity
-        q, proj = memo(n.ring, ("quotients", n.key, l.gens), quotient_module,
-                       n, l)
+        q, proj = memo(n.ring, ("quotients", n.key, l.gens),
+                       quotient_via_lattice, n, l)
         homs_mq = hom_group(m, q)
         if homs_mq.size() == 1:
             continue

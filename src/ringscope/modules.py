@@ -301,10 +301,50 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
 
 def cyclic_module(ring: FiniteRing, ideal: Submodule,
                   label: str | None = None):
-    """R/I for a right ideal I, with the projection from the regular module."""
+    """R/I for a right ideal I, with the projection from the regular module.
+
+    The first build of each content records I's generators and the
+    projection on the ring (see cyclic_origin), so the submodules and
+    quotients of R/I are read off the right-ideal lattice."""
     reg = regular_module(ring)
-    return quotient_module(reg, Submodule(reg, ideal.gens),
-                           label=label or f"{ring.label}/I")
+    sub = Submodule(reg, ideal.gens)
+    q, proj = quotient_module(reg, sub, label=label or f"{ring.label}/I")
+    memo(ring, ("cyclic_origin", q.key), lambda: (sub.gens, proj))
+    return q, proj
+
+
+def cyclic_origin(m: RightModule):
+    """(L, π) when m's content was first built as R/L by cyclic_module:
+    L's Howell generators and the projection π: R → R/L, which carries
+    its section; else None.  A content looked up before it is built as
+    R/L keeps None, and is then treated as any other module."""
+    return memo(m.ring, ("cyclic_origin", m.key), lambda: None)
+
+
+def factor_module(ring: FiniteRing, ideal: Submodule):
+    """(R/I, projection) for a right ideal I, built once per ring: the
+    cyclic classes, the profile witnesses and the quotients of the
+    projectivity test all read this table."""
+    return memo(ring, ("factor_modules", ideal.gens), cyclic_module, ring,
+                ideal)
+
+
+def quotient_via_lattice(n: RightModule, l: Submodule):
+    """n/l with its projection.  For n = R/L (cyclic_origin) it is R/K,
+    K the preimage of l in R, L plus the lifts of l's rows, read from
+    factor_module: (R/L)/(K/L) ≅ R/K.  The projection sends e_i to
+    π_K(section_L(e_i)).  Any other n goes through quotient_module."""
+    origin = cyclic_origin(n)
+    if origin is None:
+        return quotient_module(n, l)
+    gens, proj_l = origin
+    reg = proj_l.source
+    lifts = [apply_matrix(r, proj_l.section, reg.orders) for r in l.gens.rows]
+    q, proj_k = factor_module(n.ring, Submodule(reg, gens.rows + tuple(lifts)))
+    proj = ModuleMap(n, q, [proj_k.apply(s) for s in proj_l.section],
+                     check=False)
+    proj.section = [proj_l.apply(s) for s in proj_k.section]
+    return q, proj
 
 
 # -- submodule enumeration -----------------------------------------------------
@@ -361,16 +401,17 @@ def _socle_lifts(n: RightModule, s: Submodule, jgens):
 def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
     """Every submodule, canonically sorted; 0 and N included.
 
-    A walk from 0 by steps S → S + x·R, x + S in Soc(N/S) (Anderson–Fuller
-    §11): for T ⊋ S the socle of T/S is nonzero and lies in Soc(N/S), so
-    some step from S stays inside T, and every submodule is reached.  J(R)
-    is read off the right ideals, which this lists on the regular module;
-    there, and on rings too large to list them, every y in N/S steps,
-    which is the socle when J = 0 and reaches every submodule anyway.
+    A module first built as R/L by cyclic_module reads its submodules off
+    the right-ideal lattice (_cyclic_submodules); any other module, and
+    always the regular module, walks (_walk_submodules).  J(R) is read
+    off the right ideals, which the walk lists on the regular module;
+    there, and on rings too large to list them, the walk steps by every
+    y in N/S, which is the socle when J = 0 and reaches every submodule
+    anyway.
 
     The list is memoised on the ring by n's content, so an equal module
     built separately shares it: the ``parent`` of each submodule is the
-    first module of that content to be walked.
+    first module of that content to be listed.
     """
     return memo(n.ring, ("submodules", n.key, bound), _submodules, n, bound)
 
@@ -382,11 +423,21 @@ def _submodules(n: RightModule, bound: int):
     ring = n.ring
     if (ring.order() > SUBMODULE_ENUM_BOUND
             or n.key == regular_module(ring).key):
-        jgens = ()
-    else:
-        from .ideals import jacobson_radical  # deferred: ideals builds on modules
+        return _walk_submodules(n, ())
+    origin = cyclic_origin(n)
+    if origin is not None:
+        return _cyclic_submodules(n, *origin)
+    from .ideals import jacobson_radical  # deferred: ideals builds on modules
 
-        jgens = jacobson_radical(ring).gens.rows
+    return _walk_submodules(n, jacobson_radical(ring).gens.rows)
+
+
+def _walk_submodules(n: RightModule, jgens):
+    """A walk from 0 by steps S → S + x·R, x + S in Soc(N/S) (Anderson–
+    Fuller §11), the socle being what the rows jgens of J(R) kill (no
+    rows: all of N/S): for T ⊋ S the socle of T/S is nonzero and lies in
+    Soc(N/S), so some step from S stays inside T, and every submodule is
+    reached."""
     zero = zero_submodule(n)
     seen = {zero}
     frontier = [zero]
@@ -405,6 +456,21 @@ def _submodules(n: RightModule, bound: int):
                 seen.add(t)
                 frontier.append(t)
     return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
+
+
+def _cyclic_submodules(n: RightModule, ideal: ModMatrix, proj: ModuleMap):
+    """The submodules of n = R/L, sorted as the walk sorts them: the
+    images K/L = π(K) of the right ideals K ⊇ L (the correspondence
+    theorem, Anderson–Fuller Ch. 1), read off the right-ideal lattice.  The
+    regular module is never read this way: its walk defines the lattice."""
+    from .ideals import right_ideal_lattice, right_ideals  # deferred
+
+    ideals = right_ideals(n.ring)
+    lat = right_ideal_lattice(n.ring)
+    low = next(t for t, i in enumerate(ideals) if i.gens == ideal)
+    subs = [Submodule(n, [proj.apply(r) for r in ideals[t].gens.rows])
+            for t in range(lat.size) if lat.le(low, t)]
+    return sorted(subs, key=lambda s: (s.size(), s.gens.rows))
 
 
 def submodule_sum(a: Submodule, b: Submodule) -> Submodule:
@@ -583,8 +649,28 @@ def annihilator(m: RightModule) -> Submodule:
 
 
 def additive_type(orders) -> tuple:
-    new_orders, _, _ = quotient_presentation(tuple(orders), [])
-    return new_orders
+    """The invariant factors of ⊕ Z/orders, ascending, 1s dropped, as
+    quotient_presentation gives them: for each prime p, the p-parts of
+    the orders, largest first, are the p-parts of the factors from the
+    largest down."""
+    parts = {}
+    for m in orders:
+        p = 2
+        while m > 1:
+            if p * p > m:
+                p = m  # what is left is prime
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            if q > 1:
+                parts.setdefault(p, []).append(q)
+            p += 1
+    factors = [1] * max(map(len, parts.values()), default=0)
+    for qs in parts.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            factors[i] *= q
+    return tuple(reversed(factors))
 
 
 def is_isomorphic_modules(a: RightModule, b: RightModule):
@@ -668,7 +754,7 @@ def _cyclic_classes(ring: FiniteRing):
 
     reps = []
     for ideal in right_ideals(ring):
-        q, _ = cyclic_module(ring, ideal)
+        q, _ = factor_module(ring, ideal)
         if not any(is_isomorphic_modules(q, r)[0] for r in reps):
             reps.append(q)
     reps.sort(key=lambda m: (m.order(), m.orders))

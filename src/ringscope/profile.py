@@ -17,9 +17,9 @@ from .ideals import ideals_in_radical, jacobson_radical
 from .lattice import FiniteLattice, are_isomorphic, build_lattice, structure_report
 from .modules import (
     RightModule,
-    cyclic_module,
     cyclic_modules_up_to_iso,
     enumerate_modules,
+    factor_module,
     full_submodule,
     module_times_ideal,
     regular_module,
@@ -209,8 +209,7 @@ def find_witness(ring: FiniteRing, ideal, kind: str):
     the ring by the ideal's generators, so its fingerprints are shared.
     """
     target = killed_by(ring, ideal)
-    w, _ = memo(ring, ("factor_modules", ideal.gens), cyclic_module, ring,
-                ideal)
+    w, _ = factor_module(ring, ideal)
     if kind == "p":
         if proj_fingerprint(w) != target:
             raise TheoremViolationError(

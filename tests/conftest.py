@@ -55,11 +55,17 @@ def recipe_ring(name):
     return recipes_module().build(RECIPE_RINGS[name])
 
 
+@lru_cache(maxsize=None)
+def drawn_recipes(seed):
+    """The recipes perfbench/recipes.py draws for the profile_random
+    workload at this seed (the draw screens candidates, so it is kept)."""
+    return tuple(recipe for recipe, _ in recipes_module().draw_recipes(seed))
+
+
 def drawn_rings(seed):
-    """The rings perfbench/recipes.py draws for the profile_random
-    workload at this seed."""
+    """Fresh copies of the rings drawn at this seed."""
     recipes = recipes_module()
-    return [recipes.build(recipe) for recipe, _ in recipes.draw_recipes(seed)]
+    return [recipes.build(recipe) for recipe in drawn_recipes(seed)]
 
 
 @pytest.fixture(scope="session")

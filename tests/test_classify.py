@@ -19,6 +19,7 @@ from ringscope.classify import (
 )
 from ringscope.cli import load_ring
 from ringscope.errors import InputError
+from ringscope.ideals import jacobson_radical
 from ringscope.modules import Submodule, regular_module
 from ringscope.profile import rises_bounded
 from ringscope.ring import product_ring, quotient_ring, units, zmod
@@ -191,3 +192,25 @@ def test_is_qf_is_computed_once_per_ring(monkeypatch):
     classify_report(ring)
     verify_suite(ring)
     assert sum(m is regular_module(ring) for m in calls) == 1
+
+
+def test_factor_rings_are_built_once_per_ring(monkeypatch):
+    """The radical's check and is_super_qf read each R/I from one table:
+    on Z/8, R/J = Z/2 and Z/4 are built once each, however often asked."""
+    import ringscope.ring as ring_mod
+
+    ring = load_ring("z8")
+    real = ring_mod.quotient_ring
+    built = []
+
+    def counted(base, ideal_gens, label=None):
+        if base is ring:
+            built.append(tuple(map(tuple, ideal_gens)))
+        return real(base, ideal_gens, label=label)
+
+    monkeypatch.setattr(ring_mod, "quotient_ring", counted)
+    monkeypatch.setattr(classify_mod, "quotient_ring", counted)
+    jacobson_radical(ring)
+    assert is_super_qf(ring) == (True, None)
+    assert is_super_qf(ring) == (True, None)
+    assert sorted(built) == [((2,),), ((4,),)]

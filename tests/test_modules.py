@@ -4,12 +4,14 @@ Submodule counts are cross-checked against an exhaustive subgroup-closure
 oracle that never touches the linear algebra.
 """
 
+import itertools
+
 import pytest
 
 from ringscope import hom, modules
 from ringscope.cli import load_ring
 from ringscope.errors import BoundExceededError, InputError, TheoremViolationError
-from ringscope.exactla import howell_span
+from ringscope.exactla import howell_span, quotient_presentation
 from ringscope.ideals import jacobson_radical, right_ideals
 from ringscope.modules import (
     ModuleMap,
@@ -610,3 +612,12 @@ def test_presented_submodules_match_element_sets(name, summands):
         for v in everything:
             if v not in members:
                 assert express(v) is None
+
+
+def test_additive_type_is_the_smith_form_of_the_orders():
+    """The prime-power split gives the invariant factors that the Smith
+    form of diag(orders) gives, in the same order."""
+    for orders in itertools.product((1, 2, 3, 4, 6, 8, 9, 12), repeat=3):
+        assert additive_type(orders) == \
+            quotient_presentation(orders, [])[0], orders
+    assert additive_type(()) == () and additive_type((1,)) == ()

@@ -6,7 +6,8 @@ import pytest
 
 from ringscope.cli import load_ring
 from ringscope.errors import TheoremViolationError
-from ringscope.ideals import ideals_in_radical, jacobson_radical
+from ringscope import modules
+from ringscope.ideals import ideals_in_radical, jacobson_radical, right_ideals
 from ringscope.lattice import are_isomorphic, build_lattice, lattice_product
 from ringscope.modules import (
     Submodule,
@@ -261,19 +262,23 @@ def test_profiles_share_one_skeleton(monkeypatch, name):
 
 
 def test_profiles_build_one_factor_module_per_node(monkeypatch):
-    """i_profile then p_profile build R/I once per node and share it."""
-    real = profile_mod.cyclic_module
+    """i_profile then p_profile build R/I once per node and share it: the
+    node witnesses, the cyclic classes and the quotients of the
+    projectivity test all read one factor module per right ideal."""
+    real = modules.cyclic_module
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[1].gens)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(profile_mod, "cyclic_module", counted)
+    monkeypatch.setattr(modules, "cyclic_module", counted)
     ring = load_ring("f2xy_x2y2")
     ip = i_profile(ring)
     pp = p_profile(ring)
-    assert ip.size == 6 and len(calls) == 6
+    assert ip.size == 6
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {i.gens for i in right_ideals(ring)}
     assert all(w in (None, v, regular_module(ring))
                for w, v in zip(ip.witnesses, pp.witnesses))
 
