@@ -102,10 +102,11 @@ def _blocks(m: RightModule):
 
 def _summands(m: RightModule):
     """(coordinates, module) for each block of m: m itself when it is one
-    block, else the blocks as modules, memoised on the ring by m's
-    content, as one module meets many others in Hom (the block modules
-    carry the label of the first module of that content)."""
-    blocks = _blocks(m)
+    block, else the blocks as modules.  The blocks and the block modules
+    are memoised on the ring by m's content, as one module meets many
+    others in Hom (the block modules carry the label of the first module
+    of that content)."""
+    blocks = memo(m.ring, ("blocks", m.key), _blocks, m)
     if len(blocks) <= 1:
         return [(coords, m) for coords in blocks]
     return memo(m.ring, ("summands", m.key), _block_modules, m, blocks)

@@ -18,6 +18,7 @@ from .lattice import FiniteLattice, are_isomorphic, build_lattice, structure_rep
 from .modules import (
     RightModule,
     cyclic_modules_up_to_iso,
+    cyclic_origin,
     enumerate_modules,
     factor_module,
     full_submodule,
@@ -25,7 +26,7 @@ from .modules import (
     regular_module,
 )
 from .ring import FiniteRing, memo, same_ring
-from .torsion import all_linear_filters, eta_filter
+from .torsion import all_linear_filters, eta_filter, ideal_context
 
 
 class CyclicFingerprint:
@@ -58,10 +59,35 @@ class CyclicFingerprint:
 
 
 def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
-    """{cyclic C : relative(m, C) holds}."""
-    reps = cyclic_modules_up_to_iso(m.ring)
-    return CyclicFingerprint(
-        m.ring, [t for t, c in enumerate(reps) if relative(m, c)[0]])
+    """{cyclic C : relative(m, C) holds}, read through the domain's filter.
+
+    The domain is closed under submodules, quotients and finite direct
+    sums (Anderson–Fuller §16), and R/(I∩K) embeds in R/I ⊕ R/K, so the
+    right ideals L with R/L in it are closed under meets and up-closed:
+    they are up(s) for their least member s.  Walking the classes, a class
+    R/L (its L read from cyclic_origin) is a member when the meet of the
+    members found so far lies in L, and is not when L lies in a failure;
+    only the classes left open, and those without an origin, are tested.
+    """
+    ring = m.ring
+    ctx = ideal_context(ring)
+    lat = ctx.lat
+    least, failed, members = lat.top, 0, []
+    for t, c in enumerate(cyclic_modules_up_to_iso(ring)):
+        origin = cyclic_origin(c)
+        if origin is None:
+            held = relative(m, c)[0]
+        else:
+            l = ctx.index[origin[0]]
+            held = lat.le(least, l) or (
+                not failed >> l & 1 and relative(m, c)[0])
+            if held:
+                least = lat.meet[least][l]
+            else:
+                failed |= lat.down[l]
+        if held:
+            members.append(t)
+    return CyclicFingerprint(ring, members)
 
 
 def inj_fingerprint(m: RightModule) -> CyclicFingerprint:

@@ -31,7 +31,7 @@ from .modules import (
 )
 from .ring import FiniteRing, memo, same_ring
 
-FILTER_IDEAL_GUARD = 30
+FILTER_IDEAL_GUARD = 132
 
 
 class IdealContext:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ringscope import ring_from_spec
 from ringscope.cli import load_ring
 
 # the bundled rings small enough for exhaustive ideal/filter enumeration
@@ -29,8 +30,22 @@ RECIPE_RINGS = {
 }
 
 
+# rings with more right ideals than the filter guard once admitted (30),
+# small enough for Tier-1: F2^5 (32 right ideals) and T3(F2), the upper
+# triangular 3x3 matrices over F2 (40)
+F2 = {"type": "zmod", "n": 2}
+GUARD_RINGS = {
+    "f2x5": {"type": "product", "factors": [F2] * 5},
+    "t3f2": {"type": "path_algebra", "p": 2, "vertices": 3,
+             "arrows": [[1, 2], [2, 3]]},
+}
+
+
 @lru_cache(maxsize=None)
 def corpus(name):
+    """A bundled ring, or one of GUARD_RINGS, loaded once per session."""
+    if name in GUARD_RINGS:
+        return ring_from_spec({"construct": GUARD_RINGS[name], "label": name})
     return load_ring(name)
 
 

@@ -12,6 +12,7 @@ from ringscope.hom import hom_group
 from ringscope.modules import (
     ModuleMap,
     Submodule,
+    cyclic_modules_up_to_iso,
     cyclic_span,
     quotient_module,
     submodule_as_module,
@@ -19,6 +20,7 @@ from ringscope.modules import (
     submodules,
     zero_submodule,
 )
+from ringscope.profile import CyclicFingerprint
 from ringscope.torsion import LinearFilter, ideal_context
 
 
@@ -96,6 +98,14 @@ def iso_by_hom_scan(a, b):
         if f.image_span().span_size() == b.order():
             return True, f
     return False, None
+
+
+def fingerprint_by_scan(m, relative):
+    """{cyclic C : relative(m, C) holds}, testing every cyclic class; the
+    library reads most classes off the domain's linear filter instead."""
+    reps = cyclic_modules_up_to_iso(m.ring)
+    return CyclicFingerprint(
+        m.ring, [t for t, c in enumerate(reps) if relative(m, c)[0]])
 
 
 def additive_closure(mod, vecs):

@@ -24,7 +24,7 @@ from ringscope.modules import Submodule, regular_module
 from ringscope.profile import rises_bounded
 from ringscope.ring import product_ring, quotient_ring, units, zmod
 
-from conftest import SMALL_CORPUS, corpus
+from conftest import GUARD_RINGS, SMALL_CORPUS, corpus
 
 classify_mod = importlib.import_module("ringscope.classify")
 
@@ -214,3 +214,13 @@ def test_factor_rings_are_built_once_per_ring(monkeypatch):
     assert is_super_qf(ring) == (True, None)
     assert is_super_qf(ring) == (True, None)
     assert sorted(built) == [((2,),), ((4,),)]
+
+
+@pytest.mark.parametrize("name", GUARD_RINGS)
+def test_verify_suite_passes_past_the_old_filter_guard(name):
+    """F2^5 (32 right ideals) and T3(F2) (40), which a filter guard of 30
+    refused, pass every check of the suite that applies."""
+    rep = verify_suite(corpus(name))
+    assert rep.ok(), list(rep.lines())
+    status = {e["id"]: e["status"] for e in rep.entries}
+    assert status["V1"] == status["V2"] == "pass"

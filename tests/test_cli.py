@@ -223,6 +223,26 @@ def test_bound_exceeded_exit_code(monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [["classify"], ["profile", "--kind", "i"],
+                                  ["profile", "--kind", "p"], ["filters"],
+                                  ["verify"]])
+def test_filter_guard_exits_3(monkeypatch, capsys, argv):
+    """Every command that lists the linear filters exits 3 on a ring with
+    more right ideals than the filter guard, and answers at the guard:
+    quiver_f2 has 28 right ideals."""
+    import ringscope.torsion as torsion_mod
+
+    command = [argv[0], "quiver_f2", *argv[1:]]
+    monkeypatch.setattr(torsion_mod, "FILTER_IDEAL_GUARD", 27)
+    code, _ = run(command)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: 28 right ideals exceed the filter guard 27\n")
+    monkeypatch.setattr(torsion_mod, "FILTER_IDEAL_GUARD", 28)
+    code, _ = run(command)
+    assert code == 0
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0"])
 def test_order_cap_must_be_a_positive_integer(monkeypatch, capsys, value):
     monkeypatch.setenv("RINGSCOPE_MAX_ORDER", value)

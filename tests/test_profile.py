@@ -1,12 +1,14 @@
 """Profile lattices, fingerprints, poverty, and witness search."""
 
 import importlib
+import itertools
 
 import pytest
 
 from ringscope.cli import load_ring
 from ringscope.errors import TheoremViolationError
 from ringscope import modules
+from ringscope.hom import is_relatively_injective, is_relatively_projective
 from ringscope.ideals import ideals_in_radical, jacobson_radical, right_ideals
 from ringscope.lattice import are_isomorphic, build_lattice, lattice_product
 from ringscope.modules import (
@@ -14,6 +16,7 @@ from ringscope.modules import (
     cyclic_module,
     cyclic_modules_up_to_iso,
     direct_sum,
+    factor_module,
     regular_module,
     submodule_as_module,
 )
@@ -33,7 +36,15 @@ from ringscope.profile import (
 )
 from ringscope.ring import zmod
 
-from conftest import SMALL_CORPUS, corpus, simple_modules
+from conftest import (
+    RECIPE_RINGS,
+    SMALL_CORPUS,
+    corpus,
+    drawn_rings,
+    recipe_ring,
+    simple_modules,
+)
+from oracle_utils import fingerprint_by_scan
 
 # the package re-exports the function profile(), which shadows the module
 profile_mod = importlib.import_module("ringscope.profile")
@@ -327,3 +338,76 @@ def test_i_witness_is_the_factor_or_the_regular_module():
                 assert inj_fingerprint(w) == target
                 assert w.key == realising[0]
     assert None in i_profile(corpus("t2f2")).witnesses
+
+
+RELATIVE = (is_relatively_injective, is_relatively_projective)
+
+FINGERPRINT_RINGS = {
+    "corpus": lambda: [corpus(n) for n in SMALL_CORPUS + ("m2z4",)],
+    "recipes": lambda: [recipe_ring(n) for n in RECIPE_RINGS],
+    "drawn_7": lambda: drawn_rings(7),
+}
+
+
+def v2_modules(ring):
+    """Every cyclic class, then every direct sum of two classes (the
+    modules of V2)."""
+    cyclics = cyclic_modules_up_to_iso(ring)
+    return list(cyclics) + [direct_sum([a, b]) for a, b in
+                            itertools.combinations_with_replacement(cyclics, 2)]
+
+
+@pytest.mark.parametrize("group", FINGERPRINT_RINGS)
+def test_filter_fingerprints_match_the_class_scan(group):
+    """Both fingerprints, read through the domain's linear filter, equal
+    the scan that tests every cyclic class: on every cyclic class, R, every
+    R/I of a profile node and every direct sum of two classes."""
+    for ring in FINGERPRINT_RINGS[group]():
+        nodes = ideals_in_radical(ring)[1]
+        mods = (v2_modules(ring) + [regular_module(ring)]
+                + [factor_module(ring, i)[0] for i in nodes])
+        for m in mods:
+            for fingerprint, relative in zip(
+                    (inj_fingerprint, proj_fingerprint), RELATIVE):
+                assert fingerprint(m) == fingerprint_by_scan(m, relative), \
+                    (ring.label, m.label, relative.__name__)
+
+
+def counting(relative, calls):
+    def counted(m, n):
+        calls.append(n)
+        return relative(m, n)
+    return counted
+
+
+def test_fingerprints_without_origins_test_every_class(monkeypatch):
+    """A class whose ideal is unknown is always tested: with cyclic_origin
+    answering None, each fingerprint tests every class, and is the same."""
+    ring = corpus("quiver_f2")
+    reps = cyclic_modules_up_to_iso(ring)
+    mods = reps + [regular_module(ring)]
+    want = {(m.key, r.__name__): fingerprint_by_scan(m, r)
+            for m in mods for r in RELATIVE}
+    monkeypatch.setattr(profile_mod, "cyclic_origin", lambda m: None)
+    for m in mods:
+        for relative in RELATIVE:
+            calls = []
+            got = profile_mod._fingerprint(m, counting(relative, calls))
+            assert [c.key for c in calls] == [c.key for c in reps]
+            assert got == want[m.key, relative.__name__]
+
+
+def test_filter_fingerprints_save_relative_tests():
+    """On V2's 230 modules of quiver_f2 (20 classes), the filter route
+    makes 1,360 of the scan's 4,600 injectivity tests and 1,336 of its
+    4,600 projectivity tests."""
+    ring = load_ring("quiver_f2")
+    mods = v2_modules(ring)
+    assert (len(mods), len(cyclic_modules_up_to_iso(ring))) == (230, 20)
+    made = []
+    for relative in RELATIVE:
+        calls = []
+        for m in mods:
+            profile_mod._fingerprint(m, counting(relative, calls))
+        made.append(len(calls))
+    assert made == [1360, 1336]

@@ -25,6 +25,7 @@ from ringscope.torsion import (
 )
 
 from conftest import (
+    GUARD_RINGS,
     RECIPE_RINGS,
     SMALL_CORPUS,
     corpus,
@@ -124,7 +125,7 @@ def test_principal_filters_match_the_upset_walk():
                     == filters_by_upsets(ring, above)), (ring.label, above)
 
 
-@pytest.mark.parametrize("name", SMALL_CORPUS)
+@pytest.mark.parametrize("name", SMALL_CORPUS + tuple(GUARD_RINGS))
 def test_f4_at_the_least_member_matches_every_member(name):
     """is_linear_filter fails exactly where F4 on every member fails, with
     the same axiom letter, on the principal up-sets and their pairwise
