@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import BoundExceededError
-from .hom import is_injective, is_quasi
+from .hom import is_injective, is_quasi, is_relatively_injective
 from .ideals import (
-    factor_ring,
     jacobson_radical,
     maximal_right_ideals,
     minimal_right_ideals,
@@ -26,6 +25,7 @@ from .modules import (
     cyclic_modules_up_to_iso,
     direct_sum,
     enumerate_modules,
+    factor_module,
     full_submodule,
     is_isomorphic_modules,
     minimal_submodules,
@@ -43,7 +43,7 @@ from .profile import (
     p_profile,
     proj_fingerprint,
 )
-from .ring import FiniteRing, memo, quotient_ring
+from .ring import FiniteRing, memo
 from .torsion import all_linear_filters, eta_filter
 
 
@@ -75,19 +75,23 @@ def is_qf(ring: FiniteRing) -> bool:
 
 def is_super_qf(ring: FiniteRing):
     """(flag, certificate): certificate is a two-sided ideal with non-QF
-    factor ring when the answer is negative.  A factor ring equal in
-    content to one already found QF is not tested again."""
-    qf_contents = set()
+    factor ring when the answer is negative.
+
+    Modules over R/I are the R-modules killed by I, with the same maps
+    and submodules, so R/I is QF (self-injective by Baer's test) iff the
+    R-module R/I is quasi-injective.  An I ⊇ J is skipped: R/I is then a
+    factor of the semisimple R/J, so QF."""
+    jac = jacobson_radical(ring)
     for ideal in two_sided_ideals(ring):
-        if ideal.size() == ring.order():
-            continue  # zero factor ring
-        factor = ring if ideal.size() == 1 else factor_ring(ring, ideal)
-        content = (factor.orders, factor.mul)
-        if content in qf_contents:
+        if ideal.contains_sub(jac):
             continue
-        if not is_qf(factor):
+        if ideal.size() == 1:
+            qf = is_qf(ring)
+        else:
+            q = factor_module(ring, ideal)[0]
+            qf = is_relatively_injective(q, q)[0]
+        if not qf:
             return False, ideal
-        qf_contents.add(content)
     return True, None
 
 
@@ -107,15 +111,9 @@ def radical_as_module(ring: FiniteRing):
 
 
 def is_simple_artinian(ring: FiniteRing) -> bool:
-    """Semisimple with a single simple class: matrix ring over a division
-    ring."""
-    if not is_semisimple_ring(ring):
-        return False
-    atoms = minimal_right_ideals(ring)
-    if not atoms:
-        return False
-    mods = [submodule_as_module(a)[0] for a in atoms]
-    return all(is_isomorphic_modules(mods[0], a)[0] for a in mods[1:])
+    """A nonzero ring whose regular module is semisimple with a single
+    simple class: a matrix ring over a division ring."""
+    return ring.order() > 1 and socle_homogeneous(regular_module(ring))
 
 
 class VerifyReport:
@@ -223,22 +221,18 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
                 "pass" if okv5 else "fail",
                 None if okv5 else (ip.flags["length"], loewy))
 
-    # V6: QF law — profile matches the ideal lattice of R/Soc(R)
+    # V6: QF law — profile matches the ideal lattice of R/Soc(R), which
+    # is that of the two-sided ideals of R holding Soc(R)
     qf = is_qf(ring)
-    soc_factor = None  # R/Soc(R), built here once for V6 and V16
+    soc = socle(reg) if qf else None  # read by V6 and V16
     if not qf:
         rep.add("V6", "QF profile is isomorphic to the ideal lattice of R/Soc",
                 "skipped", "ring is not QF")
     else:
-        soc = socle(reg)
-        if soc.size() == ring.order():
-            okv6 = ip.size == 1
-        else:
-            soc_factor, _, _ = quotient_ring(ring, soc.gens.rows)
-            tsf = two_sided_ideals(soc_factor)
-            flat = build_lattice(list(range(len(tsf))),
-                                 leq=lambda a, b: tsf[b].contains_sub(tsf[a]))
-            okv6 = are_isomorphic(ip.lattice, flat)[0]
+        above = [i for i in two_sided_ideals(ring) if i.contains_sub(soc)]
+        flat = build_lattice(list(range(len(above))),
+                             leq=lambda a, b: above[b].contains_sub(above[a]))
+        okv6 = are_isomorphic(ip.lattice, flat)[0]
         rep.add("V6", "QF profile is isomorphic to the ideal lattice of R/Soc",
                 "pass" if okv6 else "fail")
 
@@ -358,7 +352,9 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
                 "skipped",
                 "semisimple ring" if semisimple else "ring is not QF")
     else:
-        cond1 = soc_factor is not None and is_simple_artinian(soc_factor)
+        # R/Soc(R) is simple artinian iff the R-module R/Soc(R) is
+        # homogeneous semisimple (soc ≠ R, the ring not being semisimple)
+        cond1 = socle_homogeneous(factor_module(ring, soc)[0])
         cond2 = not [i for i in two_sided_ideals(ring)
                      if 1 < i.size() < jac.size()
                      and jac.contains_sub(i)]

@@ -116,33 +116,15 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
         if steps > ring.order():
             raise TheoremViolationError("radical power chain does not stop")
     if jac.size() > 1:
-        memo(ring, ("factor_rings", jac.gens), _semisimple_factor, ring, jac)
+        # R/J must be semisimple: every maximal ideal of R/J pulls back to
+        # one of R, so it suffices that the radical of R/J vanishes
+        from .ring import quotient_ring
+
+        quo = quotient_ring(ring, jac.gens.rows)[0]
+        if jacobson_radical(quo).size() != 1:
+            raise TheoremViolationError(
+                f"{ring.label}: quotient by the radical is not semisimple")
     return jac
-
-
-def _semisimple_factor(ring: FiniteRing, jac: Submodule) -> FiniteRing:
-    """R/J, checked semisimple: every maximal ideal of R/J pulls back to
-    one of R, so it suffices that the radical of R/J vanishes.  Built in
-    the memo, so a failed check stores nothing."""
-    quo = _factor_ring(ring, jac)
-    if jacobson_radical(quo).size() != 1:
-        raise TheoremViolationError(
-            f"{ring.label}: quotient by the radical is not semisimple")
-    return quo
-
-
-def factor_ring(ring: FiniteRing, ideal: Submodule) -> FiniteRing:
-    """R/I for a two-sided ideal I, built once per ring: memoised under
-    ("factor_rings", I.gens).  The radical is found first, so R/J is the
-    one jacobson_radical entered and checked semisimple."""
-    jacobson_radical(ring)
-    return memo(ring, ("factor_rings", ideal.gens), _factor_ring, ring, ideal)
-
-
-def _factor_ring(ring: FiniteRing, ideal: Submodule) -> FiniteRing:
-    from .ring import quotient_ring
-
-    return quotient_ring(ring, ideal.gens.rows)[0]
 
 
 def minimal_right_ideals(ring: FiniteRing):

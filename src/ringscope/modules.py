@@ -72,10 +72,10 @@ class RightModule:
     def add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
 
-    def elements(self, bound: int = SUBMODULE_ENUM_BOUND):
-        if self.order() > bound:
-            raise BoundExceededError(
-                f"module of order {self.order()} exceeds bound {bound}")
+    def elements(self):
+        if self.order() > SUBMODULE_ENUM_BOUND:
+            raise BoundExceededError(f"module of order {self.order()} exceeds "
+                                     f"bound {SUBMODULE_ENUM_BOUND}")
         return itertools.product(*(range(m) for m in self.orders))
 
     def act_gen(self, x, j):
@@ -249,7 +249,10 @@ def zero_module(ring: FiniteRing) -> RightModule:
 
 
 def direct_sum(mods, label: str | None = None) -> RightModule:
-    mods = list(mods)
+    """The external direct sum.  Each summand's content is checked (a memo
+    hit for any module the library built); a sum of modules is a module,
+    so the sum itself is not checked."""
+    mods = [_validated(m) for m in mods]
     if not mods:
         raise InputError("direct sum of nothing; pass the zero module instead")
     ring = mods[0].ring
@@ -271,7 +274,7 @@ def direct_sum(mods, label: str | None = None) -> RightModule:
                 rows.append(row)
         action.append(rows)
     name = label or " + ".join(m.label for m in mods)
-    return _validated(RightModule(ring, orders, action, label=name))
+    return RightModule(ring, orders, action, label=name)
 
 
 def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
@@ -398,7 +401,7 @@ def _socle_lifts(n: RightModule, s: Submodule, jgens):
             yield apply_matrix(y, lift, n.orders)
 
 
-def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
+def submodules(n: RightModule):
     """Every submodule, canonically sorted; 0 and N included.
 
     A module first built as R/L by cyclic_module reads its submodules off
@@ -413,13 +416,13 @@ def submodules(n: RightModule, bound: int = SUBMODULE_ENUM_BOUND):
     built separately shares it: the ``parent`` of each submodule is the
     first module of that content to be listed.
     """
-    return memo(n.ring, ("submodules", n.key, bound), _submodules, n, bound)
+    return memo(n.ring, ("submodules", n.key), _submodules, n)
 
 
-def _submodules(n: RightModule, bound: int):
-    if n.order() > bound:
-        raise BoundExceededError(
-            f"module of order {n.order()} exceeds enumeration bound {bound}")
+def _submodules(n: RightModule):
+    if n.order() > SUBMODULE_ENUM_BOUND:
+        raise BoundExceededError(f"module of order {n.order()} exceeds "
+                                 f"enumeration bound {SUBMODULE_ENUM_BOUND}")
     ring = n.ring
     if (ring.order() > SUBMODULE_ENUM_BOUND
             or n.key == regular_module(ring).key):

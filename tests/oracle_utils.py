@@ -8,7 +8,9 @@ elements, subgroups by closing subsets.  Slow on purpose.
 import itertools
 import math
 
+from ringscope.classify import is_qf
 from ringscope.hom import hom_group
+from ringscope.ideals import two_sided_ideals
 from ringscope.modules import (
     ModuleMap,
     Submodule,
@@ -21,6 +23,7 @@ from ringscope.modules import (
     zero_submodule,
 )
 from ringscope.profile import CyclicFingerprint
+from ringscope.ring import quotient_ring
 from ringscope.torsion import LinearFilter, ideal_context
 
 
@@ -106,6 +109,20 @@ def fingerprint_by_scan(m, relative):
     reps = cyclic_modules_up_to_iso(m.ring)
     return CyclicFingerprint(
         m.ring, [t for t, c in enumerate(reps) if relative(m, c)[0]])
+
+
+def super_qf_by_factor_rings(ring):
+    """(flag, certificate) of is_super_qf by rebuilding each factor ring
+    R/I with quotient_ring and testing it with is_qf; the library asks
+    the same question of the R-module R/I instead."""
+    for ideal in two_sided_ideals(ring):
+        if ideal.size() == ring.order():
+            continue  # zero factor ring
+        factor = (ring if ideal.size() == 1
+                  else quotient_ring(ring, ideal.gens.rows)[0])
+        if not is_qf(factor):
+            return False, ideal
+    return True, None
 
 
 def additive_closure(mod, vecs):

@@ -19,12 +19,21 @@ from ringscope.classify import (
 )
 from ringscope.cli import load_ring
 from ringscope.errors import InputError
-from ringscope.ideals import jacobson_radical
-from ringscope.modules import Submodule, regular_module
+from ringscope.ideals import two_sided_ideals
+from ringscope.lattice import are_isomorphic, build_lattice
+from ringscope.modules import Submodule, factor_module, regular_module, socle
 from ringscope.profile import rises_bounded
 from ringscope.ring import product_ring, quotient_ring, units, zmod
 
-from conftest import GUARD_RINGS, SMALL_CORPUS, corpus
+from conftest import (
+    GUARD_RINGS,
+    RECIPE_RINGS,
+    SMALL_CORPUS,
+    corpus,
+    drawn_rings,
+    recipe_ring,
+)
+from oracle_utils import super_qf_by_factor_rings
 
 classify_mod = importlib.import_module("ringscope.classify")
 
@@ -194,9 +203,9 @@ def test_is_qf_is_computed_once_per_ring(monkeypatch):
     assert sum(m is regular_module(ring) for m in calls) == 1
 
 
-def test_factor_rings_are_built_once_per_ring(monkeypatch):
-    """The radical's check and is_super_qf read each R/I from one table:
-    on Z/8, R/J = Z/2 and Z/4 are built once each, however often asked."""
+def test_super_qf_builds_no_factor_ring(monkeypatch):
+    """is_super_qf, V6 and V16 ask their questions of R's modules: on Z/8
+    the one ring built is R/J = Z/2, for the radical's own check."""
     import ringscope.ring as ring_mod
 
     ring = load_ring("z8")
@@ -204,16 +213,47 @@ def test_factor_rings_are_built_once_per_ring(monkeypatch):
     built = []
 
     def counted(base, ideal_gens, label=None):
-        if base is ring:
-            built.append(tuple(map(tuple, ideal_gens)))
+        built.append((base is ring, tuple(map(tuple, ideal_gens))))
         return real(base, ideal_gens, label=label)
 
     monkeypatch.setattr(ring_mod, "quotient_ring", counted)
-    monkeypatch.setattr(classify_mod, "quotient_ring", counted)
-    jacobson_radical(ring)
     assert is_super_qf(ring) == (True, None)
-    assert is_super_qf(ring) == (True, None)
-    assert sorted(built) == [((2,),), ((4,),)]
+    assert verify_suite(ring).ok()
+    assert built == [(True, ((2,),))]
+
+
+SUPER_QF_RINGS = {
+    "corpus": lambda: [corpus(n) for n in SMALL_CORPUS + ("m2z4",)],
+    "recipes": lambda: [recipe_ring(n) for n in RECIPE_RINGS],
+    "drawn_7": lambda: drawn_rings(7),
+    "guard": lambda: [corpus(n) for n in GUARD_RINGS],
+}
+
+
+def ideal_lattice(ideals):
+    return build_lattice(list(range(len(ideals))),
+                         leq=lambda a, b: ideals[b].contains_sub(ideals[a]))
+
+
+@pytest.mark.parametrize("group", SUPER_QF_RINGS)
+def test_super_qf_matches_the_factor_rings(group):
+    """is_super_qf gives the flag and certificate of the route that
+    rebuilds every R/I.  On each QF ring that is not semisimple, V16's
+    cond1 on the R-module R/Soc agrees with is_simple_artinian on the
+    rebuilt ring R/Soc, and V6's lattice of the two-sided ideals holding
+    Soc is that of the two-sided ideals of R/Soc."""
+    for ring in SUPER_QF_RINGS[group]():
+        assert is_super_qf(ring) == super_qf_by_factor_rings(ring), ring.label
+        if not is_qf(ring) or is_semisimple_ring(ring):
+            continue
+        soc = socle(regular_module(ring))
+        factor = quotient_ring(ring, soc.gens.rows)[0]
+        assert (socle_homogeneous(factor_module(ring, soc)[0])
+                == is_simple_artinian(factor)), ring.label
+        above = [i for i in two_sided_ideals(ring) if i.contains_sub(soc)]
+        assert are_isomorphic(ideal_lattice(above),
+                              ideal_lattice(two_sided_ideals(factor)))[0], \
+            ring.label
 
 
 @pytest.mark.parametrize("name", GUARD_RINGS)

@@ -28,6 +28,8 @@ GOLDEN = {
         (0, "61b64c1fd0c1335d6066daed051568d9316f46f336890671d76f19b499c0f6ed"),
     "modules f2xy_j2 --max-order 16":
         (0, "8ee40dafe6392fc1827c11da7c40e729215d0d24a9eb0eed3bf6484b224ec287"),
+    "verify f2xy_j2":
+        (0, "bd2549418725d95c5a4c95f1dc28b9294b222db955f63cb7d5c7a79815bcae2f"),
     "classify f2xy_x2y2 --json":
         (0, "9b1d1782da5765cbd83662f893930ca01bd66c1c1437233478ea252a97a58101"),
     "profile f2xy_x2y2 --kind i --json":
@@ -40,6 +42,8 @@ GOLDEN = {
         (0, "a60537c8a0ba5c4ea2759d8e91754eab231da348d77c7b5116ecebb0341e687e"),
     "modules f2xy_x2y2 --max-order 16":
         (0, "d9467f13098c249b91d9d5dbaf858c58a38b00d6222a02002025b4399fb44655"),
+    "verify f2xy_x2y2":
+        (0, "144b703377b6da8592dbd9cb6b205141ddd9d7f698490fcc0daed164257142e1"),
     "classify m2f2 --json":
         (0, "0a02494407462db6fb01903d889dcd5f8b00ea59ea67d60039b7882e3edb4038"),
     "profile m2f2 --kind i --json":
@@ -52,6 +56,8 @@ GOLDEN = {
         (0, "310e7400574188c0a6bbcb249c08660c373dd09b53fd462e0b54ac1bfe17b613"),
     "modules m2f2 --max-order 16":
         (0, "3feed47774a6598b4e16f60d0c01338b7d25b73a6fc45ebde81ee66afb1d2faa"),
+    "verify m2f2":
+        (0, "02a0e8d96fc6e715107fdef1a9b404456ac36ef0910836bc53ed3eea2fd85f97"),
     "classify m2z4 --json":
         (0, "e2491eb1e7d9619368cf759212481b3df3460eb85385fef8854cddae3d512b5f"),
     "profile m2z4 --kind i --json":
@@ -64,6 +70,8 @@ GOLDEN = {
         (0, "8c8115d951cbb51703e9999d44449b3b7380845f977816047c1885af596a18e4"),
     "modules m2z4 --max-order 16":
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify m2z4":
+        (0, "9cf355ebf0936a23745ea0c42ead188684763b1a2ad6ec86c8b90cf7535ef57e"),
     "classify quiver_f2 --json":
         (0, "9650dd83e62d6304dc1db87fc89085da0bcaf6b6d2cc35cc7b0a849be0f48337"),
     "profile quiver_f2 --kind i --json":
@@ -74,6 +82,8 @@ GOLDEN = {
         (0, "27ebbe589746835a87ea899e15a6f0ddec6a618f15d0b624fa30e904cba5a048"),
     "filters quiver_f2 --above-maximal":
         (0, "54e447d3a0a28e4378f2a6db612458dfbd9b5a72436aa1a44bce4df5b102306d"),
+    "verify quiver_f2":
+        (0, "5dbbabc5f7f213348ef44bd6ec93354c062e117943ca20cb54d8c4bd30b6bfdf"),
     "classify t2f2 --json":
         (0, "5d8309dfe56ea802b895770ae536c69aaffd855e4cc7e432ae95db2ba7b0d2eb"),
     "profile t2f2 --kind i --json":
@@ -86,6 +96,8 @@ GOLDEN = {
         (0, "99e6dc3fde3a1fa9286323a03cdf6807a109320dee3d1e6443f197f8e6961a4b"),
     "modules t2f2 --max-order 16":
         (0, "42676f10d8d9e8a11ef3713a1ab9878500129a14e0ef3616bb1e0b2f3a2da686"),
+    "verify t2f2":
+        (0, "691e9cc58f641fc55a09b2ea5a18f32f98a799ccc2a1c186b8d25ceaf84053ee"),
     "classify z4xf2 --json":
         (0, "0681f8fb24bc8fdd903469815d0b5bd3a1b0d2ecb2e1c334c41f3fbbc74d4946"),
     "profile z4xf2 --kind i --json":
@@ -98,6 +110,8 @@ GOLDEN = {
         (0, "a3777d1d6b8787c27d3faa1aa925c07f997223f77613801d711c63f3f96d2afa"),
     "modules z4xf2 --max-order 16":
         (0, "996977347abf42d34d73e6b9c35ca8b0977be19b2014abccc15203b43028acd9"),
+    "verify z4xf2":
+        (0, "9cf355ebf0936a23745ea0c42ead188684763b1a2ad6ec86c8b90cf7535ef57e"),
     "classify z8 --json":
         (0, "065cc19b3234b730e4be9d538a221bd5a531841b46109bbdf0d80d8a896cc6ad"),
     "profile z8 --kind i --json":
@@ -110,6 +124,8 @@ GOLDEN = {
         (0, "02bbc523e5cc3d90033ed30a1bc6fe50ba0072b5c8896e05be92971b99fbc4e7"),
     "modules z8 --max-order 16":
         (0, "0302e90f4a442808611600f27aefcec9d401881578862541ce603bc5d97f1456"),
+    "verify z8":
+        (0, "706a624c8e99b4e4ca7ee9b203bd8c7cbd4a8f27a75abfcb76a58bed40e29bf0"),
 }
 
 

@@ -558,8 +558,30 @@ def test_module_axioms_run_once_per_content(monkeypatch):
     second = build()
     assert len(keys) == checked
     assert len(keys) == len(set(keys))
-    assert {m.key for m in first} <= set(keys)
+    # a direct sum checks its summands, not the sum
+    *cyclics, total = first
+    assert {m.key for m in cyclics} | {reg.key} <= set(keys)
+    assert total.key not in keys
     assert all(x is not y and x.key == y.key for x, y in zip(first, second))
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_direct_sums_pass_the_module_axioms(name):
+    """The sums that direct_sum leaves unchecked are modules: every sum of
+    two cyclic classes (V2's modules) and R ⊕ R."""
+    ring = corpus(name)
+    cyclics = cyclic_modules_up_to_iso(ring)
+    reg = regular_module(ring)
+    sums = [direct_sum([a, b])
+            for a, b in itertools.combinations_with_replacement(cyclics, 2)]
+    for m in sums + [direct_sum([reg, reg])]:
+        assert verify_module_axioms(m) is None, m.label
+
+
+def test_direct_sum_refuses_an_unchecked_summand():
+    bad = RightModule(zmod(4), (2, 4), [[(0, 1), (0, 1)]], label="bad")
+    with pytest.raises(InputError, match="bad: action of g0 not additive"):
+        direct_sum([regular_module(bad.ring), bad])
 
 
 def test_broken_content_is_refused_on_every_build():
