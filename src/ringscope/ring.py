@@ -12,6 +12,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 import math
+import operator
 import os
 from functools import reduce
 
@@ -37,13 +38,22 @@ def max_ring_order() -> int:
     return value
 
 
+def _integers(values, what: str) -> tuple:
+    """values as ints through operator.index, which refuses the floats
+    and strings that int() would truncate or parse."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InputError(f"{what} must hold integers, got {values!r}") from None
+
+
 def reduce_vector(vec, orders, what: str = "element"):
-    """vec reduced modulo orders; InputError unless it has one coordinate
-    per order (zip would silently truncate a longer vector)."""
+    """vec reduced modulo orders; InputError unless it has one integer
+    coordinate per order (zip would silently truncate a longer vector)."""
     if len(vec) != len(orders):
         raise InputError(f"{what} has {len(vec)} coordinates, expected "
                          f"{len(orders)}")
-    return tuple(int(x) % m for x, m in zip(vec, orders))
+    return tuple(x % m for x, m in zip(_integers(vec, what), orders))
 
 
 _MISSING = object()
@@ -62,10 +72,13 @@ def memo(ring, key, build, *args):
 
 
 class FiniteRing:
-    """A finite ring with identity, immutable once validated."""
+    """A finite ring with identity, immutable once validated.
+
+    ``mul`` is the dense public table; ``_terms[i][j]`` holds the nonzero
+    ``(k, c)`` of g_i·g_j, which products read."""
 
     def __init__(self, orders, mul, one, label: str = "ring"):
-        self.orders = tuple(int(n) for n in orders)
+        self.orders = _integers(orders, "generator orders")
         if any(n < 1 for n in self.orders):
             raise InputError("generator orders must be positive")
         d = len(self.orders)
@@ -75,6 +88,10 @@ class FiniteRing:
             tuple(reduce_vector(vec, self.orders, "product table entry")
                   for vec in row)
             for row in mul
+        )
+        self._terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+            for row in self.mul
         )
         self.one = reduce_vector(one, self.orders, "identity vector")
         self.label = label
@@ -100,17 +117,15 @@ class FiniteRing:
 
     def el_mul(self, x, y):
         acc = [0] * self.rank
-        for i, xi in enumerate(x):
+        for xi, row in zip(x, self._terms):
             if not xi:
                 continue
-            row = self.mul[i]
-            for j, yj in enumerate(y):
+            for yj, terms in zip(y, row):
                 if not yj:
                     continue
                 c = xi * yj
-                t = row[j]
-                for k in range(self.rank):
-                    acc[k] += c * t[k]
+                for k, t in terms:
+                    acc[k] += c * t
         return tuple(a % m for a, m in zip(acc, self.orders))
 
     def elements(self, bound: int | None = None):
@@ -145,30 +160,41 @@ def same_ring(r: FiniteRing, s: FiniteRing) -> bool:
 def verify_ring_axioms(r: FiniteRing):
     """None when the tables define a ring with identity r.one; otherwise a
     human-readable description of the first violated law."""
-    d = r.rank
+    d, orders, terms = r.rank, r.orders, r._terms
     for i in range(d):
         for j in range(d):
-            prod = r.mul[i][j]
-            for k in range(d):
-                if (r.orders[i] * prod[k]) % r.orders[k]:
+            for k, c in terms[i][j]:
+                if (orders[i] * c) % orders[k]:
                     return (f"product g{i}*g{j} not well defined: "
-                            f"{r.orders[i]} copies do not vanish")
-                if (r.orders[j] * prod[k]) % r.orders[k]:
+                            f"{orders[i]} copies do not vanish")
+                if (orders[j] * c) % orders[k]:
                     return (f"product g{i}*g{j} not well defined: "
-                            f"{r.orders[j]} copies do not vanish")
+                            f"{orders[j]} copies do not vanish")
     for i in range(d):
         g = r.generator(i)
         if r.el_mul(r.one, g) != g:
             return f"left unit law fails on generator g{i}"
         if r.el_mul(g, r.one) != g:
             return f"right unit law fails on generator g{i}"
+    # (g_i·g_j)·g_k − g_i·(g_j·g_k) over the nonzero terms of both sides;
+    # once the products are well defined, a generator of order 1 has only
+    # zero products, so dropping its coefficient 1 % 1 = 0 changes nothing
     for i in range(d):
-        gi = r.generator(i)
+        row_i = terms[i]
         for j in range(d):
-            left = r.mul[i][j]
+            left, row_j = row_i[j], terms[j]
             for k in range(d):
-                gk = r.generator(k)
-                if r.el_mul(left, gk) != r.el_mul(gi, r.mul[j][k]):
+                right = row_j[k]
+                if not (left or right):
+                    continue
+                acc = {}
+                for l, c in left:
+                    for m, t in terms[l][k]:
+                        acc[m] = acc.get(m, 0) + c * t
+                for l, c in right:
+                    for m, t in row_i[l]:
+                        acc[m] = acc.get(m, 0) - c * t
+                if any(v % orders[m] for m, v in acc.items()):
                     return f"associativity fails on (g{i}, g{j}, g{k})"
     return None
 

@@ -83,6 +83,17 @@ def drawn_rings(seed):
     return [recipes.build(recipe) for recipe in drawn_recipes(seed)]
 
 
+# group -> its rings, for the differentials that compare a library route
+# with its oracle: the small corpus and m2z4, the recipe rings, the rings
+# drawn at seed 7 and the guard rings
+DIFFERENTIAL_RINGS = {
+    "corpus": lambda: [corpus(n) for n in SMALL_CORPUS + ("m2z4",)],
+    "recipes": lambda: [recipe_ring(n) for n in RECIPE_RINGS],
+    "drawn_7": lambda: drawn_rings(7),
+    "guard": lambda: [corpus(n) for n in GUARD_RINGS],
+}
+
+
 @pytest.fixture(scope="session")
 def ring_of():
     return corpus

@@ -111,6 +111,56 @@ def fingerprint_by_scan(m, relative):
         m.ring, [t for t, c in enumerate(reps) if relative(m, c)[0]])
 
 
+def dense_el_mul(r, x, y):
+    """x·y read off every coordinate of the dense table r.mul; the library
+    reads only the nonzero structure constants."""
+    acc = [0] * r.rank
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = r.mul[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            t = row[j]
+            for k in range(r.rank):
+                acc[k] += c * t[k]
+    return tuple(a % m for a, m in zip(acc, r.orders))
+
+
+def axioms_by_dense_products(r):
+    """verify_ring_axioms over every entry, unit law and triple of the
+    dense table, each product by dense_el_mul."""
+    d = r.rank
+    for i in range(d):
+        for j in range(d):
+            prod = r.mul[i][j]
+            for k in range(d):
+                if (r.orders[i] * prod[k]) % r.orders[k]:
+                    return (f"product g{i}*g{j} not well defined: "
+                            f"{r.orders[i]} copies do not vanish")
+                if (r.orders[j] * prod[k]) % r.orders[k]:
+                    return (f"product g{i}*g{j} not well defined: "
+                            f"{r.orders[j]} copies do not vanish")
+    for i in range(d):
+        g = r.generator(i)
+        if dense_el_mul(r, r.one, g) != g:
+            return f"left unit law fails on generator g{i}"
+        if dense_el_mul(r, g, r.one) != g:
+            return f"right unit law fails on generator g{i}"
+    for i in range(d):
+        gi = r.generator(i)
+        for j in range(d):
+            left = r.mul[i][j]
+            for k in range(d):
+                gk = r.generator(k)
+                if (dense_el_mul(r, left, gk)
+                        != dense_el_mul(r, gi, r.mul[j][k])):
+                    return f"associativity fails on (g{i}, g{j}, g{k})"
+    return None
+
+
 def super_qf_by_factor_rings(ring):
     """(flag, certificate) of is_super_qf by rebuilding each factor ring
     R/I with quotient_ring and testing it with is_qf; the library asks

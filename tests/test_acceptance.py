@@ -34,7 +34,12 @@ from ringscope.ring import central_idempotents, zmod
 from ringscope.torsion import all_linear_filters, eta_filter, sigma_contains
 
 from conftest import SMALL_CORPUS, corpus, simple_modules
-from oracle_utils import oracle_rel_inj, oracle_rel_proj, oracle_sigma
+from oracle_utils import (
+    dense_el_mul,
+    oracle_rel_inj,
+    oracle_rel_proj,
+    oracle_sigma,
+)
 
 
 def report(n, ok, detail=""):
@@ -84,7 +89,7 @@ def test_criterion_03_no_middle_class_t2():
     ok = not has_middle_class(ring, "i") and not has_middle_class(ring, "p")
     jac = jacobson_radical(ring)
     jsq = Submodule(regular_module(ring),
-                    [ring.el_mul(a, b)
+                    [dense_el_mul(ring, a, b)
                      for a in jac.gens.rows for b in jac.gens.rows])
     ok = ok and jsq.size() == 1
     report(3, ok)

@@ -25,14 +25,7 @@ from ringscope.modules import Submodule, factor_module, regular_module, socle
 from ringscope.profile import rises_bounded
 from ringscope.ring import product_ring, quotient_ring, units, zmod
 
-from conftest import (
-    GUARD_RINGS,
-    RECIPE_RINGS,
-    SMALL_CORPUS,
-    corpus,
-    drawn_rings,
-    recipe_ring,
-)
+from conftest import DIFFERENTIAL_RINGS, GUARD_RINGS, SMALL_CORPUS, corpus
 from oracle_utils import super_qf_by_factor_rings
 
 classify_mod = importlib.import_module("ringscope.classify")
@@ -222,27 +215,19 @@ def test_super_qf_builds_no_factor_ring(monkeypatch):
     assert built == [(True, ((2,),))]
 
 
-SUPER_QF_RINGS = {
-    "corpus": lambda: [corpus(n) for n in SMALL_CORPUS + ("m2z4",)],
-    "recipes": lambda: [recipe_ring(n) for n in RECIPE_RINGS],
-    "drawn_7": lambda: drawn_rings(7),
-    "guard": lambda: [corpus(n) for n in GUARD_RINGS],
-}
-
-
 def ideal_lattice(ideals):
     return build_lattice(list(range(len(ideals))),
                          leq=lambda a, b: ideals[b].contains_sub(ideals[a]))
 
 
-@pytest.mark.parametrize("group", SUPER_QF_RINGS)
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
 def test_super_qf_matches_the_factor_rings(group):
     """is_super_qf gives the flag and certificate of the route that
     rebuilds every R/I.  On each QF ring that is not semisimple, V16's
     cond1 on the R-module R/Soc agrees with is_simple_artinian on the
     rebuilt ring R/Soc, and V6's lattice of the two-sided ideals holding
     Soc is that of the two-sided ideals of R/Soc."""
-    for ring in SUPER_QF_RINGS[group]():
+    for ring in DIFFERENTIAL_RINGS[group]():
         assert is_super_qf(ring) == super_qf_by_factor_rings(ring), ring.label
         if not is_qf(ring) or is_semisimple_ring(ring):
             continue

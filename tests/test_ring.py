@@ -2,6 +2,7 @@
 
 import ast
 import os
+import random
 import re
 from pathlib import Path
 
@@ -30,7 +31,8 @@ from ringscope.ring import (
 )
 from ringscope.torsion import ideal_context
 
-from conftest import SMALL_CORPUS, corpus
+from conftest import DIFFERENTIAL_RINGS, SMALL_CORPUS, corpus
+from oracle_utils import axioms_by_dense_products, dense_el_mul
 
 
 def test_zmod_basics():
@@ -64,6 +66,89 @@ def test_verify_reports_ill_defined_product():
     r = FiniteRing((2, 4), [[(0, 1), (0, 0)], [(0, 0), (0, 0)]], (0, 1))
     report = verify_ring_axioms(r)
     assert report is not None and "well defined" in report
+
+
+@pytest.mark.parametrize("orders, mul, one, field", [
+    ((4,), [[(1.7,)]], (1.2,), "product table entry"),
+    (("4",), [[("1",)]], ("1",), "generator orders"),
+])
+def test_table_ring_refuses_non_integers(orders, mul, one, field):
+    """A float or a string in a table is refused, not truncated or
+    parsed."""
+    with pytest.raises(InputError, match=f"^{field} must hold integers"):
+        table_ring(orders, mul, one)
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_products_match_the_dense_table(group):
+    """el_mul, which reads the nonzero structure constants, agrees with
+    the dense table on every pair of generators and the identity, and on
+    50 seeded random pairs."""
+    rng = random.Random(7)
+    for ring in DIFFERENTIAL_RINGS[group]():
+        basis = [ring.generator(i) for i in range(ring.rank)] + [ring.one]
+        pairs = [(x, y) for x in basis for y in basis]
+        for _ in range(50):
+            pairs.append(tuple(tuple(rng.randrange(n) for n in ring.orders)
+                               for _ in range(2)))
+        for x, y in pairs:
+            assert ring.el_mul(x, y) == dense_el_mul(ring, x, y), ring.label
+
+
+# Z/2 × Z/4 with a generator of order 1 between the factors
+ORDER_ONE_TABLE = ((2, 1, 4),
+                   [[(1, 0, 0), (0, 0, 0), (0, 0, 0)],
+                    [(0, 0, 0)] * 3,
+                    [(0, 0, 0), (0, 0, 0), (0, 0, 1)]],
+                   (1, 0, 1))
+
+# M2(F2) in the basis E11+E22, E11+E21, E12+E22, E11+E21+E22: products
+# of several terms, whose two sides of associativity can differ by a
+# multiple of 2 before reduction
+DENSE_M2F2_TABLE = ((2, 2, 2, 2),
+                    [[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                     [(0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)],
+                     [(0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)],
+                     [(0, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0)]],
+                    (1, 0, 0, 0))
+TABLES = {"order_one": ORDER_ONE_TABLE, "m2f2_dense": DENSE_M2F2_TABLE}
+
+
+def _perturbed_tables(orders, mul, one):
+    """The table itself, then every table with one structure constant or
+    one identity coordinate raised by 1 modulo its generator's order."""
+    yield mul, one
+    d = len(orders)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                table = [[list(v) for v in row] for row in mul]
+                table[i][j][k] = (table[i][j][k] + 1) % orders[k]
+                yield table, one
+    for k in range(d):
+        unit = list(one)
+        unit[k] = (unit[k] + 1) % orders[k]
+        yield mul, unit
+
+
+@pytest.mark.parametrize("name", ["z4xf2", "t2f2", "m2f2", "f2xy_j2",
+                                  "f2xy_x2y2", "t3f2", *TABLES])
+def test_axiom_reports_match_the_dense_check(name):
+    """verify_ring_axioms gives the dense check's report, string for
+    string, on a ring and on every one-coordinate perturbation of its
+    table and identity, each built unvalidated."""
+    if name in TABLES:
+        orders, mul, one = TABLES[name]
+    else:
+        ring = corpus(name)
+        orders, mul, one = ring.orders, ring.mul, ring.one
+    reports = set()
+    for table, unit in _perturbed_tables(orders, mul, one):
+        r = FiniteRing(orders, table, unit)
+        report = verify_ring_axioms(r)
+        assert report == axioms_by_dense_products(r), (table, unit)
+        reports.add(report)
+    assert None in reports and len(reports) > 2, reports
 
 
 def test_path_algebra_shape():
@@ -124,8 +209,8 @@ def _element_closure(ring, gens):
             continue
         closed.add(x)
         queue.extend(ring.el_add(x, y) for y in closed)
-        queue.extend(ring.el_mul(r, x) for r in elems)
-        queue.extend(ring.el_mul(x, r) for r in elems)
+        queue.extend(dense_el_mul(ring, r, x) for r in elems)
+        queue.extend(dense_el_mul(ring, x, r) for r in elems)
     return closed
 
 
@@ -145,7 +230,8 @@ def test_quotient_rings_match_element_sets(name):
         for x in elems:
             for y in elems:
                 assert down(ring.el_add(x, y)) == q.el_add(down(x), down(y))
-                assert down(ring.el_mul(x, y)) == q.el_mul(down(x), down(y))
+                assert (down(dense_el_mul(ring, x, y))
+                        == q.el_mul(down(x), down(y)))
         assert {down(x) for x in elems} == set(q.elements())
         assert {x for x in elems if down(x) == q.zero} == set(ideal.elements())
         for v in q.elements():
@@ -170,7 +256,8 @@ def test_units_against_brute_force():
     for name in ("z8", "z4xf2", "t2f2"):
         r = corpus(name)
         brute = {tuple(x) for x in r.elements()
-                 if any(r.el_mul(x, y) == r.one and r.el_mul(y, x) == r.one
+                 if any(dense_el_mul(r, x, y) == r.one
+                        and dense_el_mul(r, y, x) == r.one
                         for y in r.elements())}
         assert units(r) == brute
 

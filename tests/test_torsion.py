@@ -32,7 +32,12 @@ from conftest import (
     drawn_rings,
     recipe_ring,
 )
-from oracle_utils import filter_axiom_failed, filters_by_upsets, oracle_sigma
+from oracle_utils import (
+    dense_el_mul,
+    filter_axiom_failed,
+    filters_by_upsets,
+    oracle_sigma,
+)
 
 
 def idx_of(ring, gens):
@@ -46,7 +51,7 @@ def oracle_colon(ring, t, r):
     elements and matching element sets against the right-ideal list."""
     ctx = ideal_context(ring)
     members = set(ctx.ideals[t].elements())
-    ys = {y for y in ring.elements() if ring.el_mul(r, y) in members}
+    ys = {y for y in ring.elements() if dense_el_mul(ring, r, y) in members}
     return next(s for s, i in enumerate(ctx.ideals)
                 if set(i.elements()) == ys)
 
