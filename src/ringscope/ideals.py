@@ -30,9 +30,17 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
 
     Element t is right_ideals(ring)[t]; meet is intersection and join is
     sum.  The order comes from contains_sub and is checked once, when the
-    lattice is built, for every pair A, B: the join must be A+B, built by
-    stacking generators, which pins the order (A ⊆ B iff A+B = B); and
-    |meet|·|A+B| = |A|·|B| must hold, so the meet, lying in A∩B, is A∩B.
+    lattice is built, on three facts:
+    (a) every B is the Howell sum of the join-irreducibles below it;
+    (b) join(A, g) is the Howell sum A + g for every A and every
+    join-irreducible g (an element other than the bottom whose strict
+    down-set is another element's down-set);
+    (c) |meet(A, B)|·|join(A, B)| = |A|·|B| for every pair.
+    They give join(A, B) = A + B for every pair: write B = g₁ + … + g_k
+    by (a); in a finite lattice B is also join(g₁, …, g_k) (Grätzer,
+    join-irreducibles), so A + B = (…(A + g₁) + …) + g_k, which by (b)
+    is join(A, g₁, …, g_k) = join(A, B).  That pins the order (A ⊆ B iff
+    A + B = B), and by (c) the meet, lying in A∩B, is A∩B.
     """
     return memo(ring, "right_ideal_lattice", _right_ideal_lattice, ring)
 
@@ -50,15 +58,32 @@ def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     except (InputError, NotALatticeError) as exc:
         raise TheoremViolationError(
             f"{ring.label}: right ideals under inclusion: {exc}") from exc
-    index = {i.gens: t for t, i in enumerate(ideals)}
     for a in range(n):
         for b in range(a + 1, n):
             meet, join = lat.meet[a][b], lat.join[a][b]
-            if (index.get(submodule_sum(ideals[a], ideals[b]).gens) != join
-                    or sizes[meet] * sizes[join] != sizes[a] * sizes[b]):
+            if sizes[meet] * sizes[join] != sizes[a] * sizes[b]:
                 raise TheoremViolationError(
                     f"{ring.label}: right ideals {a}, {b} have meet {meet} "
-                    f"and join {join}, not their intersection and sum")
+                    f"and join {join}, whose orders do not multiply to "
+                    "theirs")
+    downs = set(lat.down)
+    irreducible = [g for g in range(n) if g != lat.bottom
+                   and lat.down[g] & ~(1 << g) in downs]
+    index = {i.gens: t for t, i in enumerate(ideals)}
+    reg = regular_module(ring)
+    for b in range(n):
+        below = [row for g in irreducible if lat.le(g, b)
+                 for row in ideals[g].gens.rows]
+        if index.get(Submodule(reg, below).gens) != b:
+            raise TheoremViolationError(
+                f"{ring.label}: right ideals: {b} is not the sum of the "
+                "join-irreducibles below it")
+        for g in irreducible:
+            if index.get(submodule_sum(ideals[b], ideals[g]).gens) != \
+                    lat.join[b][g]:
+                raise TheoremViolationError(
+                    f"{ring.label}: right ideals {b}, {g} have join "
+                    f"{lat.join[b][g]}, not their sum")
     return lat
 
 

@@ -26,9 +26,10 @@ class FiniteLattice:
     """Bounded lattice on elements 0..n-1, given by its order.
 
     up[a] is the bitset of the elements ≥ a and down[b] that of the
-    elements ≤ b.  The meet of i and j is the k whose down-set is exactly
-    their common lower bounds, the join likewise on up-sets; meet and join
-    are kept as lists of lists of indices.
+    elements ≤ b; the order is checked antisymmetric and transitive.  The
+    meet of i and j is the k whose down-set is exactly their common lower
+    bounds, the join likewise on up-sets; meet and join are kept as lists
+    of lists of indices.
     """
 
     def __init__(self, labels, up):
@@ -45,6 +46,14 @@ class FiniteLattice:
                 j = next(_bits(twins))
                 raise InputError("order is not antisymmetric on "
                                  f"{self.labels[i]!r}, {self.labels[j]!r}")
+            for j in _bits(self.up[i]):
+                beyond = self.up[j] & ~self.up[i]
+                if beyond:
+                    k = next(_bits(beyond))
+                    raise InputError(
+                        "order is not transitive on "
+                        f"{self.labels[i]!r}, {self.labels[j]!r}, "
+                        f"{self.labels[k]!r}")
         # antisymmetry makes the down-sets (and the up-sets) distinct
         by_down = {d: k for k, d in enumerate(self.down)}
         by_up = {u: k for k, u in enumerate(self.up)}

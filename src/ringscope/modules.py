@@ -525,14 +525,15 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
 def minimal_submodules(m: RightModule):
     """Minimal nonzero submodules, in the canonical order of submodules(m).
 
-    That list is sorted by size, so 0 comes first.
+    That list is sorted by size, so 0 comes first, and a candidate is
+    minimal iff it holds none of the minimal ones listed before it: a
+    non-minimal one holds a strictly smaller minimal one.
     """
-    cands = submodules(m)[1:]
-
-    def inside(a, b):  # a strictly inside b
-        return a.size() < b.size() and b.contains_sub(a)
-
-    return [s for s in cands if not any(inside(t, s) for t in cands)]
+    found = []
+    for s in submodules(m)[1:]:
+        if not any(s.contains_sub(t) for t in found):
+            found.append(s)
+    return found
 
 
 def socle(m: RightModule) -> Submodule:
@@ -753,12 +754,24 @@ def cyclic_modules_up_to_iso(ring: FiniteRing):
 
 
 def _cyclic_classes(ring: FiniteRing):
-    from .ideals import right_ideals
+    """Each R/L is compared only with the classes of its interval shape,
+    the multiset {|K|/|L| : K ⊇ L} of its submodule orders read off the
+    right-ideal lattice (the correspondence theorem): isomorphic modules
+    have isomorphic submodule lattices.  The representatives are those
+    of a scan over every class found so far."""
+    from .ideals import right_ideal_lattice, right_ideals  # deferred
 
-    reps = []
-    for ideal in right_ideals(ring):
+    ideals = right_ideals(ring)
+    lat = right_ideal_lattice(ring)
+    sizes = [i.size() for i in ideals]
+    reps, by_shape = [], {}
+    for t, ideal in enumerate(ideals):
+        shape = tuple(sorted(sizes[k] // sizes[t] for k in range(lat.size)
+                             if lat.up[t] >> k & 1))
+        bucket = by_shape.setdefault(shape, [])
         q, _ = factor_module(ring, ideal)
-        if not any(is_isomorphic_modules(q, r)[0] for r in reps):
+        if not any(is_isomorphic_modules(q, r)[0] for r in bucket):
+            bucket.append(q)
             reps.append(q)
     reps.sort(key=lambda m: (m.order(), m.orders))
     return reps

@@ -40,12 +40,23 @@ GUARD_RINGS = {
              "arrows": [[1, 2], [2, 3]]},
 }
 
+# T2(Z/4), the upper triangular 2x2 matrices over Z/4: t2f2's structure
+# constants on generators of order 4 (26 right ideals)
+TRIANGULAR_RINGS = {
+    "t2z4": {"type": "table", "orders": [4, 4, 4],
+             "mul": [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+                     [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                     [[0, 0, 0], [0, 0, 0], [0, 0, 1]]],
+             "one": [1, 0, 1]},
+}
+SPEC_RINGS = {**GUARD_RINGS, **TRIANGULAR_RINGS}
+
 
 @lru_cache(maxsize=None)
 def corpus(name):
-    """A bundled ring, or one of GUARD_RINGS, loaded once per session."""
-    if name in GUARD_RINGS:
-        return ring_from_spec({"construct": GUARD_RINGS[name], "label": name})
+    """A bundled ring, or one of SPEC_RINGS, loaded once per session."""
+    if name in SPEC_RINGS:
+        return ring_from_spec({"construct": SPEC_RINGS[name], "label": name})
     return load_ring(name)
 
 
@@ -85,12 +96,13 @@ def drawn_rings(seed):
 
 # group -> its rings, for the differentials that compare a library route
 # with its oracle: the small corpus and m2z4, the recipe rings, the rings
-# drawn at seed 7 and the guard rings
+# drawn at seed 7, the guard rings and T2(Z/4)
 DIFFERENTIAL_RINGS = {
     "corpus": lambda: [corpus(n) for n in SMALL_CORPUS + ("m2z4",)],
     "recipes": lambda: [recipe_ring(n) for n in RECIPE_RINGS],
     "drawn_7": lambda: drawn_rings(7),
     "guard": lambda: [corpus(n) for n in GUARD_RINGS],
+    "triangular": lambda: [corpus(n) for n in TRIANGULAR_RINGS],
 }
 
 

@@ -9,13 +9,15 @@ import itertools
 import math
 
 from ringscope.classify import is_qf
+from ringscope.exactla import apply_matrix
 from ringscope.hom import hom_group
-from ringscope.ideals import two_sided_ideals
+from ringscope.ideals import right_ideals, two_sided_ideals
 from ringscope.modules import (
     ModuleMap,
     Submodule,
     cyclic_modules_up_to_iso,
     cyclic_span,
+    factor_module,
     quotient_module,
     submodule_as_module,
     submodule_sum,
@@ -23,7 +25,7 @@ from ringscope.modules import (
     zero_submodule,
 )
 from ringscope.profile import CyclicFingerprint
-from ringscope.ring import quotient_ring
+from ringscope.ring import memo, quotient_ring
 from ringscope.torsion import LinearFilter, ideal_context
 
 
@@ -101,6 +103,31 @@ def iso_by_hom_scan(a, b):
         if f.image_span().span_size() == b.order():
             return True, f
     return False, None
+
+
+def cyclic_classes_by_scan(ring):
+    """cyclic_modules_up_to_iso by comparing each R/L with every class
+    found so far through iso_by_hom_scan; the library compares it only
+    with the classes of its interval shape."""
+    reps = []
+    for ideal in right_ideals(ring):
+        q = factor_module(ring, ideal)[0]
+        if not any(iso_by_hom_scan(q, r)[0] for r in reps):
+            reps.append(q)
+    reps.sort(key=lambda m: (m.order(), m.orders))
+    return reps
+
+
+def minimal_submodules_by_pairs(m):
+    """The nonzero submodules with no nonzero submodule strictly inside,
+    by the scan over all pairs; the library tests each candidate against
+    the minimal ones found before it."""
+    cands = submodules(m)[1:]
+
+    def inside(a, b):  # a strictly inside b
+        return a.size() < b.size() and b.contains_sub(a)
+
+    return [s for s in cands if not any(inside(t, s) for t in cands)]
 
 
 def fingerprint_by_scan(m, relative):
@@ -272,11 +299,30 @@ def oracle_sigma(m, n) -> bool:
     return True
 
 
+def colon_table(ctx, t):
+    """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t: for
+    i ∈ I_t, (r+i)·y = r·y + i·y and i·y ∈ I_t, so the colon ideal
+    depends on the coset only.  Each colon ideal maps to the first lift r
+    that gives it.  Memoised on the ring; the library reads only the
+    colons at the additive generators of R/I_t."""
+    return memo(ctx.ring, ("colons", ctx.ideals[t].gens), _colon_table,
+                ctx, t)
+
+
+def _colon_table(ctx, t):
+    new_orders, _, lift = ctx._quotient(t)
+    table = {}
+    for c in itertools.product(*(range(m) for m in new_orders)):
+        r = apply_matrix(c, lift, ctx.ring.orders)
+        table.setdefault(ctx.colon(t, r), r)
+    return table
+
+
 def filter_axiom_failed(ring, mem):
     """The first of F1, F3, F2, F4 that the index set mem violates, or
-    None; F4 is checked on every member, not only on the least one.  The
-    colon ideals are IdealContext.colons, which the torsion tests check
-    against an element scan."""
+    None; F4 is checked on every member and at every coset, not only at
+    the least member's additive generators.  The colon ideals are
+    colon_table, which the torsion tests check against an element scan."""
     ctx = ideal_context(ring)
     if ctx.top not in mem:
         return "F1"
@@ -288,7 +334,7 @@ def filter_axiom_failed(ring, mem):
 def _f2_f4_failed(ctx, mem):
     if any(ctx.lat.meet[a][b] not in mem for a in mem for b in mem):
         return "F2"
-    if any(not ctx.colons(t).keys() <= mem for t in mem):
+    if any(not colon_table(ctx, t).keys() <= mem for t in mem):
         return "F4"
     return None
 

@@ -243,6 +243,32 @@ def test_filter_guard_exits_3(monkeypatch, capsys, argv):
     assert code == 0
 
 
+def test_a4_answers_under_the_filter_guard():
+    """F2(1→2→3→4), the path algebra of A4, has 362 right ideals, within
+    the filter guard: classify_report answers, with a 14-node i-profile
+    (about 2.4 s, pure Python)."""
+    from ringscope import classify_report, torsion
+    from ringscope.ideals import right_ideals
+
+    ring = ring_from_spec({"construct": {
+        "type": "path_algebra", "p": 2, "vertices": 4,
+        "arrows": [[1, 2], [2, 3], [3, 4]]}, "label": "A4"})
+    assert len(right_ideals(ring)) == 362 <= torsion.FILTER_IDEAL_GUARD
+    assert classify_report(ring)["profile_nodes"] == 14
+
+
+def test_a_ring_past_the_filter_guard_exits_3(tmp_path, capsys):
+    """F2^9 has 512 right ideals, more than the filter guard: listing its
+    filters exits 3."""
+    path = tmp_path / "f2x9.ring"
+    path.write_text(json.dumps({"construct": {
+        "type": "product", "factors": [{"type": "zmod", "n": 2}] * 9}}))
+    code, _ = run(["filters", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: 512 right ideals exceed the filter guard 400\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0"])
 def test_order_cap_must_be_a_positive_integer(monkeypatch, capsys, value):
     monkeypatch.setenv("RINGSCOPE_MAX_ORDER", value)

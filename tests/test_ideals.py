@@ -219,6 +219,38 @@ def test_lattice_check_catches_a_dropped_containment(monkeypatch, name,
         monkeypatch.setattr(Submodule, "contains_sub", real)
 
 
+def _join_irreducible(ideals, g):
+    """g is not the sum of the ideals strictly inside it (0 is the empty
+    sum)."""
+    return g != Submodule(g.parent, [row for i in ideals
+                                     if i != g and g.contains_sub(i)
+                                     for row in i.gens.rows])
+
+
+@pytest.mark.parametrize("name, count", [("t2f2", 3), ("quiver_f2", 73),
+                                         ("m2z4", 12)])
+def test_lattice_check_catches_a_dropped_containment_off_the_irreducibles(
+        monkeypatch, name, count):
+    """The join = sum check pairs every ideal with the join-irreducibles
+    only; dropping a containment between two ideals neither of which is
+    join-irreducible still fails the lattice check."""
+    ideals = right_ideals(load_ring(name))
+    reducible = [i for i in ideals if not _join_irreducible(ideals, i)]
+    strict = [(big.gens, small.gens) for big in reducible
+              for small in reducible
+              if big != small and big.contains_sub(small)]
+    assert len(strict) == count
+    real = Submodule.contains_sub
+    for dropped in strict:
+        def lossy(self, other, dropped=dropped):
+            return (self.gens, other.gens) != dropped and real(self, other)
+
+        monkeypatch.setattr(Submodule, "contains_sub", lossy)
+        with pytest.raises(TheoremViolationError, match="right ideals"):
+            right_ideal_lattice(load_ring(name))
+        monkeypatch.setattr(Submodule, "contains_sub", real)
+
+
 def test_failed_radical_check_memoises_nothing(monkeypatch):
     """A radical whose quotient R/J is not semisimple is refused and not
     kept; once the fault is gone the true radical is found."""

@@ -9,6 +9,7 @@ import pytest
 
 from ringscope.errors import BoundExceededError, InputError, NotALatticeError
 from ringscope.lattice import (
+    FiniteLattice,
     are_isomorphic,
     build_lattice,
     lattice_product,
@@ -117,6 +118,12 @@ def test_non_lattice_rejected_with_pair():
 def test_antisymmetry_violation_rejected():
     with pytest.raises(InputError):
         build_lattice([0, 1], [(0, 1), (1, 0)])
+
+
+def test_intransitive_order_rejected():
+    """Up-sets with 0 ≤ 1 and 1 ≤ 2 but not 0 ≤ 2 give no order."""
+    with pytest.raises(InputError, match="not transitive on 0, 1, 2"):
+        FiniteLattice(range(3), [0b011, 0b110, 0b100])
 
 
 def test_size_guard():

@@ -42,14 +42,17 @@ from ringscope.modules import (
 )
 from ringscope.ring import product_ring, table_ring, zmod
 
-from conftest import RECIPE_RINGS, SMALL_CORPUS, corpus, recipe_ring
+from conftest import (DIFFERENTIAL_RINGS, RECIPE_RINGS, SMALL_CORPUS, corpus,
+                      recipe_ring)
 from oracle_utils import (
     additive_closure,
     brute_maps,
     brute_subgroup_spans,
+    cyclic_classes_by_scan,
     is_bijective,
     iso_by_hom_scan,
     join_all_submodules,
+    minimal_submodules_by_pairs,
     submodule_intersection,
 )
 
@@ -142,6 +145,22 @@ def test_cyclic_span_z8():
     assert cyclic_span(reg, (2,)).size() == 4
     assert cyclic_span(reg, (6,)).size() == 4
     assert cyclic_span(reg, (4,)).size() == 2
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS + ("m2z4",))
+def test_minimal_submodules_match_the_pairwise_scan(name):
+    """On R, R/J, every cyclic class and, for rings of order 8 or less,
+    R^2: testing each candidate against the minimal submodules found so
+    far lists what the scan over all pairs lists."""
+    ring = corpus(name)
+    reg = regular_module(ring)
+    mods = [reg, cyclic_module(ring, jacobson_radical(ring))[0],
+            *cyclic_modules_up_to_iso(ring)]
+    if ring.order() <= 8:
+        mods.append(direct_sum([reg, reg]))
+    for m in mods:
+        assert minimal_submodules(m) == minimal_submodules_by_pairs(m), \
+            m.label
 
 
 def test_socle_and_series_z8():
@@ -242,6 +261,16 @@ def test_cyclic_class_counts():
         assert len(reps) == count
         for a, b in zip(reps, reps[1:]):
             assert not is_isomorphic_modules(a, b)[0]
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_cyclic_classes_match_the_unbucketed_scan(group):
+    """Comparing each R/L only with the classes of its interval shape keeps
+    the representatives, in order, of comparing it with every class found
+    so far by the all-maps scan."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        assert [m.key for m in cyclic_modules_up_to_iso(ring)] == \
+            [m.key for m in cyclic_classes_by_scan(ring)], ring.label
 
 
 def test_cyclic_classes_z8_orders():

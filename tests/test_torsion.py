@@ -25,14 +25,17 @@ from ringscope.torsion import (
 )
 
 from conftest import (
+    DIFFERENTIAL_RINGS,
     GUARD_RINGS,
     RECIPE_RINGS,
     SMALL_CORPUS,
+    TRIANGULAR_RINGS,
     corpus,
     drawn_rings,
     recipe_ring,
 )
 from oracle_utils import (
+    colon_table,
     dense_el_mul,
     filter_axiom_failed,
     filters_by_upsets,
@@ -130,7 +133,8 @@ def test_principal_filters_match_the_upset_walk():
                     == filters_by_upsets(ring, above)), (ring.label, above)
 
 
-@pytest.mark.parametrize("name", SMALL_CORPUS + tuple(GUARD_RINGS))
+@pytest.mark.parametrize("name", SMALL_CORPUS + tuple(GUARD_RINGS)
+                         + tuple(TRIANGULAR_RINGS))
 def test_f4_at_the_least_member_matches_every_member(name):
     """is_linear_filter fails exactly where F4 on every member fails, with
     the same axiom letter, on the principal up-sets and their pairwise
@@ -149,16 +153,33 @@ def test_f4_at_the_least_member_matches_every_member(name):
             assert_f4_report_names_a_witness(ring, members, report)
 
 
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_f4_reports_name_a_witness(group):
+    """F4 is checked at the additive generators of R/m only; each F4
+    report on a principal up-set still names a ring element whose colon
+    ideal, found by an element scan, is no member."""
+    reports = 0
+    for ring in DIFFERENTIAL_RINGS[group]():
+        ctx = ideal_context(ring)
+        for t in range(len(ctx.ideals)):
+            members = ctx.upset(t)
+            report = is_linear_filter(ring, members)[1]
+            if report and report.startswith("F4"):
+                assert_f4_report_names_a_witness(ring, members, report)
+                reports += 1
+    assert reports
+
+
 @pytest.mark.parametrize("name", ["z8", "z4xf2", "t2f2", "m2f2", "f2xy_j2",
                                   "f2xy_x2y2"])
 def test_colon_matches_element_oracle(name):
-    """colon(t, r) is (I_t : r) for every ideal and element, and colons(t)
-    maps each of them to an element that gives it, although both are
-    computed per coset."""
-    ring = load_ring(name)   # fresh, so colons(t) runs before any colon
+    """colon(t, r) is (I_t : r) for every ideal and element, and the
+    oracle's colon_table(t) maps each of them to an element that gives it,
+    although both are computed per coset."""
+    ring = load_ring(name)   # fresh, so colon_table(t) runs before any colon
     ctx = ideal_context(ring)
     for t in range(len(ctx.ideals)):
-        colons = ctx.colons(t)
+        colons = colon_table(ctx, t)
         for r in ring.elements():
             assert ctx.colon(t, r) == oracle_colon(ring, t, r), (t, r)
         assert colons.keys() == {ctx.colon(t, r) for r in ring.elements()}
