@@ -44,7 +44,7 @@ from .profile import (
     proj_fingerprint,
 )
 from .ring import FiniteRing, memo
-from .torsion import all_linear_filters, eta_filter
+from .torsion import all_linear_filters, check_filter_guard, eta_filter
 
 
 def is_semisimple_ring(ring: FiniteRing) -> bool:
@@ -157,6 +157,7 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
     product_partner, when given, is a second ring used for the product
     law check (V3); otherwise V3 is skipped.
     """
+    check_filter_guard(ring)
     rep = VerifyReport()
     reg = regular_module(ring)
     jac = jacobson_radical(ring)
@@ -369,6 +370,7 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
 
 def classify_report(ring: FiniteRing) -> dict:
     """The predicate bundle rendered by the command layer."""
+    check_filter_guard(ring)
     sqf, cert = is_super_qf(ring)
     ip = i_profile(ring)
     pp = p_profile(ring)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import (
@@ -366,9 +367,8 @@ def cyclic_span(m: RightModule, x) -> Submodule:
 
 
 def factor_presentation(n: RightModule, s: Submodule):
-    """quotient_presentation of N/S: the submodule walk presents each
-    N/S, and quotient_module and the colon ideals read the same
-    presentation.  See _presentation."""
+    """quotient_presentation of N/S, which quotient_module and the colon
+    ideals read.  See _presentation."""
     return _presentation(n.ring, s.gens)
 
 
@@ -380,37 +380,16 @@ def _presentation(ring: FiniteRing, rels: ModMatrix):
                 quotient_presentation, rels.col_moduli, rels.rows)
 
 
-def _socle_lifts(n: RightModule, s: Submodule, jgens):
-    """Lifts to n of the nonzero y in Soc(N/S) = {y : y·j = 0 for the rows
-    j of jgens}, solved in the coordinates of N/S; no rows: all of N/S."""
-    new_orders, proj, lift = factor_presentation(n, s)
-    if not new_orders:
-        return
-    if jgens:
-        rows = [tuple(x for g in jgens
-                      for x in apply_matrix(n.act(l, g), proj, new_orders))
-                for l in lift]
-        eq_moduli = new_orders * len(jgens)
-        _, soc = solve_affine(rows, eq_moduli, (0,) * len(eq_moduli),
-                              new_orders)
-        ys = soc.span_elements()
-    else:
-        ys = itertools.product(*(range(m) for m in new_orders))
-    for y in ys:
-        if any(y):
-            yield apply_matrix(y, lift, n.orders)
-
-
 def submodules(n: RightModule):
     """Every submodule, canonically sorted; 0 and N included.
 
     A module first built as R/L by cyclic_module reads its submodules off
-    the right-ideal lattice (_cyclic_submodules); any other module, and
-    always the regular module, walks (_walk_submodules).  J(R) is read
-    off the right ideals, which the walk lists on the regular module;
-    there, and on rings too large to list them, the walk steps by every
-    y in N/S, which is the socle when J = 0 and reaches every submodule
-    anyway.
+    the right-ideal lattice (_cyclic_submodules).  Any other module, and
+    always the regular module, whose walk defines that lattice, walks up
+    the lattice by covers (_walk_submodules): from S it steps to S + c
+    for the cyclic c ⊄ S whose proper cyclic submodules all lie in S,
+    which are the covers of S.  The walk asks nothing of the radical and
+    presents no N/S.
 
     The list is memoised on the ring by n's content, so an equal module
     built separately shares it: the ``parent`` of each submodule is the
@@ -424,40 +403,98 @@ def _submodules(n: RightModule):
         raise BoundExceededError(f"module of order {n.order()} exceeds "
                                  f"enumeration bound {SUBMODULE_ENUM_BOUND}")
     ring = n.ring
-    if (ring.order() > SUBMODULE_ENUM_BOUND
-            or n.key == regular_module(ring).key):
-        return _walk_submodules(n, ())
-    origin = cyclic_origin(n)
-    if origin is not None:
-        return _cyclic_submodules(n, *origin)
-    from .ideals import jacobson_radical  # deferred: ideals builds on modules
-
-    return _walk_submodules(n, jacobson_radical(ring).gens.rows)
+    if (ring.order() <= SUBMODULE_ENUM_BOUND
+            and n.key != regular_module(ring).key):
+        origin = cyclic_origin(n)
+        if origin is not None:
+            return _cyclic_submodules(n, *origin)
+    return _walk_submodules(n)
 
 
-def _walk_submodules(n: RightModule, jgens):
-    """A walk from 0 by steps S → S + x·R, x + S in Soc(N/S) (Anderson–
-    Fuller §11), the socle being what the rows jgens of J(R) kill (no
-    rows: all of N/S): for T ⊋ S the socle of T/S is nonzero and lies in
-    Soc(N/S), so some step from S stays inside T, and every submodule is
-    reached."""
+def _walk_submodules(n: RightModule):
+    """Every submodule of n, by a walk from 0 over the covers.
+
+    Let c be a cyclic submodule, c ⊄ S, whose proper cyclic submodules
+    all lie in S.  A proper submodule of c is the sum of its cyclic
+    submodules, each proper in c, so it lies in S: c ∩ S holds every
+    proper submodule of c, (S + c)/S ≅ c/(c ∩ S) is simple, and S + c
+    covers S.  Conversely, if T covers S, a cyclic c ⊆ T, c ⊄ S, minimal
+    as such, is of that kind, and S ⊊ S + c ⊆ T gives S + c = T.  So the
+    covers of S are the S + c over those c, and a c inside a cover
+    already found from S gives that cover again and is skipped: one
+    Howell sum per cover edge.  Every T ≠ 0 has a lower cover, so by
+    induction on |T| every submodule is reached from 0.
+
+    The distinct c = x·R are spanned once, one cyclic_span per class of
+    x under x ~ k·x, k prime to the additive order of x; each submodule
+    is read as the bitset of the c inside it, from its elements.  From S
+    the c ⊄ S are tried in turn, and those holding a c tried before are
+    dropped unseen: they are not minimal outside S.
+    """
+    orders = n.orders
+
+    def elements(sub):
+        """sub's elements: each Howell row's multiples added to the
+        elements built so far."""
+        out = [n.zero]
+        for row in sub.gens.rows:
+            j = next(k for k, x in enumerate(row) if x)
+            count = orders[j] // math.gcd(row[j], orders[j])
+            steps = [tuple(q * x % m for x, m in zip(row, orders))
+                     for q in range(1, count)]
+            out += [tuple(map(operator.mod, map(operator.add, v, w), orders))
+                    for w in steps for v in out]
+        return out
+
+    spans, index, pos = [], {}, {}  # pos: element -> index of its span
+    for x in n.elements():
+        if x in pos:
+            continue
+        c = cyclic_span(n, x)
+        t = index.setdefault(c.gens, len(spans))
+        if t == len(spans):
+            spans.append(c)
+        order = math.lcm(*(m // math.gcd(a, m) for a, m in zip(x, orders)))
+        for k in range(1, order + 1):
+            if math.gcd(k, order) == 1:
+                pos[tuple(k * a % m for a, m in zip(x, orders))] = t
+
+    def inside(sub):
+        """The bitset of the cyclic submodules inside sub."""
+        mask = 0
+        for t in {pos[y] for y in elements(sub)}:
+            mask |= 1 << t
+        return mask
+
+    # the proper cyclic submodules of each c
+    below = [inside(c) & ~(1 << t) for t, c in enumerate(spans)]
+    above = [0] * len(spans)
+    for t, mask in enumerate(below):
+        while mask:
+            low = mask & -mask
+            above[low.bit_length() - 1] |= 1 << t
+            mask ^= low
+    every = (1 << len(spans)) - 1
     zero = zero_submodule(n)
-    seen = {zero}
+    seen = {zero: inside(zero)}
     frontier = [zero]
-    spans = {}  # x -> x·R, as the same lift recurs from many S
     while frontier:
         s = frontier.pop()
-        steps = set()
-        for x in _socle_lifts(n, s, jgens):
-            c = spans.get(x)
-            if c is None:
-                c = spans[x] = cyclic_span(n, x)
-            steps.add(c)
-        for c in steps:
-            t = submodule_sum(s, c)
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
+        held = seen[s]
+        free = every & ~held
+        while free:
+            bit = free & -free
+            free ^= bit
+            t = bit.bit_length() - 1
+            free &= ~above[t]  # they hold c ⊄ S
+            if below[t] & ~held:
+                continue
+            cover = submodule_sum(s, spans[t])
+            mask = seen.get(cover)
+            if mask is None:
+                mask = seen[cover] = inside(cover)
+                frontier.append(cover)
+            free &= ~mask
     return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
 
 

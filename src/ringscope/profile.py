@@ -26,7 +26,12 @@ from .modules import (
     regular_module,
 )
 from .ring import FiniteRing, memo, same_ring
-from .torsion import all_linear_filters, eta_filter, ideal_context
+from .torsion import (
+    all_linear_filters,
+    check_filter_guard,
+    eta_filter,
+    ideal_context,
+)
 
 
 class CyclicFingerprint:
@@ -179,6 +184,7 @@ def _skeleton(ring: FiniteRing):
 
 def i_profile(ring: FiniteRing) -> ProfileReport:
     """The injectivity profile, cross-validated against filter enumeration."""
+    check_filter_guard(ring)
     nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
     witnesses = [find_witness(ring, i, "i") for i in nodes]
     return ProfileReport("i", ring, lat, list(nodes), list(filters),
@@ -187,6 +193,7 @@ def i_profile(ring: FiniteRing) -> ProfileReport:
 
 def p_profile(ring: FiniteRing) -> ProfileReport:
     """The projectivity profile; every node's witness R/I is verified."""
+    check_filter_guard(ring)
     nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
     witnesses = [find_witness(ring, i, "p") for i in nodes]
     return ProfileReport("p", ring, lat, list(nodes), list(filters),

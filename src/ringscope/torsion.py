@@ -177,6 +177,17 @@ def eta_filter(ring: FiniteRing, ideal: Submodule) -> LinearFilter:
     return filt
 
 
+def check_filter_guard(ring: FiniteRing) -> int:
+    """The number of right ideals, or BoundExceededError past
+    FILTER_IDEAL_GUARD.  Whatever lists the linear filters checks it
+    first, before it builds the right-ideal lattice or the radical."""
+    n = len(right_ideals(ring))
+    if n > FILTER_IDEAL_GUARD:
+        raise BoundExceededError(
+            f"{n} right ideals exceed the filter guard {FILTER_IDEAL_GUARD}")
+    return n
+
+
 def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
     """Every linear filter: by fact (a) each is up(s) for its least
     member s, so the candidates are the up(s), one per right ideal, and
@@ -185,10 +196,7 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
     With above_all_maximal, keeps only filters containing every maximal
     right ideal.
     """
-    n = len(right_ideals(ring))
-    if n > FILTER_IDEAL_GUARD:
-        raise BoundExceededError(
-            f"{n} right ideals exceed the filter guard {FILTER_IDEAL_GUARD}")
+    n = check_filter_guard(ring)
     ctx = ideal_context(ring)
     required = set(ctx.lat.coatoms()) if above_all_maximal else set()
     out = []

@@ -9,7 +9,7 @@ import itertools
 import math
 
 from ringscope.classify import is_qf
-from ringscope.exactla import apply_matrix
+from ringscope.exactla import apply_matrix, solve_affine
 from ringscope.hom import hom_group
 from ringscope.ideals import right_ideals, two_sided_ideals
 from ringscope.modules import (
@@ -18,6 +18,7 @@ from ringscope.modules import (
     cyclic_modules_up_to_iso,
     cyclic_span,
     factor_module,
+    factor_presentation,
     quotient_module,
     submodule_as_module,
     submodule_sum,
@@ -82,6 +83,54 @@ def join_all_submodules(n):
             if joined not in seen:
                 seen.add(joined)
                 frontier.append(joined)
+    return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
+
+
+def _socle_lifts(n, s, jgens):
+    """Lifts to n of the nonzero y in Soc(N/S) = {y : y·j = 0 for the rows
+    j of jgens}, solved in the coordinates of N/S; no rows: all of N/S."""
+    new_orders, proj, lift = factor_presentation(n, s)
+    if not new_orders:
+        return
+    if jgens:
+        rows = [tuple(x for g in jgens
+                      for x in apply_matrix(n.act(l, g), proj, new_orders))
+                for l in lift]
+        eq_moduli = new_orders * len(jgens)
+        _, soc = solve_affine(rows, eq_moduli, (0,) * len(eq_moduli),
+                              new_orders)
+        ys = soc.span_elements()
+    else:
+        ys = itertools.product(*(range(m) for m in new_orders))
+    for y in ys:
+        if any(y):
+            yield apply_matrix(y, lift, n.orders)
+
+
+def submodules_by_socle_walk(n, jgens):
+    """Every submodule of n by a walk from 0 by steps S → S + x·R, x + S
+    in Soc(N/S) (Anderson–Fuller §11), the socle being what the rows
+    jgens of J(R) kill (no rows: all of N/S): for T ⊋ S the socle of T/S
+    is nonzero and lies in Soc(N/S), so some step from S stays inside T,
+    and every submodule is reached.  Sorted as submodules() sorts them;
+    the library walks by covers instead."""
+    zero = zero_submodule(n)
+    seen = {zero}
+    frontier = [zero]
+    spans = {}  # x -> x·R, as the same lift recurs from many S
+    while frontier:
+        s = frontier.pop()
+        steps = set()
+        for x in _socle_lifts(n, s, jgens):
+            c = spans.get(x)
+            if c is None:
+                c = spans[x] = cyclic_span(n, x)
+            steps.add(c)
+        for c in steps:
+            t = submodule_sum(s, c)
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
     return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
 
 

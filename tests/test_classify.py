@@ -18,11 +18,11 @@ from ringscope.classify import (
     verify_suite,
 )
 from ringscope.cli import load_ring
-from ringscope.errors import InputError
+from ringscope.errors import BoundExceededError, InputError
 from ringscope.ideals import two_sided_ideals
 from ringscope.lattice import are_isomorphic, build_lattice
 from ringscope.modules import Submodule, factor_module, regular_module, socle
-from ringscope.profile import rises_bounded
+from ringscope.profile import i_profile, p_profile, rises_bounded
 from ringscope.ring import product_ring, quotient_ring, units, zmod
 
 from conftest import DIFFERENTIAL_RINGS, GUARD_RINGS, SMALL_CORPUS, corpus
@@ -249,3 +249,21 @@ def test_verify_suite_passes_past_the_old_filter_guard(name):
     assert rep.ok(), list(rep.lines())
     status = {e["id"]: e["status"] for e in rep.entries}
     assert status["V1"] == status["V2"] == "pass"
+
+
+@pytest.mark.parametrize("entry", [classify_report, i_profile, p_profile,
+                                   verify_suite])
+def test_the_filter_guard_comes_before_the_lattice(monkeypatch, entry):
+    """F2^9 has 512 right ideals, past the filter guard: each entry point
+    that lists the linear filters refuses it from the count alone, before
+    it builds the right-ideal lattice or the radical."""
+    def refuse(ring):
+        raise AssertionError("right-ideal lattice built past the guard")
+
+    for name in ("ideals", "classify", "torsion"):
+        monkeypatch.setattr(importlib.import_module(f"ringscope.{name}"),
+                            "right_ideal_lattice", refuse)
+    ring = product_ring([zmod(2)] * 9)
+    with pytest.raises(BoundExceededError,
+                       match="512 right ideals exceed the filter guard"):
+        entry(ring)

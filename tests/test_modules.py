@@ -40,7 +40,7 @@ from ringscope.modules import (
     verify_module_axioms,
     zero_submodule,
 )
-from ringscope.ring import product_ring, table_ring, zmod
+from ringscope.ring import product_ring, same_ring, table_ring, zmod
 
 from conftest import (DIFFERENTIAL_RINGS, RECIPE_RINGS, SMALL_CORPUS, corpus,
                       recipe_ring)
@@ -54,6 +54,7 @@ from oracle_utils import (
     join_all_submodules,
     minimal_submodules_by_pairs,
     submodule_intersection,
+    submodules_by_socle_walk,
 )
 
 
@@ -78,29 +79,99 @@ def test_submodules_are_action_stable_and_sorted():
     assert subs[-1] == full_submodule(reg)
 
 
-@pytest.mark.parametrize("source", [*RECIPE_RINGS, *SMALL_CORPUS, "m2z4"])
-def test_socle_walk_matches_the_join_route(source):
-    """submodules() walks S → S + x·R over Soc(N/S); the join of every
-    submodule with every cyclic one must give the same list, in the same
-    order, on R, on R² and on three quotients of R², up to order 256.
-    The join route takes seconds on R² of the order-16 recipe rings (600
-    submodules), so there only R is compared."""
-    recipe = source in RECIPE_RINGS
-    ring = recipe_ring(source) if recipe else corpus(source)
+def _walked_modules(ring, limit):
+    """R, and R² with three of its quotients when |R²| ≤ limit: the
+    modules whose submodules submodules() walks."""
     reg = regular_module(ring)
     mods = [reg]
-    if reg.order() ** 2 <= (144 if recipe else 256):
+    if reg.order() ** 2 <= limit:
         free = direct_sum([reg, reg], label="R^2")
         subs = submodules(free)
         mods += [free] + [quotient_module(free, subs[t])[0]
                           for t in (1, len(subs) // 2, -2)]
-    for m in mods:
+    return mods
+
+
+def _oracle_jgens(m):
+    """The rows of J(R) the socle walk steps by on m; none on the
+    regular module, whose walk lists the right ideals J is read off."""
+    if m.key == regular_module(m.ring).key:
+        return ()
+    return jacobson_radical(m.ring).gens.rows
+
+
+@pytest.mark.parametrize("source", [*RECIPE_RINGS, *SMALL_CORPUS, "m2z4"])
+def test_socle_walk_matches_the_join_route(source):
+    """submodules() walks by covers; the join of every submodule with
+    every cyclic one must give the same list, in the same order, on R, on
+    R² and on three quotients of R², up to order 256.  The join route
+    takes seconds on R² of the order-16 recipe rings (600 submodules), so
+    there only R is compared."""
+    recipe = source in RECIPE_RINGS
+    ring = recipe_ring(source) if recipe else corpus(source)
+    for m in _walked_modules(ring, 144 if recipe else 256):
         assert submodules(m) == join_all_submodules(m), m.label
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_cover_walk_matches_the_oracles(group):
+    """The walk by covers lists what the socle walk of oracle_utils lists
+    on R, on R² up to order 256 and three of its quotients, and on every
+    cyclic class, forced through the walk instead of the right-ideal
+    lattice; so does the join route, except on R², where it takes seconds
+    (the test above runs it there on the corpus and recipe rings).  A
+    ring the draw repeats is checked once."""
+    checked = []
+    for ring in DIFFERENTIAL_RINGS[group]():
+        if any(same_ring(ring, r) for r in checked):
+            continue
+        checked.append(ring)
+        walked = _walked_modules(ring, 256)
+        free = walked[1] if len(walked) > 1 else None
+        for m in walked + list(cyclic_modules_up_to_iso(ring)):
+            listed = modules._walk_submodules(m)
+            assert listed == submodules_by_socle_walk(m, _oracle_jgens(m)), \
+                (ring.label, m.label)
+            if m is not free:
+                assert listed == join_all_submodules(m), (ring.label, m.label)
+
+
+def _cover_edges(subs):
+    """The pairs (S, T) of the sorted list subs with T covering S, by the
+    scan over all pairs: S ⊊ T with nothing strictly between."""
+    sizes = [s.size() for s in subs]
+    down = [{a for a in range(b) if sizes[a] < sizes[b]
+             and subs[b].contains_sub(subs[a])} for b in range(len(subs))]
+    return {(a, b) for b in range(len(subs))
+            for a in down[b] - set().union(*(down[c] for c in down[b]))}
+
+
+@pytest.mark.parametrize("name, rank", [("z4xf2", 2), ("t2f2", 2),
+                                        ("quiver_f2", 1)])
+def test_the_walk_makes_one_sum_per_cover_edge(monkeypatch, name, rank):
+    """From each S the walk sums S + c only for a c that no cover already
+    found from S holds, so it makes one Howell sum per cover edge of the
+    lattice it returns, and presents no N/S."""
+    reg = regular_module(load_ring(name))  # fresh: nothing memoised
+    m = direct_sum([reg] * rank) if rank > 1 else reg
+    sums, presented = [], []
+    real_sum, real_present = (modules.submodule_sum,
+                              modules.quotient_presentation)
+    monkeypatch.setattr(modules, "submodule_sum",
+                        lambda a, b: sums.append(b) or real_sum(a, b))
+    monkeypatch.setattr(modules, "quotient_presentation",
+                        lambda *args: presented.append(args)
+                        or real_present(*args))
+    subs = modules._walk_submodules(m)
+    monkeypatch.undo()
+    assert presented == []
+    assert len(sums) == len(_cover_edges(subs)) > len(subs) - 1
 
 
 def test_submodules_over_a_ring_too_large_to_list_its_ideals():
     """Z/2 over Z/8192: the right ideals are past the enumeration bound,
-    so the walk steps over all of N/S and needs no radical."""
+    so no lattice is read; the walk by covers steps by the cyclic
+    submodules of Z/2 itself and needs no radical."""
     ring = zmod(8192)
     reg = regular_module(ring)
     q, _ = quotient_module(reg, Submodule(reg, [[2]]))
@@ -534,11 +605,10 @@ def test_submodule_presentation_is_shared():
             assert Submodule(reg, incl.rows) == s
 
 
-def test_quotients_reuse_the_walks_presentations(monkeypatch):
-    """submodules(N) presents every N/S; quotient_module(N, S) then reads
-    that presentation, also from an equal N built separately, and only
-    content the walk never saw presents again."""
-    reg = regular_module(corpus("z4xf2"))
+def test_quotient_module_presents_each_content_once(monkeypatch):
+    """quotient_module(N, S) presents N/S once per content: again, and
+    from an equal N built separately, it reads the same presentation."""
+    reg = regular_module(load_ring("z4xf2"))  # fresh: nothing memoised
     free = direct_sum([reg, reg])
     subs = submodules(free)
     calls = []
@@ -547,14 +617,16 @@ def test_quotients_reuse_the_walks_presentations(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     for s in subs:
         quotient_module(free, s)
-    assert calls == []
+    assert len(calls) == len(subs)
+    for s in subs:
+        quotient_module(free, s)
     twin = direct_sum([reg, reg])
     assert twin is not free and twin.key == free.key
     quotient_module(twin, Submodule(twin, subs[1].gens))
-    assert calls == []
+    assert len(calls) == len(subs)
     triple = direct_sum([reg, reg, reg])
     quotient_module(triple, zero_submodule(triple))
-    assert len(calls) == 1
+    assert len(calls) == len(subs) + 1
 
 
 def test_equal_modules_keep_their_labels_and_share_their_submodules():
