@@ -26,14 +26,12 @@ from .errors import (
     TheoremViolationError,
 )
 from .hom import (
-    hom_basis,
     hom_group,
     is_injective,
     is_projective,
     is_quasi,
     is_relatively_injective,
     is_relatively_projective,
-    trace,
 )
 from .ideals import (
     ideals_in_radical,

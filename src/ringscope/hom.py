@@ -19,7 +19,6 @@ from .exactla import ModMatrix, howell_span, solve_affine, zero_matrix
 from .modules import (
     ModuleMap,
     RightModule,
-    Submodule,
     quotient_via_lattice,
     regular_module,
     submodule_as_module,
@@ -201,11 +200,6 @@ def _hom_kernel_mono(a: RightModule, b: RightModule) -> ModMatrix:
     return ker
 
 
-def hom_basis(a: RightModule, b: RightModule):
-    """Generating maps of Hom_R(a, b)."""
-    return hom_group(a, b).gen_maps()
-
-
 def _flatten_map_rows(rows):
     return tuple(x for row in rows for x in row)
 
@@ -298,11 +292,3 @@ def is_quasi(m: RightModule, kind: str) -> bool:
         return is_relatively_projective(m, m)[0]
     raise ValueError(f"kind must be injective or projective, got {kind!r}")
 
-
-def trace(sources, target: RightModule) -> Submodule:
-    """Sum of all homomorphic images of the sources inside the target."""
-    rows = []
-    for src in sources:
-        for gen in hom_group(src, target).gen_maps():
-            rows.extend(gen.rows)
-    return Submodule(target, rows)

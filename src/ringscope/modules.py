@@ -791,22 +791,27 @@ def cyclic_modules_up_to_iso(ring: FiniteRing):
 
 
 def _cyclic_classes(ring: FiniteRing):
-    """Each R/L is compared only with the classes of its interval shape,
-    the multiset {|K|/|L| : K ⊇ L} of its submodule orders read off the
-    right-ideal lattice (the correspondence theorem): isomorphic modules
-    have isomorphic submodule lattices.  The representatives are those
-    of a scan over every class found so far."""
+    """Each R/L whose content was not classified before is compared only
+    with the classes of its interval shape, the multiset {|K|/|L| : K ⊇ L}
+    of its submodule orders read off the right-ideal lattice (the
+    correspondence theorem): isomorphic modules have isomorphic submodule
+    lattices.  A content met again is the same module and is skipped.
+    The representatives are those of a scan over every class found so
+    far."""
     from .ideals import right_ideal_lattice, right_ideals  # deferred
 
     ideals = right_ideals(ring)
     lat = right_ideal_lattice(ring)
     sizes = [i.size() for i in ideals]
-    reps, by_shape = [], {}
+    reps, by_shape, seen = [], {}, set()
     for t, ideal in enumerate(ideals):
+        q, _ = factor_module(ring, ideal)
+        if q.key in seen:
+            continue
+        seen.add(q.key)
         shape = tuple(sorted(sizes[k] // sizes[t] for k in range(lat.size)
                              if lat.up[t] >> k & 1))
         bucket = by_shape.setdefault(shape, [])
-        q, _ = factor_module(ring, ideal)
         if not any(is_isomorphic_modules(q, r)[0] for r in bucket):
             bucket.append(q)
             reps.append(q)
@@ -826,10 +831,24 @@ def _free_submodules(free: RightModule, k: int, ceiling: int):
     return subs
 
 
+def _class_invariant(m: RightModule):
+    """(additive type, sizes of the radical series M ⊇ MJ ⊇ ... ⊇ 0): an
+    isomorphism carries each MJⁱ onto the matching one, so isomorphic
+    modules share it."""
+    return additive_type(m.orders), tuple(s.size() for s in radical_series(m))
+
+
 def enumerate_modules(ring: FiniteRing, max_free_rank: int = 2,
                       max_order: int = 64, ceiling: int = 20000):
     """All iso-classes of quotients of R^k, k ≤ max_free_rank, of order
-    ≤ max_order.  The quotients of R^1 are the cyclic classes."""
+    ≤ max_order.  The quotients of R^1 are the cyclic classes.
+
+    At rank k ≥ 2 each content is tested once.  A quotient whose content
+    was classified before, as a class or as a match, is the same module
+    and is skipped.  A new content is compared only with the classes that
+    share its _class_invariant, which the cyclic classes get once R^2 is
+    listed.  The representatives are those of a scan of every quotient
+    over every class found so far."""
     if max_free_rank < 1 or max_order < 1:
         raise InputError(f"module bounds must be >= 1, got rank "
                          f"{max_free_rank} and order {max_order}")
@@ -837,13 +856,23 @@ def enumerate_modules(ring: FiniteRing, max_free_rank: int = 2,
     _free_submodules(reg, 1, ceiling)
     reps = [c for c in cyclic_modules_up_to_iso(ring)
             if c.order() <= max_order]
+    seen, buckets = {c.key for c in reps}, {}
     for k in range(2, max_free_rank + 1):
         free = direct_sum([reg] * k, label=f"R^{k}")
-        for s in _free_submodules(free, k, ceiling):
+        subs = _free_submodules(free, k, ceiling)
+        if k == 2:
+            for c in reps:
+                buckets.setdefault(_class_invariant(c), []).append(c)
+        for s in subs:
             if free.order() // s.size() > max_order:
                 continue
             q, _ = quotient_module(free, s)
-            if not any(is_isomorphic_modules(q, r)[0] for r in reps):
+            if q.key in seen:
+                continue
+            seen.add(q.key)
+            bucket = buckets.setdefault(_class_invariant(q), [])
+            if not any(is_isomorphic_modules(q, r)[0] for r in bucket):
+                bucket.append(q)
                 reps.append(q)
     reps.sort(key=lambda m: (m.order(), m.orders))
     return reps

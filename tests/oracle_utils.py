@@ -17,9 +17,12 @@ from ringscope.modules import (
     Submodule,
     cyclic_modules_up_to_iso,
     cyclic_span,
+    direct_sum,
     factor_module,
     factor_presentation,
+    is_isomorphic_modules,
     quotient_module,
+    regular_module,
     submodule_as_module,
     submodule_sum,
     submodules,
@@ -165,6 +168,35 @@ def cyclic_classes_by_scan(ring):
             reps.append(q)
     reps.sort(key=lambda m: (m.order(), m.orders))
     return reps
+
+
+def modules_by_scan(ring, k, max_order):
+    """enumerate_modules(ring, k, max_order) by comparing each quotient of
+    R^2, ..., R^k with every class found so far, equal contents included;
+    the library skips a content classified before and compares a new one
+    only with the classes of its additive type and radical series sizes."""
+    reg = regular_module(ring)
+    reps = [c for c in cyclic_modules_up_to_iso(ring) if c.order() <= max_order]
+    for rank in range(2, k + 1):
+        free = direct_sum([reg] * rank)
+        for s in submodules(free):
+            if free.order() // s.size() > max_order:
+                continue
+            q = quotient_module(free, s)[0]
+            if not any(is_isomorphic_modules(q, r)[0] for r in reps):
+                reps.append(q)
+    reps.sort(key=lambda m: (m.order(), m.orders))
+    return reps
+
+
+def trace(sources, target):
+    """Sum of all homomorphic images of the sources inside the target: with
+    the simple modules as sources, the socle of the target."""
+    rows = []
+    for src in sources:
+        for gen in hom_group(src, target).gen_maps():
+            rows.extend(gen.rows)
+    return Submodule(target, rows)
 
 
 def minimal_submodules_by_pairs(m):
