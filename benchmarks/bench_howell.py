@@ -1,6 +1,12 @@
-"""Compare the compiled and pure-Python Howell kernels.
+"""Compare the Howell kernels on random square matrices.
+
+At every modulus the pure-Python kernel is timed against the compiled one,
+when it is built.  At --modulus 2 the Python kernel takes its F_2 path, so
+the xgcd elimination it uses for every other modulus (``_howell_general``)
+is timed too, as the baseline.
 
 Run as: python benchmarks/bench_howell.py [--sizes 8,16,32] [--repeat 5]
+        [--modulus 2]
 """
 
 import argparse
@@ -8,6 +14,7 @@ import random
 import time
 
 from ringscope import _backend
+from ringscope._howell_py import _howell_general
 from ringscope._howell_py import howell_mod as howell_py
 
 
@@ -29,21 +36,26 @@ def main():
     parser.add_argument("--modulus", type=int, default=256)
     args = parser.parse_args()
 
-    if _backend.BACKEND != "cython":
-        print("compiled kernel unavailable; only timing the Python one")
+    if args.modulus == 2:
+        kernels = [("general", _howell_general), ("f2", howell_py)]
+    else:
+        kernels = [("python", howell_py)]
+    if _backend.BACKEND == "cython":
+        kernels.append(("compiled", _backend.howell_mod))
+    else:
+        print("compiled kernel unavailable; not timed")
+    # speedups are against the first kernel
+    print(f"{'size':>6}" + "".join(f" {name:>10}" for name, _ in kernels)
+          + "".join(f" {name + ' speedup':>17}" for name, _ in kernels[1:]))
     rng = random.Random(12345)
-    print(f"{'size':>6} {'python':>12} {'compiled':>12} {'speedup':>9}")
     for size in map(int, args.sizes.split(",")):
         mats = [[[rng.randrange(args.modulus) for _ in range(size)]
                  for _ in range(size)]
                 for _ in range(args.count)]
-        t_py = bench(howell_py, mats, size, args.modulus, args.repeat)
-        if _backend.BACKEND == "cython":
-            t_c = bench(_backend.howell_mod, mats, size, args.modulus,
-                        args.repeat)
-            print(f"{size:>6} {t_py:>11.4f}s {t_c:>11.4f}s {t_py / t_c:>8.1f}x")
-        else:
-            print(f"{size:>6} {t_py:>11.4f}s {'-':>12} {'-':>9}")
+        times = [bench(kernel, mats, size, args.modulus, args.repeat)
+                 for _, kernel in kernels]
+        print(f"{size:>6}" + "".join(f" {t:>9.4f}s" for t in times)
+              + "".join(f" {times[0] / t:>16.1f}x" for t in times[1:]))
 
 
 if __name__ == "__main__":

@@ -2318,7 +2318,7 @@ int __pyx_module_is_main_ringscope___howell = 0;
 /* Implementation of "ringscope._howell" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_Howell_elimination_kern[] = "Compiled Howell elimination kernel over Z/n.\n\nBit-identical twin of ``_howell_py.howell_mod``; entries stay below 2^16\nso all intermediate products fit comfortably in 64-bit integers.\n";
+static const char __pyx_k_Compiled_Howell_elimination_kern[] = "Compiled Howell elimination kernel over Z/n.\n\nBit-identical twin of ``_howell_py.howell_mod``; entries stay below 2^31\nso a sum of two products of entries fits in a signed 64-bit integer.\n";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_9ringscope_7_howell_howell_mod(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_rows, int __pyx_v_ncols, PY_LONG_LONG __pyx_v_n); /* proto */
 /* #### Code section: late_includes ### */

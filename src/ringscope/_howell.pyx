@@ -1,8 +1,8 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled Howell elimination kernel over Z/n.
 
-Bit-identical twin of ``_howell_py.howell_mod``; entries stay below 2^16
-so all intermediate products fit comfortably in 64-bit integers.
+Bit-identical twin of ``_howell_py.howell_mod``; entries stay below 2^31
+so a sum of two products of entries fits in a signed 64-bit integer.
 """
 
 from libc.stdlib cimport malloc, free

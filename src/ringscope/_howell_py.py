@@ -48,6 +48,38 @@ def howell_mod(rows, ncols: int, n: int):
     in the Howell sense (leading-zero span elements are spanned by the
     trailing rows).  Output depends only on the row span.
     """
+    if n == 2:
+        return _howell_f2(rows, ncols)
+    return _howell_general(rows, ncols, n)
+
+
+def _howell_f2(rows, ncols: int):
+    """``howell_mod`` at n = 2.
+
+    Over the field F_2 every pivot is 1 and the Howell closure adds
+    nothing, so the Howell form is the reduced row echelon form.  Each row
+    is packed into an int, column 0 in the high bit, so a row's pivot is
+    its leading bit and elimination is XOR.
+    """
+    basis = []  # reduced echelon: no row has a bit in another's pivot
+    for r in rows:
+        v = 0
+        for x in r:
+            v = v + v + (x & 1)
+        for b in basis:
+            if v >> (b.bit_length() - 1) & 1:
+                v ^= b
+        if v:
+            lead = 1 << (v.bit_length() - 1)
+            basis = [b ^ v if b & lead else b for b in basis]
+            basis.append(v)
+    basis.sort(reverse=True)
+    shifts = range(ncols - 1, -1, -1)
+    return [tuple([b >> k & 1 for k in shifts]) for b in basis]
+
+
+def _howell_general(rows, ncols: int, n: int):
+    """``howell_mod`` by xgcd elimination, for every n."""
     if n == 1:
         return []
     work = []

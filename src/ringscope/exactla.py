@@ -5,13 +5,15 @@ computations here.  A span is canonicalized by the Howell form: two
 matrices have equal row spans iff their Howell forms are identical.
 Columns may carry individual moduli; internally a column of modulus m is
 scaled by n/m and the single-modulus kernel (see ``_backend``) does the
-actual elimination mod n.
+actual elimination mod n.  A matrix whose columns all have modulus n, as
+every matrix over F_2 does, skips the scaling.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import reduce
 
 from ._backend import howell_mod
@@ -32,18 +34,20 @@ class ModMatrix:
     __slots__ = ("n", "col_moduli", "rows", "_howell", "_scaled")
 
     def __init__(self, col_moduli, rows, n: int | None = None):
-        col_moduli = tuple(int(m) for m in col_moduli)
-        if any(m < 1 for m in col_moduli):
+        col_moduli = tuple(map(int, col_moduli))
+        if col_moduli and min(col_moduli) < 1:
             raise InputError("column moduli must be positive")
-        if n is None:
-            n = lcm_all(col_moduli)
-        if any(n % m for m in col_moduli):
+        n = lcm_all(col_moduli) if n is None else int(n)
+        if any(map(n.__mod__, col_moduli)):
             raise InputError("every column modulus must divide n")
+        k = len(col_moduli)
         norm = []
         for r in rows:
-            r = tuple(int(x) % m for x, m in zip(r, col_moduli, strict=True))
-            norm.append(r)
-        object.__setattr__(self, "n", int(n))
+            if len(r) != k:
+                raise InputError(f"row of length {len(r)} where the column "
+                                 f"moduli ask for {k}")
+            norm.append(tuple(map(operator.mod, map(int, r), col_moduli)))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "col_moduli", col_moduli)
         object.__setattr__(self, "rows", tuple(norm))
         object.__setattr__(self, "_howell", None)
@@ -86,6 +90,10 @@ class ModMatrix:
 
     # -- scaled (single-modulus) view -------------------------------------
 
+    def _uniform(self) -> bool:
+        """Every column modulus is the working modulus: no scaling."""
+        return self.col_moduli.count(self.n) == len(self.col_moduli)
+
     def _scales(self):
         n = self.n
         return [n // m for m in self.col_moduli]
@@ -97,14 +105,21 @@ class ModMatrix:
     # -- canonical form ----------------------------------------------------
 
     def howell_form(self) -> "ModMatrix":
-        """The unique canonical matrix with the same row span."""
+        """The unique canonical matrix with the same row span.
+
+        When every column modulus is n the rows go to the kernel as they
+        are, and its rows are the answer: scaling by n/n does nothing."""
         if self._howell is not None:
             return self._howell
-        sc = self._scales()
-        h = tuple(map(tuple, howell_mod(self._scaled_rows(), self.ncols,
-                                        self.n)))
-        rows = tuple(tuple(x // s for x, s in zip(r, sc)) for r in h)
-        out = ModMatrix._reduced(self.col_moduli, rows, self.n)
+        n = self.n
+        if self._uniform():
+            h = rows = tuple(map(tuple, howell_mod(self.rows, self.ncols, n)))
+        else:
+            sc = self._scales()
+            h = tuple(map(tuple, howell_mod(self._scaled_rows(), self.ncols,
+                                            n)))
+            rows = tuple(tuple(x // s for x, s in zip(r, sc)) for r in h)
+        out = ModMatrix._reduced(self.col_moduli, rows, n)
         object.__setattr__(out, "_howell", out)
         object.__setattr__(out, "_scaled", h)
         object.__setattr__(self, "_howell", out)
@@ -135,8 +150,12 @@ class ModMatrix:
     def residual(self, vec):
         """None if vec lies in the span, else the irreducible remainder."""
         n = self.n
-        sc = self._scales()
-        v = [int(x) % m * s for x, m, s in zip(vec, self.col_moduli, sc)]
+        uniform = self._uniform()
+        if uniform:
+            v = [int(x) % n for x in vec]
+        else:
+            sc = self._scales()
+            v = [int(x) % m * s for x, m, s in zip(vec, self.col_moduli, sc)]
         for row in self._howell_scaled():
             j = next(i for i, x in enumerate(row) if x)
             g = row[j]
@@ -144,9 +163,11 @@ class ModMatrix:
                 q = v[j] // g
                 if q:
                     v = [(a - q * b) % n for a, b in zip(v, row)]
-        if any(v):
-            return tuple(x // s if x % s == 0 else x for x, s in zip(v, sc))
-        return None
+        if not any(v):
+            return None
+        if uniform:
+            return tuple(v)
+        return tuple(x // s if x % s == 0 else x for x, s in zip(v, sc))
 
     def span_elements(self):
         """Iterate every element of the row span (|span| tuples)."""
@@ -370,13 +391,15 @@ def quotient_presentation(orders, rel_rows):
 
 def apply_matrix(vec, mat, out_moduli):
     """Row-vector times matrix, reduced per output modulus."""
-    k = len(out_moduli)
-    out = [0] * k
+    out = None
     for x, row in zip(vec, mat):
         if x:
-            for j in range(k):
-                out[j] += x * row[j]
-    return tuple(o % m for o, m in zip(out, out_moduli))
+            if x != 1:
+                row = map(x.__mul__, row)
+            out = row if out is None else map(operator.add, out, row)
+    if out is None:
+        return (0,) * len(out_moduli)
+    return tuple(map(operator.mod, out, out_moduli))
 
 
 def howell_span(col_moduli, rows) -> ModMatrix:

@@ -283,6 +283,18 @@ def super_qf_by_factor_rings(ring):
     return True, None
 
 
+def apply_matrix_by_loop(vec, mat, out_moduli):
+    """Row-vector times matrix, one entry at a time, reduced per output
+    modulus at the end."""
+    k = len(out_moduli)
+    out = [0] * k
+    for x, row in zip(vec, mat):
+        if x:
+            for j in range(k):
+                out[j] += x * row[j]
+    return tuple(o % m for o, m in zip(out, out_moduli))
+
+
 def additive_closure(mod, vecs):
     """The subgroup generated by vecs, as a frozenset: each new vector v
     adds the cosets grp + k·v until k·v falls back into grp."""

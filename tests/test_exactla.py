@@ -17,6 +17,10 @@ from ringscope.exactla import (
     solve_affine,
     zero_matrix,
 )
+from ringscope.modules import RightModule, Submodule, regular_module
+from ringscope.ring import zmod
+
+from oracle_utils import apply_matrix_by_loop
 
 
 def _closure(rows, moduli):
@@ -118,6 +122,35 @@ def test_residual_and_zero_matrix():
     assert z.span_size() == 1
     assert z.contains((0, 0)) and not z.contains((2, 0))
     assert z.residual((2, 0)) is not None
+
+
+@pytest.mark.parametrize("mods, n", [((2, 2), 4), ((2, 2, 2), 6),
+                                     ((3, 3), 9), ((4, 4, 4), 8)])
+def test_one_modulus_howell_equals_the_scaled_route(mods, n):
+    """With every column modulus equal to n the rows skip the scaling; the
+    same span worked modulo a multiple of n is scaled and unscaled, and
+    both routes give the same Howell rows, sizes and residuals."""
+    rng = random.Random(sum(mods) * n)
+    vecs = list(itertools.product(*(range(m) for m in mods)))
+    for _ in range(60):
+        rows = rng.sample(vecs, rng.randrange(0, 4))
+        one, scaled = ModMatrix(mods, rows), ModMatrix(mods, rows, n=n)
+        assert one.howell_form().rows == scaled.howell_form().rows
+        assert one.span_size() == scaled.span_size()
+        for v in vecs:
+            assert one.residual(v) == scaled.residual(v)
+
+
+def test_apply_matrix_matches_the_entrywise_loop():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        k, d = rng.randrange(0, 7), rng.randrange(0, 7)
+        mods = tuple(rng.choice((1, 2, 3, 4, 8, 9)) for _ in range(k))
+        mat = [tuple(rng.randrange(-9, 10) for _ in range(k))
+               for _ in range(d)]
+        vec = tuple(rng.choice((0, 0, 1, 1, -1, 2, 5)) for _ in range(d))
+        assert (apply_matrix(vec, mat, mods)
+                == apply_matrix_by_loop(vec, mat, mods)), (vec, mat, mods)
 
 
 def test_stack_and_equality():
@@ -316,6 +349,16 @@ def test_bad_inputs():
         ModMatrix((4,), [(1,)]).solve((1, 2))
     with pytest.raises(InputError, match="positive"):
         solve_affine([(1,)], (2,), (0,), (-2,))
+    # a row shorter or longer than the column moduli is a dimension mismatch
+    ring = zmod(4)
+    for row in ((1,), (1, 0, 1)):
+        with pytest.raises(InputError, match="length"):
+            ModMatrix((2, 2), [(1, 1), row])
+        with pytest.raises(InputError, match="length"):
+            RightModule(ring, (4, 2), [[(1, 0), row]])
+    for row in ((), (1, 0)):
+        with pytest.raises(InputError, match="length"):
+            Submodule(regular_module(ring), [row])
 
 
 def test_solve_affine_rejects_ill_defined_systems():

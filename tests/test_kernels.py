@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from ringscope import _backend
+from ringscope._howell_py import _howell_f2, _howell_general
 from ringscope._howell_py import howell_mod as howell_py
 
 
@@ -56,6 +57,26 @@ def test_kernels_agree_random():
         a = howell_py([list(r) for r in m], cols, n)
         b = _backend.howell_mod([list(r) for r in m], cols, n)
         assert [tuple(r) for r in a] == [tuple(r) for r in b]
+
+
+def test_f2_path_matches_general_elimination_exhaustive():
+    """Every F_2 matrix of 0-3 rows and 1-3 columns."""
+    for ncols in (1, 2, 3):
+        vecs = list(itertools.product(range(2), repeat=ncols))
+        for nrows in range(4):
+            for m in itertools.product(vecs, repeat=nrows):
+                assert (_howell_f2(m, ncols)
+                        == _howell_general(m, ncols, 2)), m
+
+
+def test_f2_path_matches_general_elimination_random():
+    """Up to 8 x 10, with negative entries and entries above 1."""
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        nrows, ncols = rng.randrange(0, 9), rng.randrange(1, 11)
+        m = [[rng.randrange(-5, 6) for _ in range(ncols)]
+             for _ in range(nrows)]
+        assert howell_py(m, ncols, 2) == _howell_general(m, ncols, 2), m
 
 
 def test_howell_is_idempotent():
@@ -160,8 +181,9 @@ def _build_shipped_kernel(tmp_path):
 
 def test_compiled_kernel_agrees_on_every_modulus(tmp_path, monkeypatch):
     """The compiled kernel agrees with the Python one below its modulus
-    limit; under the cython backend, larger moduli reach the Python kernel,
-    so the backend's kernel agrees at 2^33 and 2^62 too."""
+    limit, at n = 2 with the Python kernel's F_2 path too; under the
+    cython backend, larger moduli reach the Python kernel, so the
+    backend's kernel agrees at 2^33 and 2^62 too."""
     compiled = _build_shipped_kernel(tmp_path)
     rng = random.Random(20261018)
 
@@ -171,7 +193,7 @@ def test_compiled_kernel_agrees_on_every_modulus(tmp_path, monkeypatch):
             assert ([tuple(r) for r in kernel([list(r) for r in m], 4, n)]
                     == [tuple(r) for r in howell_py(m, 4, n)]), (n, m)
 
-    for n in (1 << 16, _backend.COMPILED_MODULUS_LIMIT - 1):
+    for n in (2, 6, 1 << 16, _backend.COMPILED_MODULUS_LIMIT - 1):
         agree(compiled.howell_mod, n)
     monkeypatch.setitem(sys.modules, "ringscope._howell", compiled)
     monkeypatch.setenv("RINGSCOPE_BACKEND", "cython")
