@@ -12,6 +12,9 @@ from .errors import InputError, NotALatticeError, TheoremViolationError
 from .lattice import FiniteLattice, build_lattice
 from .modules import (
     Submodule,
+    _minimal,
+    _walk_submodules,
+    factor_module,
     module_times_ideal,
     regular_module,
     submodule_sum,
@@ -31,15 +34,17 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     Element t is right_ideals(ring)[t]; meet is intersection and join is
     sum.  The order comes from contains_sub and is checked once, when the
     lattice is built, on three facts:
-    (a) every B is the Howell sum of the join-irreducibles below it;
+    (a) the least element is the zero ideal;
     (b) join(A, g) is the Howell sum A + g for every A and every
     join-irreducible g (an element other than the bottom whose strict
     down-set is another element's down-set);
     (c) |meet(A, B)|·|join(A, B)| = |A|·|B| for every pair.
-    They give join(A, B) = A + B for every pair: write B = g₁ + … + g_k
-    by (a); in a finite lattice B is also join(g₁, …, g_k) (Grätzer,
-    join-irreducibles), so A + B = (…(A + g₁) + …) + g_k, which by (b)
-    is join(A, g₁, …, g_k) = join(A, B).  That pins the order (A ⊆ B iff
+    They give join(A, B) = A + B for every pair.  In a finite lattice B
+    is join(g₁, …, g_k) over the join-irreducibles below it (Grätzer,
+    join-irreducibles).  Chaining (b) from the bottom, which is 0 by (a),
+    join(g₁, …, g_i) = g₁ + … + g_i for each i, so B = g₁ + … + g_k as
+    an ideal; chaining (b) from A, A + B = (…(A + g₁) + …) + g_k is
+    join(A, g₁, …, g_k) = join(A, B).  That pins the order (A ⊆ B iff
     A + B = B), and by (c) the meet, lying in A∩B, is A∩B.
     """
     return memo(ring, "right_ideal_lattice", _right_ideal_lattice, ring)
@@ -58,6 +63,9 @@ def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     except (InputError, NotALatticeError) as exc:
         raise TheoremViolationError(
             f"{ring.label}: right ideals under inclusion: {exc}") from exc
+    if sizes[lat.bottom] != 1:
+        raise TheoremViolationError(
+            f"{ring.label}: right ideals: the least one is not 0")
     for a in range(n):
         for b in range(a + 1, n):
             meet, join = lat.meet[a][b], lat.join[a][b]
@@ -70,14 +78,7 @@ def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     irreducible = [g for g in range(n) if g != lat.bottom
                    and lat.down[g] & ~(1 << g) in downs]
     index = {i.gens: t for t, i in enumerate(ideals)}
-    reg = regular_module(ring)
     for b in range(n):
-        below = [row for g in irreducible if lat.le(g, b)
-                 for row in ideals[g].gens.rows]
-        if index.get(Submodule(reg, below).gens) != b:
-            raise TheoremViolationError(
-                f"{ring.label}: right ideals: {b} is not the sum of the "
-                "join-irreducibles below it")
         for g in irreducible:
             if index.get(submodule_sum(ideals[b], ideals[g]).gens) != \
                     lat.join[b][g]:
@@ -113,13 +114,21 @@ def jacobson_radical(ring: FiniteRing) -> Submodule:
     """Intersection of the maximal right ideals: the meet of the coatoms.
 
     Post-verified: nilpotent, two-sided, and with semisimple quotient
-    (the quotient's radical is zero).  Failure of any check is a bug in
-    the enumeration, reported as a hard error; nothing is memoised then.
+    (the R-module R/J is the sum of its minimal submodules).  Failure of
+    any check is a bug in the enumeration, reported as a hard error;
+    nothing is memoised then.
     """
     return memo(ring, "jacobson_radical", _jacobson_radical, ring)
 
 
 def _jacobson_radical(ring: FiniteRing) -> Submodule:
+    """The meet of the coatoms, checked two-sided and nilpotent, and with
+    R/J semisimple: the R-module R/J of factor_module, walked afresh by
+    _walk_submodules, must be the sum of its minimal submodules.  Its
+    R-submodules are its R/J-submodules, so the ring R/J is then
+    semisimple, as a finite ring is iff its radical is 0.  submodules(R/J)
+    is not asked: it would read them off R's own lattice (cyclic_origin),
+    where J came from."""
     lat = right_ideal_lattice(ring)
     t = lat.top
     for c in lat.coatoms():
@@ -141,12 +150,10 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
         if steps > ring.order():
             raise TheoremViolationError("radical power chain does not stop")
     if jac.size() > 1:
-        # R/J must be semisimple: every maximal ideal of R/J pulls back to
-        # one of R, so it suffices that the radical of R/J vanishes
-        from .ring import quotient_ring
-
-        quo = quotient_ring(ring, jac.gens.rows)[0]
-        if jacobson_radical(quo).size() != 1:
+        quo = factor_module(ring, jac)[0]
+        atoms = _minimal(_walk_submodules(quo))
+        if Submodule(quo, [row for a in atoms
+                           for row in a.gens.rows]).size() != quo.order():
             raise TheoremViolationError(
                 f"{ring.label}: quotient by the radical is not semisimple")
     return jac

@@ -88,10 +88,14 @@ class FiniteLattice:
                 if a != b and self.up[a] & self.down[b] == 1 << a | 1 << b]
 
     def atoms(self) -> list:
-        return [b for (a, b) in self.covers() if a == self.bottom]
+        """The elements whose strict down-set is the bottom alone."""
+        bottom = 1 << self.bottom
+        return [b for b, d in enumerate(self.down) if d & ~(1 << b) == bottom]
 
     def coatoms(self) -> list:
-        return [a for (a, b) in self.covers() if b == self.top]
+        """The elements whose strict up-set is the top alone."""
+        top = 1 << self.top
+        return [a for a, u in enumerate(self.up) if u & ~(1 << a) == top]
 
     def height(self) -> int:
         """Length of a longest chain from bottom to top (number of steps)."""

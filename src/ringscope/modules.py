@@ -21,6 +21,7 @@ from .exactla import (
     solve_affine,
     zero_matrix,
 )
+from .lattice import _bits
 from .ring import FiniteRing, memo, reduce_vector, same_ring
 
 SUBMODULE_ENUM_BOUND = 4096
@@ -84,15 +85,9 @@ class RightModule:
         return apply_matrix(x, self.action[j].rows, self.orders)
 
     def act(self, x, r):
-        """x · r for a ring element r in coordinates."""
-        acc = [0] * self.rank
-        for j, c in enumerate(r):
-            if not c:
-                continue
-            img = self.act_gen(x, j)
-            for k in range(self.rank):
-                acc[k] += c * img[k]
-        return tuple(a % m for a, m in zip(acc, self.orders))
+        """x · r for a ring element r in coordinates: r times the matrix
+        of r ↦ x·r."""
+        return apply_matrix(r, _images(self, x), self.orders)
 
     def generator(self, i):
         e = [0] * self.rank
@@ -470,10 +465,8 @@ def _walk_submodules(n: RightModule):
     below = [inside(c) & ~(1 << t) for t, c in enumerate(spans)]
     above = [0] * len(spans)
     for t, mask in enumerate(below):
-        while mask:
-            low = mask & -mask
-            above[low.bit_length() - 1] |= 1 << t
-            mask ^= low
+        for b in _bits(mask):
+            above[b] |= 1 << t
     every = (1 << len(spans)) - 1
     zero = zero_submodule(n)
     seen = {zero: inside(zero)}
@@ -506,10 +499,9 @@ def _cyclic_submodules(n: RightModule, ideal: ModMatrix, proj: ModuleMap):
     from .ideals import right_ideal_lattice, right_ideals  # deferred
 
     ideals = right_ideals(n.ring)
-    lat = right_ideal_lattice(n.ring)
     low = next(t for t, i in enumerate(ideals) if i.gens == ideal)
     subs = [Submodule(n, [proj.apply(r) for r in ideals[t].gens.rows])
-            for t in range(lat.size) if lat.le(low, t)]
+            for t in _bits(right_ideal_lattice(n.ring).up[low])]
     return sorted(subs, key=lambda s: (s.size(), s.gens.rows))
 
 
@@ -560,14 +552,17 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
 
 
 def minimal_submodules(m: RightModule):
-    """Minimal nonzero submodules, in the canonical order of submodules(m).
+    """Minimal nonzero submodules, in the canonical order of submodules(m)."""
+    return _minimal(submodules(m))
 
-    That list is sorted by size, so 0 comes first, and a candidate is
-    minimal iff it holds none of the minimal ones listed before it: a
-    non-minimal one holds a strictly smaller minimal one.
-    """
+
+def _minimal(subs):
+    """The minimal nonzero members of a module's submodules, subs sorted
+    by size, so 0 comes first: a candidate is minimal iff it holds none of
+    the minimal ones listed before it, as a non-minimal one holds a
+    strictly smaller minimal one."""
     found = []
-    for s in submodules(m)[1:]:
+    for s in subs[1:]:
         if not any(s.contains_sub(t) for t in found):
             found.append(s)
     return found
@@ -809,8 +804,7 @@ def _cyclic_classes(ring: FiniteRing):
         if q.key in seen:
             continue
         seen.add(q.key)
-        shape = tuple(sorted(sizes[k] // sizes[t] for k in range(lat.size)
-                             if lat.up[t] >> k & 1))
+        shape = tuple(sorted(sizes[k] // sizes[t] for k in _bits(lat.up[t])))
         bucket = by_shape.setdefault(shape, [])
         if not any(is_isomorphic_modules(q, r)[0] for r in bucket):
             bucket.append(q)

@@ -25,7 +25,7 @@ from .modules import (
     module_times_ideal,
     regular_module,
 )
-from .ring import FiniteRing, memo, same_ring
+from .ring import FiniteRing, IndexSet, memo
 from .torsion import (
     all_linear_filters,
     check_filter_guard,
@@ -34,30 +34,13 @@ from .torsion import (
 )
 
 
-class CyclicFingerprint:
-    """A domain restricted to the cyclic iso-classes, as an index set."""
-
-    def __init__(self, ring: FiniteRing, members):
-        self.ring = ring
-        self.members = frozenset(int(t) for t in members)
+class CyclicFingerprint(IndexSet):
+    """A domain restricted to the cyclic iso-classes, as indices into
+    cyclic_modules_up_to_iso."""
 
     def modules(self):
         reps = cyclic_modules_up_to_iso(self.ring)
         return [reps[t] for t in sorted(self.members)]
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicFingerprint)
-                and same_ring(self.ring, other.ring)
-                and self.members == other.members)
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __le__(self, other):
-        return self.members <= other.members
-
-    def __len__(self):
-        return len(self.members)
 
     def __repr__(self):
         return f"CyclicFingerprint({sorted(self.members)})"

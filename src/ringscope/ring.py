@@ -157,6 +157,30 @@ def same_ring(r: FiniteRing, s: FiniteRing) -> bool:
     return r is s or (r.orders == s.orders and r.mul == s.mul)
 
 
+class IndexSet:
+    """A set of indices into one of a ring's canonical lists, ordered by
+    inclusion.  Two are equal when they are of one class, over one ring,
+    with the same members."""
+
+    def __init__(self, ring: FiniteRing, members):
+        self.ring = ring
+        self.members = frozenset(int(t) for t in members)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and same_ring(self.ring, other.ring)
+                and self.members == other.members)
+
+    def __hash__(self):
+        return hash(self.members)
+
+    def __le__(self, other):
+        return self.members <= other.members
+
+    def __len__(self):
+        return len(self.members)
+
+
 def verify_ring_axioms(r: FiniteRing):
     """None when the tables define a ring with identity r.one; otherwise a
     human-readable description of the first violated law."""

@@ -25,14 +25,15 @@ from __future__ import annotations
 from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import apply_matrix, solve_affine
 from .ideals import is_two_sided, right_ideal_lattice, right_ideals
+from .lattice import _bits
 from .modules import (
     RightModule,
     Submodule,
-    element_annihilator,
+    annihilator,
     factor_presentation,
     regular_module,
 )
-from .ring import FiniteRing, memo, same_ring
+from .ring import FiniteRing, IndexSet, memo, same_ring
 
 FILTER_IDEAL_GUARD = 400
 
@@ -84,7 +85,7 @@ class IdealContext:
                              map(self.ring.reduce_el, self._quotient(t)[2])])
 
     def upset(self, t: int) -> frozenset:
-        return frozenset(b for b in range(self.lat.size) if self.lat.le(t, b))
+        return frozenset(_bits(self.lat.up[t]))
 
     def meet_all(self, members) -> int:
         """The intersection of the indexed ideals; R when there are none."""
@@ -98,12 +99,8 @@ def ideal_context(ring: FiniteRing) -> IdealContext:
     return memo(ring, "ideal_context", IdealContext, ring)
 
 
-class LinearFilter:
+class LinearFilter(IndexSet):
     """A set of right ideals, held as indices into the canonical list."""
-
-    def __init__(self, ring: FiniteRing, members):
-        self.ring = ring
-        self.members = frozenset(int(t) for t in members)
 
     def ideals(self):
         ctx = ideal_context(self.ring)
@@ -115,23 +112,9 @@ class LinearFilter:
         ctx = ideal_context(self.ring)
         return ctx.ideals[ctx.meet_all(self.members)]
 
-    def __len__(self):
-        return len(self.members)
-
     def __contains__(self, ideal: Submodule):
         ctx = ideal_context(self.ring)
         return ctx.index[ideal.gens] in self.members
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearFilter)
-                and same_ring(self.ring, other.ring)
-                and self.members == other.members)
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __le__(self, other):
-        return self.members <= other.members
 
     def __repr__(self):
         return f"LinearFilter({len(self.members)} ideals)"
@@ -209,14 +192,12 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
 
 
 def sigma_filter(m: RightModule) -> LinearFilter:
-    """The filter of σ[M]: right ideals containing a finite intersection
-    of element annihilators, i.e. the up-set of the meet of them all
-    (that meet is itself one of the finite intersections)."""
+    """The filter of σ[M]: the right ideals holding a finite intersection
+    of element annihilators.  The meet of them all is one of those
+    intersections, and it is ann(M), so the filter is up(ann M)."""
     ring = m.ring
     ctx = ideal_context(ring)
-    t = ctx.meet_all(ctx.index[element_annihilator(m, x).gens]
-                     for x in m.elements())
-    filt = LinearFilter(ring, ctx.upset(t))
+    filt = LinearFilter(ring, ctx.upset(ctx.index[annihilator(m).gens]))
     ok, report = is_linear_filter(ring, filt)
     if not ok:
         raise TheoremViolationError(f"sigma filter violates {report}")
@@ -225,12 +206,8 @@ def sigma_filter(m: RightModule) -> LinearFilter:
 
 def sigma_contains(m: RightModule, n: RightModule) -> bool:
     """True iff N belongs to σ[M]: every element annihilator of N is in
-    the filter of M."""
+    M's filter up(ann M).  They all hold ann(M) iff their meet ann(N)
+    does, so one annihilator is asked."""
     if not same_ring(m.ring, n.ring):
         raise InputError("sigma[M] membership of a module over another ring")
-    filt = sigma_filter(m)
-    ctx = ideal_context(m.ring)
-    for x in n.elements():
-        if ctx.index[element_annihilator(n, x).gens] not in filt.members:
-            return False
-    return True
+    return annihilator(n) in sigma_filter(m)

@@ -18,6 +18,7 @@ from ringscope.modules import (
     cyclic_modules_up_to_iso,
     cyclic_span,
     direct_sum,
+    element_annihilator,
     factor_module,
     factor_presentation,
     is_isomorphic_modules,
@@ -293,6 +294,37 @@ def apply_matrix_by_loop(vec, mat, out_moduli):
             for j in range(k):
                 out[j] += x * row[j]
     return tuple(o % m for o, m in zip(out, out_moduli))
+
+
+def act_by_loop(m, x, r):
+    """x·r summed over the ring generators, one coordinate at a time:
+    Σ_j r_j·(x·g_j), reduced per coordinate at the end."""
+    acc = [0] * m.rank
+    for j, c in enumerate(r):
+        if not c:
+            continue
+        img = m.act_gen(x, j)
+        for k in range(m.rank):
+            acc[k] += c * img[k]
+    return tuple(a % o for a, o in zip(acc, m.orders))
+
+
+def atoms_by_covers(lat):
+    """(atoms, coatoms) read off the covering pairs: the upper covers of
+    the bottom and the lower covers of the top."""
+    covers = lat.covers()
+    return ([b for a, b in covers if a == lat.bottom],
+            [a for a, b in covers if b == lat.top])
+
+
+def sigma_filter_by_elements(m):
+    """σ[M]'s filter as the up-set of the meet of M's element
+    annihilators, one solve per element; the library solves for ann(M)
+    once."""
+    ctx = ideal_context(m.ring)
+    t = ctx.meet_all(ctx.index[element_annihilator(m, x).gens]
+                     for x in m.elements())
+    return LinearFilter(m.ring, ctx.upset(t))
 
 
 def additive_closure(mod, vecs):

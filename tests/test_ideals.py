@@ -24,11 +24,12 @@ from ringscope.modules import (
     regular_module,
     submodule_as_module,
     submodules,
+    zero_submodule,
 )
 from ringscope.torsion import sigma_filter
 
-from conftest import SMALL_CORPUS, corpus
-from oracle_utils import dense_el_mul, submodule_intersection
+from conftest import DIFFERENTIAL_RINGS, SMALL_CORPUS, corpus
+from oracle_utils import atoms_by_covers, dense_el_mul, submodule_intersection
 
 
 def test_right_ideal_counts():
@@ -254,19 +255,63 @@ def test_lattice_check_catches_a_dropped_containment_off_the_irreducibles(
 def test_failed_radical_check_memoises_nothing(monkeypatch):
     """A radical whose quotient R/J is not semisimple is refused and not
     kept; once the fault is gone the true radical is found."""
-    import ringscope.ring as ring_mod
+    import ringscope.ideals as ideals_mod
 
     ring = load_ring("z8")
-    real = ring_mod.quotient_ring
+    real = ideals_mod.factor_module
 
-    def faulty(base, ideal_gens, label=None):
+    def faulty(base, ideal):
         # R/0 = R for the ring under test, which is not semisimple
-        return real(base, [] if base is ring else ideal_gens, label=label)
+        return real(base, zero_submodule(regular_module(base)))
 
-    monkeypatch.setattr(ring_mod, "quotient_ring", faulty)
+    monkeypatch.setattr(ideals_mod, "factor_module", faulty)
     with pytest.raises(TheoremViolationError, match="not semisimple"):
         jacobson_radical(ring)
     assert "jacobson_radical" not in ring._cache
     monkeypatch.undo()
     jac = jacobson_radical(ring)
     assert jac.size() == 4 and jac == jacobson_radical(load_ring("z8"))
+
+
+def test_radical_check_reads_no_submodule_list(monkeypatch):
+    """The semisimplicity check walks R/J itself: it never asks
+    submodules(), which would read R/J's submodules off R's own lattice."""
+    import ringscope.modules as modules_mod
+
+    ring = load_ring("t2f2")
+    right_ideal_lattice(ring)
+    asked = []
+    real = modules_mod.submodules
+
+    def counted(n):
+        asked.append(n.key)
+        return real(n)
+
+    monkeypatch.setattr(modules_mod, "submodules", counted)
+    assert jacobson_radical(ring).size() == 2
+    assert asked == []
+
+
+@pytest.mark.parametrize("name", ["z8", "f2xy_x2y2"])
+def test_lattice_check_catches_a_missing_zero_ideal(monkeypatch, name):
+    """With the zero ideal dropped from the list, the right ideals of these
+    rings (each has one minimal right ideal) still form a lattice whose
+    joins are sums and whose orders multiply; the check that the least
+    one is 0 refuses it, and nothing is kept."""
+    import ringscope.ideals as ideals_mod
+
+    ring = load_ring(name)
+    real = ideals_mod.right_ideals
+    monkeypatch.setattr(ideals_mod, "right_ideals", lambda r: real(r)[1:])
+    with pytest.raises(TheoremViolationError, match="the least one is not 0"):
+        right_ideal_lattice(ring)
+    assert "right_ideal_lattice" not in ring._cache
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_atoms_and_coatoms_match_the_covers(group):
+    """atoms() and coatoms() read off the bitsets give the upper covers of
+    the bottom and the lower covers of the top, in the same order."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        lat = right_ideal_lattice(ring)
+        assert (lat.atoms(), lat.coatoms()) == atoms_by_covers(lat)

@@ -45,6 +45,7 @@ from ringscope.ring import product_ring, same_ring, table_ring, zmod
 from conftest import (DIFFERENTIAL_RINGS, RECIPE_RINGS, SMALL_CORPUS, corpus,
                       recipe_ring)
 from oracle_utils import (
+    act_by_loop,
     additive_closure,
     brute_maps,
     brute_subgroup_spans,
@@ -261,6 +262,19 @@ def test_annihilator_of_direct_sum_is_intersection():
         lhs = annihilator(direct_sum([a, b]))
         rhs = submodule_intersection(annihilator(a), annihilator(b))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_act_matches_the_coordinate_loop(name):
+    """x·r as r times the matrix of x's images is the sum over the ring
+    generators taken one coordinate at a time, for every element x of
+    every cyclic class and of R, and every ring element r."""
+    ring = corpus(name)
+    elements = list(ring.elements())
+    for m in cyclic_modules_up_to_iso(ring) + [regular_module(ring)]:
+        for x in m.elements():
+            for r in elements:
+                assert m.act(x, r) == act_by_loop(m, x, r)
 
 
 def test_element_annihilator_brute_force():

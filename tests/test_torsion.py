@@ -12,8 +12,10 @@ from ringscope.modules import (
     Submodule,
     cyclic_module,
     cyclic_modules_up_to_iso,
+    element_annihilator,
     regular_module,
 )
+from ringscope.profile import CyclicFingerprint
 from ringscope.torsion import (
     LinearFilter,
     all_linear_filters,
@@ -40,6 +42,7 @@ from oracle_utils import (
     filter_axiom_failed,
     filters_by_upsets,
     oracle_sigma,
+    sigma_filter_by_elements,
 )
 
 
@@ -210,6 +213,17 @@ def test_eta_filters_compare_rings_by_contents():
     assert fa != LinearFilter(load_ring("z4xf2"), fa.members)
 
 
+def test_a_filter_never_equals_a_fingerprint():
+    """LinearFilter and CyclicFingerprint share their index-set body, but
+    equal members over one ring do not make a filter a fingerprint."""
+    ring = corpus("z8")
+    filt = sigma_filter(regular_module(ring))
+    fp = CyclicFingerprint(ring, filt.members)
+    assert filt != fp and fp != filt
+    assert len({filt, fp}) == 2
+    assert filt <= fp <= filt and len(filt) == len(fp)
+
+
 def test_filter_counts():
     expected = {"z8": 4, "z4xf2": 6, "t2f2": 5, "m2f2": 2,
                 "quiver_f2": 13, "f2xy_j2": 6, "f2xy_x2y2": 7}
@@ -262,6 +276,25 @@ def test_sigma_contains_examples():
     # subgeneration is reflexive and transitive on these examples
     for m in (reg, z2, z4):
         assert sigma_contains(m, m)
+
+
+@pytest.mark.parametrize("group", ["corpus", "recipes"])
+def test_sigma_matches_the_element_annihilators(group):
+    """σ[M]'s filter, up(ann M), is the up-set of the meet of M's element
+    annihilators; and N ∈ σ[M], read as ann(N) in that filter, holds
+    exactly when every element annihilator of N is in it.  On every
+    cyclic class and R, over the small corpus, m2z4 and the recipe
+    rings."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        ctx = ideal_context(ring)
+        mods = cyclic_modules_up_to_iso(ring) + [regular_module(ring)]
+        filters = [sigma_filter_by_elements(m) for m in mods]
+        anns = [{ctx.index[element_annihilator(n, x).gens]
+                 for x in n.elements()} for n in mods]
+        for m, filt in zip(mods, filters):
+            assert sigma_filter(m) == filt
+            for n, ann in zip(mods, anns):
+                assert sigma_contains(m, n) == (ann <= filt.members)
 
 
 def test_sigma_contains_matches_embedding_oracle():
