@@ -35,7 +35,6 @@ from .hom import (
 )
 from .ideals import (
     ideals_in_radical,
-    is_essential,
     jacobson_radical,
     right_ideals,
     two_sided_ideals,
@@ -61,7 +60,6 @@ from .modules import (
     quotient_module,
     radical_series,
     regular_module,
-    singular_submodule,
     socle,
     socle_series,
     submodules,
@@ -77,7 +75,6 @@ from .profile import (
     p_profile,
     profile,
     proj_fingerprint,
-    rises_bounded,
 )
 from .ring import (
     FiniteRing,

@@ -105,15 +105,30 @@ def socle_homogeneous(m) -> bool:
     return all(is_isomorphic_modules(simples[0], s)[0] for s in simples[1:])
 
 
-def radical_as_module(ring: FiniteRing):
-    jac = jacobson_radical(ring)
-    return submodule_as_module(jac)[0]
-
-
 def is_simple_artinian(ring: FiniteRing) -> bool:
     """A nonzero ring whose regular module is semisimple with a single
     simple class: a matrix ring over a division ring."""
     return ring.order() > 1 and socle_homogeneous(regular_module(ring))
+
+
+STATEMENTS = {
+    "V1": "ideal route and filter route give the same profile",
+    "V2": "domain of a direct sum is the intersection of domains",
+    "V3": "profile of a product is the product of profiles",
+    "V4": "profile lattice is modular and coatomic",
+    "V5": "chain ring profile is a chain of length l(R)-1",
+    "V6": "QF profile is isomorphic to the ideal lattice of R/Soc",
+    "V7": "middle class iff the radical holds a nontrivial ideal",
+    "V8": "factor modules realize the annihilator fingerprint",
+    "V9": "the factor by the radical is i-poor",
+    "V10": "chain profile admits a simple i-poor module",
+    "V11": "no middle class forces a square-zero radical",
+    "V12": "super QF fingerprint agreement within bounds",
+    "V13": "every linear filter is the up-set of a two-sided ideal",
+    "V14": "quasi-injective collapse without middle class",
+    "V15": "local ring: chain profile iff chain of ideals",
+    "V16": "QF equivalences for the socle factor and the radical",
+}
 
 
 class VerifyReport:
@@ -122,16 +137,23 @@ class VerifyReport:
     def __init__(self):
         self.entries = []
 
-    def add(self, check_id: str, statement: str, status: str,
-            certificate=None):
-        if status not in ("pass", "fail", "skipped"):
-            raise ValueError(f"unknown status {status!r}")
+    def _record(self, check_id, status, certificate, statement):
         self.entries.append({
             "id": check_id,
-            "statement": statement,
+            "statement": statement or STATEMENTS[check_id],
             "status": status,
             "certificate": certificate,
         })
+
+    def check(self, check_id: str, ok: bool, certificate=None,
+              statement: str | None = None):
+        """pass with no certificate, or fail with the certificate; the
+        statement is STATEMENTS[check_id] unless another is given."""
+        self._record(check_id, "pass" if ok else "fail",
+                     None if ok else certificate, statement)
+
+    def skip(self, check_id: str, reason: str):
+        self._record(check_id, "skipped", reason, None)
 
     @property
     def failed(self):
@@ -172,9 +194,7 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
     # and F3 a filter holds every maximal right ideal iff it holds J
     structural = set(ip.filters)
     brute = {f for f in all_filters if jac in f}
-    rep.add("V1", "ideal route and filter route give the same profile",
-            "pass" if structural == brute else "fail",
-            None if structural == brute else (structural, brute))
+    rep.check("V1", structural == brute, (structural, brute))
 
     # V2: intersection law on cyclic pairs
     bad = None
@@ -184,64 +204,53 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
         if lhs.members != rhs_members:
             bad = (a.label, b.label)
             break
-    rep.add("V2", "domain of a direct sum is the intersection of domains",
-            "pass" if bad is None else "fail", bad)
+    rep.check("V2", bad is None, bad)
 
     # V3: product law
     if product_partner is None:
-        rep.add("V3", "profile of a product is the product of profiles",
-                "skipped", "no partner ring supplied")
+        rep.skip("V3", "no partner ring supplied")
     else:
         from .lattice import lattice_product
         from .ring import product_ring
 
         prod = product_ring([ring, product_partner])
         okv3 = True
-        for mk, fn in (("i", i_profile), ("p", p_profile)):
+        for fn in (i_profile, p_profile):
             lhs = fn(prod).lattice
             rhs = lattice_product(fn(ring).lattice,
                                   fn(product_partner).lattice)
             if not are_isomorphic(lhs, rhs)[0]:
                 okv3 = False
-        rep.add("V3", "profile of a product is the product of profiles",
-                "pass" if okv3 else "fail")
+        rep.check("V3", okv3)
 
     # V4: profile lattice modular and coatomic
-    okv4 = ip.flags["modular"] and ip.flags["coatomic"]
-    rep.add("V4", "profile lattice is modular and coatomic",
-            "pass" if okv4 else "fail", None if okv4 else ip.flags)
+    rep.check("V4", ip.flags["modular"] and ip.flags["coatomic"], ip.flags)
 
     # V5: chain rings have chain profiles of length (Loewy length - 1)
     if not is_chain_ring(ring):
-        rep.add("V5", "chain ring profile is a chain of length l(R)-1",
-                "skipped", "not a chain ring")
+        rep.skip("V5", "not a chain ring")
     else:
         _, loewy = socle_series(reg)
-        okv5 = ip.flags["is_chain"] and ip.flags["length"] == max(loewy - 1, 0)
-        rep.add("V5", "chain ring profile is a chain of length l(R)-1",
-                "pass" if okv5 else "fail",
-                None if okv5 else (ip.flags["length"], loewy))
+        rep.check("V5", ip.flags["is_chain"]
+                  and ip.flags["length"] == max(loewy - 1, 0),
+                  (ip.flags["length"], loewy))
 
     # V6: QF law — profile matches the ideal lattice of R/Soc(R), which
     # is that of the two-sided ideals of R holding Soc(R)
     qf = is_qf(ring)
     soc = socle(reg) if qf else None  # read by V6 and V16
     if not qf:
-        rep.add("V6", "QF profile is isomorphic to the ideal lattice of R/Soc",
-                "skipped", "ring is not QF")
+        rep.skip("V6", "ring is not QF")
     else:
         above = [i for i in two_sided_ideals(ring) if i.contains_sub(soc)]
         flat = build_lattice(list(range(len(above))),
                              leq=lambda a, b: above[b].contains_sub(above[a]))
-        okv6 = are_isomorphic(ip.lattice, flat)[0]
-        rep.add("V6", "QF profile is isomorphic to the ideal lattice of R/Soc",
-                "pass" if okv6 else "fail")
+        rep.check("V6", are_isomorphic(ip.lattice, flat)[0])
 
-    # V7: middle class iff a two-sided ideal strictly between 0 and J
+    # V7: middle class iff a two-sided ideal strictly between 0 and J (the
+    # nodes are the two-sided ideals inside J); read again by V16
     strict = [i for i in ip.ideals if 1 < i.size() < jac.size()]
-    okv7 = (ip.size > 2) == bool(strict)
-    rep.add("V7", "middle class iff the radical holds a nontrivial ideal",
-            "pass" if okv7 else "fail")
+    rep.check("V7", (ip.size > 2) == bool(strict))
 
     # V8: projectivity fingerprint of R/I is the annihilator condition
     bad = None
@@ -249,36 +258,33 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
         if proj_fingerprint(w) != killed_by(ring, i):
             bad = i
             break
-    rep.add("V8", "factor modules realize the annihilator fingerprint",
-            "pass" if bad is None else "fail", bad)
+    rep.check("V8", bad is None, bad)
 
     # V9: R/J is i-poor
     rj, _ = cyclic_module(ring, jac)
-    okv9 = is_poor(rj, "i")
-    rep.add("V9", "the factor by the radical is i-poor",
-            "pass" if okv9 else "fail")
+    rep.check("V9", is_poor(rj, "i"))
 
     # V10: chain profile of a non-semisimple ring has a simple i-poor module
     if semisimple or not ip.flags["is_chain"]:
-        rep.add("V10", "chain profile admits a simple i-poor module",
-                "skipped",
-                "semisimple ring" if semisimple else "profile not a chain")
+        rep.skip("V10", "semisimple ring" if semisimple
+                 else "profile not a chain")
     else:
         simples = [submodule_as_module(s)[0]
                    for s in minimal_right_ideals(ring)]
-        okv10 = any(is_poor(s, "i") for s in simples)
-        rep.add("V10", "chain profile admits a simple i-poor module",
-                "pass" if okv10 else "fail")
+        rep.check("V10", any(is_poor(s, "i") for s in simples))
+
+    # V11 and V14 both need a non-semisimple ring without a middle class
+    collapse_skip = None
+    if semisimple:
+        collapse_skip = "semisimple ring"
+    elif ip.size > 2:
+        collapse_skip = "middle class present"
 
     # V11: no middle class forces J^2 = 0
-    if semisimple or ip.size > 2:
-        rep.add("V11", "no middle class forces a square-zero radical",
-                "skipped",
-                "semisimple ring" if semisimple else "middle class present")
+    if collapse_skip:
+        rep.skip("V11", collapse_skip)
     else:
-        jsq = module_times_ideal(jac, jac)
-        rep.add("V11", "no middle class forces a square-zero radical",
-                "pass" if jsq.size() == 1 else "fail")
+        rep.check("V11", module_times_ideal(jac, jac).size() == 1)
 
     # V12: super QF iff every factor is QF, with a bounded fingerprint check
     sflag, cert = is_super_qf(ring)
@@ -288,39 +294,30 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
         pool = None
     out_of_bounds = "module enumeration out of bounds"
     if pool is None:
-        rep.add("V12", "super QF fingerprint agreement within bounds",
-                "skipped", out_of_bounds)
+        rep.skip("V12", out_of_bounds)
     elif sflag:
         bad = None
         for m in pool:
             if inj_fingerprint(m) != proj_fingerprint(m):
                 bad = m
                 break
-        rep.add("V12", "super QF fingerprint agreement within bounds",
-                "pass" if bad is None else "fail", bad)
+        rep.check("V12", bad is None, bad)
     elif qf:
         found = any(inj_fingerprint(m) != proj_fingerprint(m) for m in pool)
-        rep.add("V12", "non-super QF ring shows a fingerprint discrepancy",
-                "pass" if found else "fail",
-                None if found else f"bound rank {max_free_rank}")
+        rep.check("V12", found, f"bound rank {max_free_rank}",
+                  "non-super QF ring shows a fingerprint discrepancy")
     else:
-        rep.add("V12", "super QF fingerprint agreement within bounds",
-                "skipped", "ring is not QF")
+        rep.skip("V12", "ring is not QF")
 
     # V13: filters are exactly the up-sets of two-sided ideals
-    filters = set(all_filters)
     etas = {eta_filter(ring, i) for i in two_sided_ideals(ring)}
-    rep.add("V13", "every linear filter is the up-set of a two-sided ideal",
-            "pass" if filters == etas else "fail")
+    rep.check("V13", set(all_filters) == etas)
 
     # V14: without i-middle class, quasi-injective non-semisimple => injective
-    if semisimple or ip.size > 2:
-        rep.add("V14", "quasi-injective collapse without middle class",
-                "skipped",
-                "semisimple ring" if semisimple else "middle class present")
+    if collapse_skip:
+        rep.skip("V14", collapse_skip)
     elif pool is None:
-        rep.add("V14", "quasi-injective collapse without middle class",
-                "skipped", out_of_bounds)
+        rep.skip("V14", out_of_bounds)
     else:
         bad = None
         for m in pool:
@@ -331,39 +328,29 @@ def verify_suite(ring: FiniteRing, max_free_rank: int = 1,
             if is_quasi(m, "injective") and not is_injective(m):
                 bad = m
                 break
-        rep.add("V14", "quasi-injective collapse without middle class",
-                "pass" if bad is None else "fail", bad)
+        rep.check("V14", bad is None, bad)
 
     # V15: local ring with chain profile iff linearly ordered ideals
     if not is_local(ring):
-        rep.add("V15", "local ring: chain profile iff chain of ideals",
-                "skipped", "ring is not local")
+        rep.skip("V15", "ring is not local")
     else:
         ts = two_sided_ideals(ring)
         chain_ideals = all(a.contains_sub(b) or b.contains_sub(a)
                            for a, b in itertools.combinations(ts, 2))
-        rep.add("V15", "local ring: chain profile iff chain of ideals",
-                "pass" if ip.flags["is_chain"] == chain_ideals else "fail")
+        rep.check("V15", ip.flags["is_chain"] == chain_ideals)
 
     # V16: QF with nonzero radical — simple artinian factor by the socle,
     # radical free of nontrivial ideals, homogeneous semisimple radical:
     # all three agree
     if not qf or semisimple:
-        rep.add("V16", "QF equivalences for the socle factor and the radical",
-                "skipped",
-                "semisimple ring" if semisimple else "ring is not QF")
+        rep.skip("V16", "semisimple ring" if semisimple else "ring is not QF")
     else:
         # R/Soc(R) is simple artinian iff the R-module R/Soc(R) is
         # homogeneous semisimple (soc ≠ R, the ring not being semisimple)
         cond1 = socle_homogeneous(factor_module(ring, soc)[0])
-        cond2 = not [i for i in two_sided_ideals(ring)
-                     if 1 < i.size() < jac.size()
-                     and jac.contains_sub(i)]
-        cond3 = socle_homogeneous(radical_as_module(ring))
-        okv16 = cond1 == cond2 == cond3
-        rep.add("V16", "QF equivalences for the socle factor and the radical",
-                "pass" if okv16 else "fail",
-                None if okv16 else (cond1, cond2, cond3))
+        cond2 = not strict
+        cond3 = socle_homogeneous(submodule_as_module(jac)[0])
+        rep.check("V16", cond1 == cond2 == cond3, (cond1, cond2, cond3))
 
     return rep
 

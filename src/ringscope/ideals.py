@@ -1,4 +1,4 @@
-"""Right ideals, two-sided ideals, the radical, and essentiality.
+"""Right ideals, two-sided ideals and the radical.
 
 Right ideals of R are the submodules of the regular module; everything
 here works with that list materialized, so bounds are inherited from the
@@ -162,16 +162,6 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
 def minimal_right_ideals(ring: FiniteRing):
     """The atoms of the right-ideal lattice, in canonical order."""
     return [right_ideals(ring)[t] for t in right_ideal_lattice(ring).atoms()]
-
-
-def is_essential(ring: FiniteRing, ideal: Submodule) -> bool:
-    """True iff the ideal meets every nonzero right ideal nontrivially.
-
-    It suffices to test the minimal right ideals: any nonzero ideal
-    contains one, and the ideal meets a minimal one nontrivially exactly
-    when it contains it.
-    """
-    return all(ideal.contains_sub(atom) for atom in minimal_right_ideals(ring))
 
 
 def ideals_in_radical(ring: FiniteRing):

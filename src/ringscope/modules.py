@@ -25,6 +25,8 @@ from .lattice import _bits
 from .ring import FiniteRing, memo, reduce_vector, same_ring
 
 SUBMODULE_ENUM_BOUND = 4096
+# most submodules of R^k that enumerate_modules takes on
+FREE_SUBMODULE_CEILING = 20000
 # largest hom group that the isomorphism search takes on
 ISO_SEARCH_BOUND = 1 << 20
 
@@ -302,22 +304,23 @@ def cyclic_module(ring: FiniteRing, ideal: Submodule,
                   label: str | None = None):
     """R/I for a right ideal I, with the projection from the regular module.
 
-    The first build of each content records I's generators and the
-    projection on the ring (see cyclic_origin), so the submodules and
-    quotients of R/I are read off the right-ideal lattice."""
+    Each build records I's generators and the projection in the ring's
+    table of origins (see cyclic_origin); the first build of a content
+    wins.  The submodules and quotients of R/I are then read off the
+    right-ideal lattice."""
     reg = regular_module(ring)
     sub = Submodule(reg, ideal.gens)
     q, proj = quotient_module(reg, sub, label=label or f"{ring.label}/I")
-    memo(ring, ("cyclic_origin", q.key), lambda: (sub.gens, proj))
+    memo(ring, "cyclic_origins", dict).setdefault(q.key, (sub.gens, proj))
     return q, proj
 
 
 def cyclic_origin(m: RightModule):
-    """(L, π) when m's content was first built as R/L by cyclic_module:
+    """(L, π) when m's content has been built as R/L by cyclic_module:
     L's Howell generators and the projection π: R → R/L, which carries
-    its section; else None.  A content looked up before it is built as
-    R/L keeps None, and is then treated as any other module."""
-    return memo(m.ring, ("cyclic_origin", m.key), lambda: None)
+    its section; else None.  A lookup records nothing, so a content
+    built as R/L after it was first asked about has its origin then."""
+    return memo(m.ring, "cyclic_origins", dict).get(m.key)
 
 
 def factor_module(ring: FiniteRing, ideal: Submodule):
@@ -378,13 +381,13 @@ def _presentation(ring: FiniteRing, rels: ModMatrix):
 def submodules(n: RightModule):
     """Every submodule, canonically sorted; 0 and N included.
 
-    A module first built as R/L by cyclic_module reads its submodules off
-    the right-ideal lattice (_cyclic_submodules).  Any other module, and
-    always the regular module, whose walk defines that lattice, walks up
-    the lattice by covers (_walk_submodules): from S it steps to S + c
-    for the cyclic c ⊄ S whose proper cyclic submodules all lie in S,
-    which are the covers of S.  The walk asks nothing of the radical and
-    presents no N/S.
+    A module whose content cyclic_module has built as R/L reads its
+    submodules off the right-ideal lattice (_cyclic_submodules).  Any
+    other module, and always the regular module, whose walk defines that
+    lattice, walks up the lattice by covers (_walk_submodules): from S it
+    steps to S + c for the cyclic c ⊄ S whose proper cyclic submodules
+    all lie in S, which are the covers of S.  The walk asks nothing of
+    the radical and presents no N/S.
 
     The list is memoised on the ring by n's content, so an equal module
     built separately shares it: the ``parent`` of each submodule is the
@@ -647,28 +650,6 @@ def element_annihilator(m: RightModule, x) -> Submodule:
     return Submodule(regular_module(m.ring), ker)
 
 
-def singular_submodule(m: RightModule) -> Submodule:
-    """Z(M): elements whose annihilator is an essential right ideal."""
-    from .ideals import is_essential
-
-    rows = []
-    cache = {}
-    for x in m.elements():
-        ann = element_annihilator(m, x)
-        flag = cache.get(ann.gens)
-        if flag is None:
-            flag = is_essential(m.ring, ann)
-            cache[ann.gens] = flag
-        if flag:
-            rows.append(tuple(x))
-    z = Submodule(m, rows)
-    # the qualifying elements already form a subgroup; the span adds nothing
-    if z.size() != len(rows):
-        raise TheoremViolationError(
-            f"singular elements of {m.label} do not form a subgroup")
-    return z
-
-
 def annihilator(m: RightModule) -> Submodule:
     """{r in R : M·r = 0}, as a submodule of the regular module (two-sided)."""
     ring = m.ring
@@ -813,15 +794,16 @@ def _cyclic_classes(ring: FiniteRing):
     return reps
 
 
-def _free_submodules(free: RightModule, k: int, ceiling: int):
+def _free_submodules(free: RightModule, k: int):
     """submodules(free) for free = R^k, within the enumeration bounds."""
     if free.order() > SUBMODULE_ENUM_BOUND:
         raise BoundExceededError(
             f"free module of order {free.order()} not enumerable")
     subs = submodules(free)
-    if len(subs) > ceiling:
+    if len(subs) > FREE_SUBMODULE_CEILING:
         raise BoundExceededError(
-            f"{len(subs)} submodules of R^{k} exceed ceiling {ceiling}")
+            f"{len(subs)} submodules of R^{k} exceed ceiling "
+            f"{FREE_SUBMODULE_CEILING}")
     return subs
 
 
@@ -833,7 +815,7 @@ def _class_invariant(m: RightModule):
 
 
 def enumerate_modules(ring: FiniteRing, max_free_rank: int = 2,
-                      max_order: int = 64, ceiling: int = 20000):
+                      max_order: int = 64):
     """All iso-classes of quotients of R^k, k ≤ max_free_rank, of order
     ≤ max_order.  The quotients of R^1 are the cyclic classes.
 
@@ -847,13 +829,13 @@ def enumerate_modules(ring: FiniteRing, max_free_rank: int = 2,
         raise InputError(f"module bounds must be >= 1, got rank "
                          f"{max_free_rank} and order {max_order}")
     reg = regular_module(ring)
-    _free_submodules(reg, 1, ceiling)
+    _free_submodules(reg, 1)
     reps = [c for c in cyclic_modules_up_to_iso(ring)
             if c.order() <= max_order]
     seen, buckets = {c.key for c in reps}, {}
     for k in range(2, max_free_rank + 1):
         free = direct_sum([reg] * k, label=f"R^{k}")
-        subs = _free_submodules(free, k, ceiling)
+        subs = _free_submodules(free, k)
         if k == 2:
             for c in reps:
                 buckets.setdefault(_class_invariant(c), []).append(c)

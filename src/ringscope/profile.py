@@ -19,7 +19,6 @@ from .modules import (
     RightModule,
     cyclic_modules_up_to_iso,
     cyclic_origin,
-    enumerate_modules,
     factor_module,
     full_submodule,
     module_times_ideal,
@@ -53,28 +52,22 @@ def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
     sums (Anderson–Fuller §16), and R/(I∩K) embeds in R/I ⊕ R/K, so the
     right ideals L with R/L in it are closed under meets and up-closed:
     they are up(s) for their least member s.  Walking the classes, a class
-    R/L (its L read from cyclic_origin) is a member when the meet of the
-    members found so far lies in L, and is not when L lies in a failure;
-    only the classes left open, and those without an origin, are tested.
+    R/L (its L read from cyclic_origin: every class is built by
+    factor_module, so every class has one) is a member when the meet of
+    the members found so far lies in L, and is not when L lies in a
+    failure; only the classes left open are tested.
     """
     ring = m.ring
     ctx = ideal_context(ring)
     lat = ctx.lat
     least, failed, members = lat.top, 0, []
     for t, c in enumerate(cyclic_modules_up_to_iso(ring)):
-        origin = cyclic_origin(c)
-        if origin is None:
-            held = relative(m, c)[0]
-        else:
-            l = ctx.index[origin[0]]
-            held = lat.le(least, l) or (
-                not failed >> l & 1 and relative(m, c)[0])
-            if held:
-                least = lat.meet[least][l]
-            else:
-                failed |= lat.down[l]
-        if held:
+        l = ctx.index[cyclic_origin(c)[0]]
+        if lat.le(least, l) or (not failed >> l & 1 and relative(m, c)[0]):
+            least = lat.meet[least][l]
             members.append(t)
+        else:
+            failed |= lat.down[l]
     return CyclicFingerprint(ring, members)
 
 
@@ -200,20 +193,6 @@ def is_poor(m: RightModule, kind: str) -> bool:
 def has_middle_class(ring: FiniteRing, kind: str) -> bool:
     """True iff the profile has more than two nodes."""
     return profile(ring, kind).size > 2
-
-
-def rises_bounded(m: RightModule, n: RightModule, max_free_rank: int = 1,
-                  max_order: int = 64):
-    """Search for a module that is m-injective but not n-injective.
-
-    Returns ("refuted", witness) or ("consistent_up_to_bound", bounds);
-    the latter is a bounded non-refutation, never a proof.
-    """
-    for e in enumerate_modules(m.ring, max_free_rank, max_order):
-        if (is_relatively_injective(e, m)[0]
-                and not is_relatively_injective(e, n)[0]):
-            return "refuted", e
-    return "consistent_up_to_bound", (max_free_rank, max_order)
 
 
 def find_witness(ring: FiniteRing, ideal, kind: str):

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 from ringscope.classify import (
+    STATEMENTS,
     VerifyReport,
     classify_report,
     is_chain_ring,
@@ -22,7 +23,7 @@ from ringscope.errors import BoundExceededError, InputError
 from ringscope.ideals import two_sided_ideals
 from ringscope.lattice import are_isomorphic, build_lattice
 from ringscope.modules import Submodule, factor_module, regular_module, socle
-from ringscope.profile import i_profile, p_profile, rises_bounded
+from ringscope.profile import CyclicFingerprint, i_profile, p_profile
 from ringscope.ring import product_ring, quotient_ring, units, zmod
 
 from conftest import DIFFERENTIAL_RINGS, GUARD_RINGS, SMALL_CORPUS, corpus
@@ -153,17 +154,62 @@ def test_verify_and_rises_refuse_bounds_below_one():
     ring = corpus("f2xy_x2y2")
     with pytest.raises(InputError, match="rank 0"):
         verify_suite(ring, max_free_rank=0)
-    reg = regular_module(ring)
     with pytest.raises(InputError, match="order 0"):
-        rises_bounded(reg, reg, max_order=0)
+        verify_suite(ring, max_order=0)
 
 
-def test_verify_report_rejects_unknown_status():
+def test_verify_report_check_and_skip():
+    """check records pass with no certificate, or fail with it; skip
+    records the reason.  The statement is the check's own unless another
+    is given."""
     rep = VerifyReport()
-    rep.add("V0", "a statement", "pass")
-    with pytest.raises(ValueError, match="unknown status"):
-        rep.add("V0", "a statement", "passed")
-    assert [e["status"] for e in rep.entries] == ["pass"]
+    rep.check("V4", True, "unused")
+    rep.check("V5", False, (3, 4))
+    rep.check("V12", False, "bound rank 1", statement="another statement")
+    rep.skip("V3", "no partner ring supplied")
+    assert [(e["status"], e["certificate"]) for e in rep.entries] == [
+        ("pass", None), ("fail", (3, 4)), ("fail", "bound rank 1"),
+        ("skipped", "no partner ring supplied")]
+    assert list(rep.lines()) == [
+        f"V4   pass    {STATEMENTS['V4']}",
+        f"V5   fail    {STATEMENTS['V5']}  [(3, 4)]",
+        "V12  fail    another statement  [bound rank 1]",
+        f"V3   skipped {STATEMENTS['V3']}  (no partner ring supplied)"]
+    assert not rep.ok()
+    assert [e["id"] for e in rep.failed] == ["V5", "V12"]
+
+
+@pytest.mark.parametrize("name, v12", [
+    ("z8", STATEMENTS["V12"]),
+    ("f2xy_x2y2", "non-super QF ring shows a fingerprint discrepancy")],
+    ids=["z8", "f2xy_x2y2"])
+def test_verify_statements_come_from_the_table(name, v12):
+    """Every check but V12 on a QF ring that is not super QF states
+    STATEMENTS[id]; that one states the discrepancy it looks for."""
+    rep = verify_suite(corpus(name))
+    assert [e["id"] for e in rep.entries] == list(STATEMENTS)
+    for e in rep.entries:
+        assert e["statement"] == (v12 if e["id"] == "V12"
+                                  else STATEMENTS[e["id"]])
+
+
+def test_a_failing_intersection_law_is_reported(monkeypatch):
+    """With every direct sum's injectivity fingerprint emptied as the
+    suite sees it, V2 fails on the first pair, whose labels its line
+    carries as the certificate."""
+    real = classify_mod.inj_fingerprint
+
+    def broken(m):
+        if " + " in m.label:
+            return CyclicFingerprint(m.ring, [])
+        return real(m)
+
+    monkeypatch.setattr(classify_mod, "inj_fingerprint", broken)
+    rep = verify_suite(load_ring("z8"))
+    assert [e["id"] for e in rep.failed] == ["V2"]
+    assert list(rep.lines())[1] == (
+        "V2   fail    domain of a direct sum is the intersection of domains"
+        "  [('Z/8/I', 'Z/8/I')]")
 
 
 def test_local_means_one_maximal_right_ideal():

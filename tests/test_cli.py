@@ -496,3 +496,38 @@ def test_package_imports_only_names_it_uses():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+# re-exports that nothing in the package reads, kept as API: the
+# projectivity test and σ[M] membership, which the README names, the
+# paper's middle-class predicate, and the units the README lists
+PAPER_API = {"is_projective", "sigma_contains", "has_middle_class", "units"}
+
+
+def _names_read(node, enclosing=frozenset()):
+    """Every name read under node, except inside a def or class of the
+    same name (its own definition)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _names_read(child, enclosing | {child.name})
+        elif isinstance(child, ast.Name):
+            if child.id not in enclosing:
+                yield child.id
+        else:
+            yield from _names_read(child, enclosing)
+
+
+def test_every_export_has_a_caller():
+    """Each name the package's __init__ re-exports is read somewhere in
+    the package outside its own definition, or is named in PAPER_API."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
+    init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            read.update(_names_read(ast.parse(
+                path.read_text(encoding="utf-8"))))
+    assert sorted(exported - read - PAPER_API) == []
+    assert PAPER_API <= exported

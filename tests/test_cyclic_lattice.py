@@ -22,8 +22,8 @@ from ringscope.modules import (
 )
 from ringscope.profile import proj_fingerprint
 
-from conftest import (RECIPE_RINGS, SMALL_CORPUS, corpus, drawn_recipes,
-                      recipes_module)
+from conftest import (DIFFERENTIAL_RINGS, RECIPE_RINGS, SMALL_CORPUS, corpus,
+                      drawn_recipes, recipes_module)
 
 # the rings profile_random draws at this seed
 SEED = 7
@@ -116,3 +116,43 @@ def test_cyclic_modules_built_before_the_right_ideals(name, x):
         assert 1 < n.order()
         assert [s.gens for s in submodules(n)] == \
             [s.gens for s in modules._walk_submodules(n)]
+
+
+@pytest.mark.parametrize("name, x", [("z8", (2,)), ("t2f2", (0, 1, 0)),
+                                     ("f2xy_j2", (0, 1, 0))])
+def test_an_origin_asked_for_before_the_build_is_recorded(name, x,
+                                                          monkeypatch):
+    """The content of R/L, built by quotient_module and asked for its
+    origin on a fresh ring before cyclic_module builds R/L, has the origin
+    of that build: a module of that content built afterwards reads its
+    submodules off the lattice, and they are the walk's."""
+    ring = load_ring(name)
+    reg = regular_module(ring)
+    l = cyclic_span(reg, x)
+    early, _ = quotient_module(reg, l)
+    assert modules.cyclic_origin(early) is None
+    built, _ = cyclic_module(ring, l)
+    assert built.key == early.key
+    assert modules.cyclic_origin(early) is not None
+    read = []
+    lattice_route = modules._cyclic_submodules
+    monkeypatch.setattr(modules, "_cyclic_submodules",
+                        lambda n, *origin: read.append(n.key)
+                        or lattice_route(n, *origin))
+    fresh, _ = quotient_module(reg, l)
+    assert [s.gens for s in submodules(fresh)] == \
+        [s.gens for s in modules._walk_submodules(fresh)]
+    assert read == [fresh.key]
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_every_cyclic_class_has_an_origin(group):
+    """Each class R/L of cyclic_modules_up_to_iso has an origin, and
+    factor_module of its L is a module of that content."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        reg = regular_module(ring)
+        for c in cyclic_modules_up_to_iso(ring):
+            origin = modules.cyclic_origin(c)
+            assert origin is not None, (ring.label, c.label)
+            q, _ = factor_module(ring, modules.Submodule(reg, origin[0].rows))
+            assert q.key == c.key, (ring.label, c.label)

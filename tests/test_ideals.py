@@ -8,7 +8,6 @@ from ringscope.cli import load_ring
 from ringscope.errors import TheoremViolationError
 from ringscope.ideals import (
     ideals_in_radical,
-    is_essential,
     is_two_sided,
     jacobson_radical,
     maximal_right_ideals,
@@ -108,20 +107,6 @@ def test_minimal_right_ideals():
         atoms = minimal_right_ideals(corpus(name))
         assert len(atoms) == count
         assert all(a.size() > 1 for a in atoms)
-
-
-def test_essential_ideals():
-    ring = corpus("z8")
-    reg = regular_module(ring)
-    assert is_essential(ring, Submodule(reg, [(2,)]))
-    assert is_essential(ring, Submodule(reg, [(4,)]))
-    assert not is_essential(ring, Submodule(reg, []))
-    # brute-force definition on a non-uniform ring
-    ring = corpus("t2f2")
-    nonzero = [i for i in right_ideals(ring) if i.size() > 1]
-    for i in right_ideals(ring):
-        brute = all(submodule_intersection(i, j).size() > 1 for j in nonzero)
-        assert is_essential(ring, i) == brute
 
 
 def test_ideals_in_radical_shapes():

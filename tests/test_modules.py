@@ -32,7 +32,6 @@ from ringscope.modules import (
     quotient_module,
     radical_series,
     regular_module,
-    singular_submodule,
     socle,
     socle_series,
     submodule_as_module,
@@ -286,22 +285,6 @@ def test_element_annihilator_brute_force():
             brute = {tuple(r) for r in ring.elements()
                      if reg.act(x, r) == reg.zero}
             assert set(ann.elements()) == brute
-
-
-def test_singular_submodule_z8():
-    reg = regular_module(corpus("z8"))
-    # annihilators of 2 and 4 are essential (the ring is uniform); 1 is free
-    assert set(singular_submodule(reg).elements()) == {(0,), (2,), (4,), (6,)}
-
-
-def test_singular_submodule_monotone_under_submodules():
-    reg = regular_module(corpus("t2f2"))
-    z = singular_submodule(reg)
-    for s in submodules(reg):
-        mod, incl, _ = submodule_as_module(s)
-        zs = singular_submodule(mod)
-        for row in zs.gens.rows:
-            assert z.contains(incl.apply(row))
 
 
 def test_quotient_module_projection_and_section():
@@ -632,14 +615,15 @@ def test_rank_one_modules_are_the_cyclic_classes(max_order):
             assert sum(is_isomorphic_modules(q, m)[0] for m in mods) == 1
 
 
-def test_rank_one_bounds_are_checked_before_the_cyclic_classes():
+def test_rank_one_bounds_are_checked_before_the_cyclic_classes(monkeypatch):
     with pytest.raises(BoundExceededError,
                        match="^free module of order 5000 not enumerable$"):
         enumerate_modules(zmod(5000), max_free_rank=1)
     ring = load_ring("t2f2")
+    monkeypatch.setattr(modules, "FREE_SUBMODULE_CEILING", 6)
     with pytest.raises(BoundExceededError,
                        match="^7 submodules of R\\^1 exceed ceiling 6$"):
-        enumerate_modules(ring, max_free_rank=1, ceiling=6)
+        enumerate_modules(ring, max_free_rank=1)
     assert "cyclic_classes" not in ring._cache
 
 

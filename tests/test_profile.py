@@ -31,7 +31,6 @@ from ringscope.profile import (
     p_profile,
     profile,
     proj_fingerprint,
-    rises_bounded,
     semisimple_cyclics,
 )
 from ringscope.ring import zmod
@@ -164,22 +163,6 @@ def test_killed_by_matches_proj_fingerprint_on_nodes():
         for ideal in p_profile(ring).ideals:
             w = cyclic_module(ring, ideal)[0]
             assert proj_fingerprint(w) == killed_by(ring, ideal)
-
-
-def test_rises_bounded():
-    ring = corpus("z8")
-    reg = regular_module(ring)
-    rj = cyclic_module(ring, jacobson_radical(ring))[0]
-    verdict, witness = rises_bounded(rj, reg)
-    assert verdict == "refuted"
-    # the witness is rj-injective (semisimple target) but not injective
-    from ringscope.hom import is_injective, is_relatively_injective
-
-    assert is_relatively_injective(witness, rj)[0]
-    assert not is_injective(witness)
-    verdict, bounds = rises_bounded(reg, reg)
-    assert verdict == "consistent_up_to_bound"
-    assert bounds == (1, 64)
 
 
 def test_find_witness_p_always_verified():
@@ -378,23 +361,6 @@ def counting(relative, calls):
         calls.append(n)
         return relative(m, n)
     return counted
-
-
-def test_fingerprints_without_origins_test_every_class(monkeypatch):
-    """A class whose ideal is unknown is always tested: with cyclic_origin
-    answering None, each fingerprint tests every class, and is the same."""
-    ring = corpus("quiver_f2")
-    reps = cyclic_modules_up_to_iso(ring)
-    mods = reps + [regular_module(ring)]
-    want = {(m.key, r.__name__): fingerprint_by_scan(m, r)
-            for m in mods for r in RELATIVE}
-    monkeypatch.setattr(profile_mod, "cyclic_origin", lambda m: None)
-    for m in mods:
-        for relative in RELATIVE:
-            calls = []
-            got = profile_mod._fingerprint(m, counting(relative, calls))
-            assert [c.key for c in calls] == [c.key for c in reps]
-            assert got == want[m.key, relative.__name__]
 
 
 def test_filter_fingerprints_save_relative_tests():
