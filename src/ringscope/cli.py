@@ -39,22 +39,27 @@ from .torsion import all_linear_filters, ideal_context
 
 # -- file formats --------------------------------------------------------------
 
+def _read_document(text: str, what: str, build):
+    """build(doc) for the JSON document doc in text; InputError when text
+    is not JSON, or nests too deeply for the decoder or for build, which
+    recurse once per level."""
+    try:
+        return build(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{what} file is nested too deeply") from None
+
+
 def parse_ring_file(text: str) -> FiniteRing:
     """The ring of a JSON ring document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"ring file is not valid JSON: {exc}") from exc
-    return ring_from_spec(doc)
+    return _read_document(text, "ring", ring_from_spec)
 
 
 def parse_module_file(text: str, ring: FiniteRing):
     """Build a right module over the given ring from a JSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"module file is not valid JSON: {exc}") from exc
-    return _module_from_doc(doc, ring)
+    return _read_document(text, "module",
+                          lambda doc: _module_from_doc(doc, ring))
 
 
 def _module_from_doc(doc, ring: FiniteRing):

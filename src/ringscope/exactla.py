@@ -17,7 +17,7 @@ import operator
 from functools import reduce
 
 from ._backend import howell_mod
-from .errors import BoundExceededError, InputError, TheoremViolationError
+from .errors import InputError, TheoremViolationError
 
 
 def lcm_all(values) -> int:
@@ -98,10 +98,6 @@ class ModMatrix:
         n = self.n
         return [n // m for m in self.col_moduli]
 
-    def _scaled_rows(self):
-        sc = self._scales()
-        return [[x * s for x, s in zip(r, sc)] for r in self.rows]
-
     # -- canonical form ----------------------------------------------------
 
     def howell_form(self) -> "ModMatrix":
@@ -116,8 +112,8 @@ class ModMatrix:
             h = rows = tuple(map(tuple, howell_mod(self.rows, self.ncols, n)))
         else:
             sc = self._scales()
-            h = tuple(map(tuple, howell_mod(self._scaled_rows(), self.ncols,
-                                            n)))
+            scaled = [[x * s for x, s in zip(r, sc)] for r in self.rows]
+            h = tuple(map(tuple, howell_mod(scaled, self.ncols, n)))
             rows = tuple(tuple(x // s for x, s in zip(r, sc)) for r in h)
         out = ModMatrix._reduced(self.col_moduli, rows, n)
         object.__setattr__(out, "_howell", out)
@@ -145,13 +141,9 @@ class ModMatrix:
         return size
 
     def contains(self, vec) -> bool:
-        return self.residual(vec) is None
-
-    def residual(self, vec):
-        """None if vec lies in the span, else the irreducible remainder."""
+        """vec lies in the span: the Howell rows reduce it to 0."""
         n = self.n
-        uniform = self._uniform()
-        if uniform:
+        if self._uniform():
             v = [int(x) % n for x in vec]
         else:
             sc = self._scales()
@@ -163,11 +155,7 @@ class ModMatrix:
                 q = v[j] // g
                 if q:
                     v = [(a - q * b) % n for a, b in zip(v, row)]
-        if not any(v):
-            return None
-        if uniform:
-            return tuple(v)
-        return tuple(x // s if x % s == 0 else x for x, s in zip(v, sc))
+        return not any(v)
 
     def span_elements(self):
         """Iterate every element of the row span (|span| tuples)."""
@@ -189,12 +177,6 @@ class ModMatrix:
                 if q:
                     v = [(a + q * b) % m for a, b, m in zip(v, row, mods)]
             yield tuple(v)
-
-    def members(self, bound: int = 1 << 16) -> frozenset:
-        size = self.span_size()
-        if size > bound:
-            raise BoundExceededError(f"span of size {size} exceeds bound {bound}")
-        return frozenset(self.span_elements())
 
     # -- solving -----------------------------------------------------------
 
@@ -241,8 +223,8 @@ class ModMatrix:
         return ker
 
 
-def zero_matrix(col_moduli, n: int | None = None) -> ModMatrix:
-    return ModMatrix(col_moduli, (), n)
+def zero_matrix(col_moduli) -> ModMatrix:
+    return ModMatrix(col_moduli, ())
 
 
 def solve_affine(coeff_rows, eq_moduli, rhs, unknown_moduli):

@@ -224,7 +224,7 @@ def is_relatively_injective(m: RightModule, n: RightModule):
     for k in submodules(n):
         if k.size() == n.order():
             continue  # restriction along the identity
-        kmod, incl, _ = submodule_as_module(k)
+        kmod, incl = submodule_as_module(k)
         homs_km = hom_group(kmod, m)
         if homs_km.size() == 1:
             continue

@@ -28,6 +28,13 @@ def right_ideals(ring: FiniteRing):
     return submodules(regular_module(ring))
 
 
+def ideal_index(ring: FiniteRing) -> dict:
+    """{I.gens: t} for right_ideals(ring)[t] = I, memoised on the ring:
+    a right ideal's position, by its Howell generators."""
+    return memo(ring, "ideal_index", lambda: {
+        i.gens: t for t, i in enumerate(right_ideals(ring))})
+
+
 def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     """The right ideals under inclusion, memoised on the ring.
 
@@ -77,7 +84,7 @@ def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     downs = set(lat.down)
     irreducible = [g for g in range(n) if g != lat.bottom
                    and lat.down[g] & ~(1 << g) in downs]
-    index = {i.gens: t for t, i in enumerate(ideals)}
+    index = ideal_index(ring)
     for b in range(n):
         for g in irreducible:
             if index.get(submodule_sum(ideals[b], ideals[g]).gens) != \

@@ -73,9 +73,6 @@ class RightModule:
     def reduce_el(self, vec):
         return reduce_vector(vec, self.orders, "module element")
 
-    def add(self, x, y):
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
-
     def elements(self):
         if self.order() > SUBMODULE_ENUM_BOUND:
             raise BoundExceededError(f"module of order {self.order()} exceeds "
@@ -499,10 +496,10 @@ def _cyclic_submodules(n: RightModule, ideal: ModMatrix, proj: ModuleMap):
     images K/L = π(K) of the right ideals K ⊇ L (the correspondence
     theorem, Anderson–Fuller Ch. 1), read off the right-ideal lattice.  The
     regular module is never read this way: its walk defines the lattice."""
-    from .ideals import right_ideal_lattice, right_ideals  # deferred
+    from .ideals import ideal_index, right_ideal_lattice, right_ideals  # deferred
 
     ideals = right_ideals(n.ring)
-    low = next(t for t, i in enumerate(ideals) if i.gens == ideal)
+    low = ideal_index(n.ring)[ideal]
     subs = [Submodule(n, [proj.apply(r) for r in ideals[t].gens.rows])
             for t in _bits(right_ideal_lattice(n.ring).up[low])]
     return sorted(subs, key=lambda s: (s.size(), s.gens.rows))
@@ -513,15 +510,11 @@ def submodule_sum(a: Submodule, b: Submodule) -> Submodule:
 
 
 def submodule_as_module(sub: Submodule):
-    """Present a submodule abstractly.
+    """Present a submodule abstractly: (module, inclusion ModuleMap).
 
-    Returns (module, inclusion ModuleMap, express) where express maps an
-    ambient coordinate vector to coordinates of the presented module
-    (None when the vector lies outside the submodule).
-
-    The triple is memoised on the ring, keyed by the parent's content and
+    The pair is memoised on the ring, keyed by the parent's content and
     the Howell generators of the submodule, so equal submodules share one
-    triple, even in parents built separately: the presented module and the
+    pair, even in parents built separately: the presented module and the
     inclusion's target may belong to an equal-content twin of sub.parent.
     Callers must not mutate it.
     """
@@ -533,8 +526,7 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
     g = gens.nrows
     if g == 0:
         zero = zero_module(parent.ring)
-        incl = ModuleMap(zero, parent, [], check=False)
-        return zero, incl, lambda v: () if not any(v) else None
+        return zero, ModuleMap(zero, parent, [], check=False)
     new_orders, proj, lift = _presentation(parent.ring, gens.kernel())
 
     def express(vec):
@@ -548,7 +540,7 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
               for j in range(parent.ring.rank)]
     mod = _validated(RightModule(parent.ring, new_orders, action,
                                  label=f"{parent.label} (sub)"))
-    return mod, ModuleMap(mod, parent, incl_rows, check=False), express
+    return mod, ModuleMap(mod, parent, incl_rows, check=False)
 
 
 # -- socle, radical, singular, annihilator ------------------------------------

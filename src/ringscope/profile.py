@@ -158,30 +158,26 @@ def _skeleton(ring: FiniteRing):
     return nodes, lat, filters
 
 
-def i_profile(ring: FiniteRing) -> ProfileReport:
-    """The injectivity profile, cross-validated against filter enumeration."""
+def profile(ring: FiniteRing, kind: str) -> ProfileReport:
+    """The profile of kind "i" or "p": the shared skeleton, with a witness
+    per node from find_witness."""
+    if kind not in ("i", "p"):
+        raise ValueError(f"kind must be 'i' or 'p', got {kind!r}")
     check_filter_guard(ring)
     nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
-    witnesses = [find_witness(ring, i, "i") for i in nodes]
-    return ProfileReport("i", ring, lat, list(nodes), list(filters),
+    witnesses = [find_witness(ring, i, kind) for i in nodes]
+    return ProfileReport(kind, ring, lat, list(nodes), list(filters),
                          witnesses)
+
+
+def i_profile(ring: FiniteRing) -> ProfileReport:
+    """The injectivity profile, cross-validated against filter enumeration."""
+    return profile(ring, "i")
 
 
 def p_profile(ring: FiniteRing) -> ProfileReport:
     """The projectivity profile; every node's witness R/I is verified."""
-    check_filter_guard(ring)
-    nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
-    witnesses = [find_witness(ring, i, "p") for i in nodes]
-    return ProfileReport("p", ring, lat, list(nodes), list(filters),
-                         witnesses)
-
-
-def profile(ring: FiniteRing, kind: str) -> ProfileReport:
-    if kind == "i":
-        return i_profile(ring)
-    if kind == "p":
-        return p_profile(ring)
-    raise ValueError(f"kind must be 'i' or 'p', got {kind!r}")
+    return profile(ring, "p")
 
 
 def is_poor(m: RightModule, kind: str) -> bool:

@@ -112,9 +112,6 @@ class FiniteRing:
     def reduce_el(self, vec):
         return reduce_vector(vec, self.orders)
 
-    def el_add(self, x, y):
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
-
     def el_mul(self, x, y):
         acc = [0] * self.rank
         for xi, row in zip(x, self._terms):
@@ -128,11 +125,11 @@ class FiniteRing:
                     acc[k] += c * t
         return tuple(a % m for a, m in zip(acc, self.orders))
 
-    def elements(self, bound: int | None = None):
-        limit = bound if bound is not None else max_ring_order()
-        if self.order() > limit:
+    def elements(self):
+        cap = max_ring_order()
+        if self.order() > cap:
             raise BoundExceededError(
-                f"ring of order {self.order()} exceeds enumeration bound {limit}")
+                f"ring of order {self.order()} exceeds enumeration bound {cap}")
         return itertools.product(*(range(n) for n in self.orders))
 
     def left_mul_matrix(self, a) -> ModMatrix:
@@ -264,10 +261,17 @@ def path_algebra(p: int, num_vertices: int, arrows, label: str | None = None) ->
     a·b is "b then a": nonzero exactly when source(a) = target(b), the
     composite running from source(b) to target(a).
     """
+    cap = max_ring_order()
+    if p > cap:  # before the trial division, which is slow for a large p
+        raise BoundExceededError(f"field order {p} exceeds bound {cap}")
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
     if num_vertices < 0:
         raise InputError("path algebra needs vertices >= 0")
+    most = next(d for d in itertools.count() if p ** (d + 1) > cap)
+    over = f"ring order at least {p ** (most + 1)} exceeds bound {cap}"
+    if num_vertices > most:
+        raise BoundExceededError(over)
     arrows = [(int(s), int(t)) for s, t in arrows]
     verts = list(range(1, num_vertices + 1))
     for s, t in arrows:
@@ -291,6 +295,8 @@ def path_algebra(p: int, num_vertices: int, arrows, label: str | None = None) ->
                 ext = (src, t, seq + (idx,))
                 paths.append(ext)
                 frontier.append(ext)
+                if len(paths) > most:
+                    raise BoundExceededError(over)
     paths.sort(key=lambda q: (len(q[2]), q))
     index = {q: i for i, q in enumerate(paths)}
     d = len(paths)
@@ -325,8 +331,11 @@ def matrix_ring(base: FiniteRing, size: int) -> FiniteRing:
     """size × size matrices over the base ring."""
     if size < 1:
         raise InputError("matrix size must be >= 1")
-    if base.order() ** (size * size) > max_ring_order():
-        raise BoundExceededError("matrix ring order exceeds bound")
+    # the order is base.order() ** size²; a base of order >= 2 passes the
+    # cap by the power cap.bit_length(), so no larger power is taken
+    cap = max_ring_order()
+    if base.order() ** min(size * size, cap.bit_length()) > cap:
+        raise BoundExceededError(f"matrix ring order exceeds bound {cap}")
     db = base.rank
     basis = [(i, j, s) for i in range(size) for j in range(size)
              for s in range(db)]
@@ -360,9 +369,16 @@ def product_ring(factors) -> FiniteRing:
     if not factors:
         raise InputError("product of zero rings is not supported")
     orders = tuple(n for r in factors for n in r.orders)
+    cap, order = max_ring_order(), 1
     offsets = []
     off = 0
-    for r in factors:
+    for t, r in enumerate(factors):
+        # the order is checked before the table, while the number is small
+        order *= r.order()
+        if order > cap:
+            more = " at least" if t + 1 < len(factors) else ""
+            raise BoundExceededError(
+                f"ring order{more} {order} exceeds bound {cap}")
         offsets.append(off)
         off += r.rank
     d = off
@@ -428,9 +444,9 @@ def opposite_ring(base: FiniteRing) -> FiniteRing:
 # -- element-level queries ---------------------------------------------------
 
 
-def units(ring: FiniteRing, bound: int | None = None) -> set:
+def units(ring: FiniteRing) -> set:
     """All elements with a two-sided inverse."""
-    return {x for x in ring.elements(bound) if inverse(ring, x) is not None}
+    return {x for x in ring.elements() if inverse(ring, x) is not None}
 
 
 def inverse(ring: FiniteRing, x):
@@ -444,10 +460,10 @@ def inverse(ring: FiniteRing, x):
     return y
 
 
-def central_idempotents(ring: FiniteRing, bound: int | None = None) -> set:
+def central_idempotents(ring: FiniteRing) -> set:
     gens = [ring.generator(i) for i in range(ring.rank)]
     out = set()
-    for x in ring.elements(bound):
+    for x in ring.elements():
         x = tuple(x)
         if ring.el_mul(x, x) != x:
             continue

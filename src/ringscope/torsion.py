@@ -24,7 +24,12 @@ from __future__ import annotations
 
 from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import apply_matrix, solve_affine
-from .ideals import is_two_sided, right_ideal_lattice, right_ideals
+from .ideals import (
+    ideal_index,
+    is_two_sided,
+    right_ideal_lattice,
+    right_ideals,
+)
 from .lattice import _bits
 from .modules import (
     RightModule,
@@ -39,7 +44,7 @@ FILTER_IDEAL_GUARD = 400
 
 
 class IdealContext:
-    """Per-ring tables over the canonical right-ideal list: index lookup,
+    """Per-ring tables over the canonical right-ideal list: ideal_index,
     the right-ideal lattice (meet = intersection), the quotient R/I_t of
     each ideal, and the colon ideals at the additive generators of each
     R/I_t.  The last two are memoised on the ring, by the ideal's Howell
@@ -48,7 +53,7 @@ class IdealContext:
     def __init__(self, ring: FiniteRing):
         self.ring = ring
         self.ideals = right_ideals(ring)
-        self.index = {i.gens: t for t, i in enumerate(self.ideals)}
+        self.index = ideal_index(ring)
         self.lat = right_ideal_lattice(ring)
         self.top = self.lat.top
         if self.ideals[self.top].size() != ring.order():
@@ -102,10 +107,6 @@ def ideal_context(ring: FiniteRing) -> IdealContext:
 class LinearFilter(IndexSet):
     """A set of right ideals, held as indices into the canonical list."""
 
-    def ideals(self):
-        ctx = ideal_context(self.ring)
-        return [ctx.ideals[t] for t in sorted(self.members)]
-
     def smallest_member(self) -> Submodule:
         """Intersection of the members; the generating ideal when the
         filter is an η(I)."""
@@ -121,13 +122,13 @@ class LinearFilter(IndexSet):
 
 
 def is_linear_filter(ring: FiniteRing, members):
-    """(flag, report): report names the first violated axiom."""
+    """(flag, report) for a LinearFilter or a set of ideal indices: report
+    names the first violated axiom."""
     ctx = ideal_context(ring)
     if isinstance(members, LinearFilter):
         mem = members.members
     else:
-        mem = frozenset(ctx.index[i.gens] if isinstance(i, Submodule) else int(i)
-                        for i in members)
+        mem = frozenset(map(int, members))
     if ctx.top not in mem:
         return False, "F1: the whole ring is missing"
     for t in mem:

@@ -34,6 +34,11 @@ from ringscope.ring import memo, quotient_ring
 from ringscope.torsion import LinearFilter, ideal_context
 
 
+def add_vectors(orders, x, y):
+    """x + y in ⊕ Z/orders, coordinate by coordinate."""
+    return tuple((a + b) % m for a, b, m in zip(x, y, orders))
+
+
 def brute_subgroup_spans(mod):
     """Every action-stable subgroup of a small module, as element frozensets."""
     elems = [tuple(x) for x in mod.elements()]
@@ -50,7 +55,7 @@ def brute_subgroup_spans(mod):
                     if img not in grp and img not in fresh:
                         fresh.add(img)
                 for y in list(grp) + list(frontier):
-                    s = mod.add(x, y)
+                    s = add_vectors(mod.orders, x, y)
                     if s not in grp and s not in fresh:
                         fresh.add(s)
             grp |= frontier
@@ -334,8 +339,8 @@ def additive_closure(mod, vecs):
     for v in set(vecs):
         step, w = set(grp), v
         while w not in grp:
-            step |= {mod.add(g, w) for g in grp}
-            w = mod.add(w, v)
+            step |= {add_vectors(mod.orders, g, w) for g in grp}
+            w = add_vectors(mod.orders, w, v)
         grp = step
     return frozenset(grp)
 
@@ -372,7 +377,7 @@ def oracle_rel_inj(m, n, cap: int = 4096):
         return None
     full = brute_maps(n, m)
     for k in submodules(n):
-        kmod, incl, _ = submodule_as_module(k)
+        kmod, incl = submodule_as_module(k)
         if additive_hom_count(kmod, m) > cap:
             return None
         for phi in brute_maps(kmod, m):

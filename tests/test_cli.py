@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,73 @@ def test_a_ring_past_the_filter_guard_exits_3(tmp_path, capsys):
         "error: 512 right ideals exceed the filter guard 400\n")
 
 
+F2 = {"type": "zmod", "n": 2}
+
+
+@pytest.mark.parametrize("construct", [
+    {"type": "path_algebra", "p": 1000000000000000003, "vertices": 1,
+     "arrows": []},
+    *({"type": "path_algebra", "p": 2, "vertices": n,
+       "arrows": [[v, v + 1] for v in range(1, n) for _ in range(3)]}
+      for n in (6, 7)),
+    {"type": "matrix", "base": F2, "size": 60000},
+    {"type": "matrix", "base": F2, "size": 150000},
+    {"type": "product", "factors": [F2] * 400},
+])
+def test_order_cap_is_checked_before_the_table(monkeypatch, tmp_path,
+                                               capsys, construct):
+    """A small file naming a ring over the order cap exits 3 within a
+    second: the cap is checked on p before its trial division, on the
+    paths as they are listed, on size² for a matrix ring and on the
+    factors' orders for a product, before any table is built."""
+    monkeypatch.delenv("RINGSCOPE_MAX_ORDER", raising=False)
+    path = tmp_path / "big.ring"
+    path.write_text(json.dumps({"construct": construct}))
+    start = time.perf_counter()
+    assert run(["ring", "show", str(path)])[0] == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(
+        " exceeds bound 65536\n")
+
+
+def test_deeply_nested_files_are_invalid_input(tmp_path, capsys):
+    """A ring or module file nested past the recursion limit exits 2 with
+    an error line, whether the decoder or the builder gives out."""
+    deep = tmp_path / "deep.ring"
+    deep.write_text("[" * 200000)
+    assert run(["ring", "show", str(deep)])[0] == 2
+    assert capsys.readouterr().err == (
+        "error: ring file is nested too deeply\n")
+    doc = '{"type": "regular"}'
+    for _ in range(700):
+        doc = f'{{"type": "direct_sum", "summands": [{doc}]}}'
+    deep = tmp_path / "deep.module"
+    deep.write_text(doc)
+    assert run(["domains", "--ring", "z8", "--module", str(deep),
+                "--kind", "i"])[0] == 2
+    assert capsys.readouterr().err == (
+        "error: module file is nested too deeply\n")
+    # near the recursion limit the builder, which recurses once per
+    # construct, gives out on documents that the decoder still reads
+    docs, construct = [], '{"type": "zmod", "n": 2}'
+    for _ in range(sys.getrecursionlimit()):
+        construct = f'{{"type": "opposite", "base": {construct}}}'
+        docs.append(f'{{"construct": {construct}}}')
+    deepest = len(docs) - 1
+    while True:
+        try:
+            json.loads(docs[deepest])
+            break
+        except RecursionError:
+            deepest -= 1
+    for doc in docs[deepest - 10:]:
+        try:
+            parse_ring_file(doc)
+        except InputError as exc:
+            assert str(exc) == "ring file is nested too deeply"
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0"])
 def test_order_cap_must_be_a_positive_integer(monkeypatch, capsys, value):
     monkeypatch.setenv("RINGSCOPE_MAX_ORDER", value)
@@ -477,10 +545,12 @@ def test_package_has_no_assert_statements():
 
 
 def test_package_imports_only_names_it_uses():
-    """No module (the package's __init__ aside, which re-exports) imports
-    a name it never reads."""
-    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
-    files = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+    """No module of the package (its __init__ aside, which re-exports) or
+    of the tests imports a name it never reads."""
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src" / "ringscope"
+    files = sorted(p for p in [*src.glob("*.py"), *tests.glob("*.py")]
+                   if p.name != "__init__.py")
     assert files
     unused = []
     for path in files:
@@ -502,6 +572,10 @@ def test_package_imports_only_names_it_uses():
 # projectivity test and σ[M] membership, which the README names, the
 # paper's middle-class predicate, and the units the README lists
 PAPER_API = {"is_projective", "sigma_contains", "has_middle_class", "units"}
+# functions that nothing in the package reads, kept as the tests'
+# element-level routes to what the library computes by other means
+LIBRARY_ORACLES = {"element_annihilator", "central_idempotents",
+                   "is_simple_artinian"}
 
 
 def _names_read(node, enclosing=frozenset()):
@@ -518,16 +592,20 @@ def _names_read(node, enclosing=frozenset()):
 
 
 def test_every_export_has_a_caller():
-    """Each name the package's __init__ re-exports is read somewhere in
-    the package outside its own definition, or is named in PAPER_API."""
+    """Each name the package's __init__ re-exports, and each module-level
+    function and class, is read somewhere in the package outside its own
+    definition, or is named in PAPER_API or LIBRARY_ORACLES."""
     src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
     init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    read = set()
+    defined, read = set(), set()
     for path in sorted(src.glob("*.py")):
         if path.name != "__init__.py":
-            read.update(_names_read(ast.parse(
-                path.read_text(encoding="utf-8"))))
-    assert sorted(exported - read - PAPER_API) == []
-    assert PAPER_API <= exported
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(_names_read(tree))
+            defined.update(node.name for node in tree.body if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)))
+    kept = PAPER_API | LIBRARY_ORACLES
+    assert sorted((exported | defined) - read - kept) == []
+    assert PAPER_API <= exported and LIBRARY_ORACLES <= defined - read

@@ -120,7 +120,7 @@ def test_relative_injectivity_certificate():
     assert not flag
     k, phi = cert
     # the certificate map really does not extend
-    kmod, incl, _ = submodule_as_module(k)
+    kmod, incl = submodule_as_module(k)
     assert phi.source.orders == kmod.orders
     extensions = [f for f in brute_maps(reg, z2)
                   if all(f.apply(incl.rows[t]) == phi.rows[t]
@@ -265,7 +265,7 @@ def test_certificates_past_the_hom_enumeration_bound(free_summands):
 
     flag, (k, phi) = is_relatively_injective(m, reg)
     assert not flag
-    kmod, incl, _ = submodule_as_module(k)
+    kmod, incl = submodule_as_module(k)
     assert phi.source is kmod and phi.is_valid()
     restrictions = howell_span(
         m.orders * kmod.rank,
