@@ -21,6 +21,7 @@ from .errors import (
     RingScopeError,
     TheoremViolationError,
 )
+from .ideals import right_ideals
 from .lattice import to_dot
 from .modules import (
     Submodule,
@@ -34,7 +35,7 @@ from .modules import (
 )
 from .profile import inj_fingerprint, profile, proj_fingerprint
 from .ring import FiniteRing, int_field, ring_from_spec
-from .torsion import all_linear_filters, ideal_context
+from .torsion import all_linear_filters
 
 
 # -- file formats --------------------------------------------------------------
@@ -209,10 +210,9 @@ def _cmd_domains(args, out) -> int:
 def _cmd_filters(args, out) -> int:
     ring = load_ring(args.ring)
     filters = all_linear_filters(ring, above_all_maximal=args.above_maximal)
-    ctx = ideal_context(ring)
     scope = "above all maximal right ideals" if args.above_maximal else "all"
     print(f"linear filters ({scope}): {len(filters)} "
-          f"over {len(ctx.ideals)} right ideals", file=out)
+          f"over {len(right_ideals(ring))} right ideals", file=out)
     for f in filters:
         gen = f.smallest_member()
         print(f"  filter with {len(f)} ideals, smallest member of order "

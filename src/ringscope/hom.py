@@ -46,7 +46,7 @@ class HomGroup:
     def _unflatten(self, flat) -> ModuleMap:
         t = self.target.rank
         rows = [flat[i * t:(i + 1) * t] for i in range(self.source.rank)]
-        return ModuleMap(self.source, self.target, rows, check=False)
+        return ModuleMap(self.source, self.target, rows)
 
     def gen_maps(self):
         return [self._unflatten(r) for r in self.basis.rows]

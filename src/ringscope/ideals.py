@@ -41,7 +41,7 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     Element t is right_ideals(ring)[t]; meet is intersection and join is
     sum.  The order comes from contains_sub and is checked once, when the
     lattice is built, on three facts:
-    (a) the least element is the zero ideal;
+    (a) the least element is the zero ideal, and the greatest is R;
     (b) join(A, g) is the Howell sum A + g for every A and every
     join-irreducible g (an element other than the bottom whose strict
     down-set is another element's down-set);
@@ -73,6 +73,9 @@ def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     if sizes[lat.bottom] != 1:
         raise TheoremViolationError(
             f"{ring.label}: right ideals: the least one is not 0")
+    if sizes[lat.top] != ring.order():
+        raise TheoremViolationError(
+            f"{ring.label}: right ideals: the greatest one is not R")
     for a in range(n):
         for b in range(a + 1, n):
             meet, join = lat.meet[a][b], lat.join[a][b]
@@ -137,10 +140,8 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
     is not asked: it would read them off R's own lattice (cyclic_origin),
     where J came from."""
     lat = right_ideal_lattice(ring)
-    t = lat.top
-    for c in lat.coatoms():
-        t = lat.meet[t][c]
-    jac = right_ideals(ring)[t]
+    maximal = sum(1 << c for c in lat.coatoms())
+    jac = right_ideals(ring)[lat.meet_all(maximal)]
     if not is_two_sided(ring, jac):
         raise TheoremViolationError(
             f"radical of {ring.label} is not two-sided")

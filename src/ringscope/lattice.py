@@ -78,6 +78,14 @@ class FiniteLattice:
     def size(self) -> int:
         return len(self.labels)
 
+    def meet_all(self, mask: int) -> int:
+        """The meet of the elements in the bitset mask; the top when the
+        mask is empty."""
+        t = self.top
+        for s in _bits(mask):
+            t = self.meet[t][s]
+        return t
+
     def le(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 

@@ -133,17 +133,15 @@ def _validated(mod: RightModule) -> RightModule:
 
 
 class ModuleMap:
-    """Additive, action-preserving map given by generator images (rows)."""
+    """Additive, action-preserving map given by generator images (rows);
+    is_valid() checks that the rows give one."""
 
-    def __init__(self, source: RightModule, target: RightModule, rows,
-                 check: bool = True):
+    def __init__(self, source: RightModule, target: RightModule, rows):
         self.source = source
         self.target = target
         self.rows = tuple(target.reduce_el(r) for r in rows)
         if len(self.rows) != source.rank:
             raise InputError("map needs one image row per source generator")
-        if check and not self.is_valid():
-            raise InputError("matrix is not a module map")
 
     def apply(self, x):
         return apply_matrix(x, self.rows, self.target.orders)
@@ -291,8 +289,7 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
               for j in range(n.ring.rank)]
     q = _validated(RightModule(n.ring, new_orders, action,
                                label=label or f"{n.label}/K"))
-    projection = ModuleMap(n, q, [down(n.generator(i)) for i in range(n.rank)],
-                           check=False)
+    projection = ModuleMap(n, q, [down(n.generator(i)) for i in range(n.rank)])
     projection.section = [tuple(r) for r in lift]
     return q, projection
 
@@ -340,8 +337,7 @@ def quotient_via_lattice(n: RightModule, l: Submodule):
     reg = proj_l.source
     lifts = [apply_matrix(r, proj_l.section, reg.orders) for r in l.gens.rows]
     q, proj_k = factor_module(n.ring, Submodule(reg, gens.rows + tuple(lifts)))
-    proj = ModuleMap(n, q, [proj_k.apply(s) for s in proj_l.section],
-                     check=False)
+    proj = ModuleMap(n, q, [proj_k.apply(s) for s in proj_l.section])
     proj.section = [proj_l.apply(s) for s in proj_k.section]
     return q, proj
 
@@ -526,7 +522,7 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
     g = gens.nrows
     if g == 0:
         zero = zero_module(parent.ring)
-        return zero, ModuleMap(zero, parent, [], check=False)
+        return zero, ModuleMap(zero, parent, [])
     new_orders, proj, lift = _presentation(parent.ring, gens.kernel())
 
     def express(vec):
@@ -540,7 +536,7 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
               for j in range(parent.ring.rank)]
     mod = _validated(RightModule(parent.ring, new_orders, action,
                                  label=f"{parent.label} (sub)"))
-    return mod, ModuleMap(mod, parent, incl_rows, check=False)
+    return mod, ModuleMap(mod, parent, incl_rows)
 
 
 # -- socle, radical, singular, annihilator ------------------------------------
@@ -722,8 +718,7 @@ def is_isomorphic_modules(a: RightModule, b: RightModule):
         return False, None
     coeffs, _ = images.solve(flat)
     f = ModuleMap(a, b, [apply_matrix(coeffs, [g.rows[i] for g in gens],
-                                      b.orders) for i in range(a.rank)],
-                  check=False)
+                                      b.orders) for i in range(a.rank)])
     if not f.is_valid():
         raise TheoremViolationError(
             f"hom solve from {a.label} to {b.label} gave a non-map")

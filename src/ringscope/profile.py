@@ -13,8 +13,19 @@ from __future__ import annotations
 
 from .errors import TheoremViolationError
 from .hom import is_relatively_injective, is_relatively_projective
-from .ideals import ideals_in_radical, jacobson_radical
-from .lattice import FiniteLattice, are_isomorphic, build_lattice, structure_report
+from .ideals import (
+    ideal_index,
+    ideals_in_radical,
+    jacobson_radical,
+    right_ideal_lattice,
+)
+from .lattice import (
+    FiniteLattice,
+    _bits,
+    are_isomorphic,
+    build_lattice,
+    structure_report,
+)
 from .modules import (
     RightModule,
     cyclic_modules_up_to_iso,
@@ -25,24 +36,19 @@ from .modules import (
     regular_module,
 )
 from .ring import FiniteRing, IndexSet, memo
-from .torsion import (
-    all_linear_filters,
-    check_filter_guard,
-    eta_filter,
-    ideal_context,
-)
+from .torsion import all_linear_filters, check_filter_guard, eta_filter
 
 
 class CyclicFingerprint(IndexSet):
-    """A domain restricted to the cyclic iso-classes, as indices into
-    cyclic_modules_up_to_iso."""
+    """A domain restricted to the cyclic iso-classes, held as an int
+    bitset over cyclic_modules_up_to_iso: bit t for its class t."""
 
     def modules(self):
         reps = cyclic_modules_up_to_iso(self.ring)
-        return [reps[t] for t in sorted(self.members)]
+        return [reps[t] for t in _bits(self.members)]
 
     def __repr__(self):
-        return f"CyclicFingerprint({sorted(self.members)})"
+        return f"CyclicFingerprint({list(_bits(self.members))})"
 
 
 def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
@@ -58,14 +64,14 @@ def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
     failure; only the classes left open are tested.
     """
     ring = m.ring
-    ctx = ideal_context(ring)
-    lat = ctx.lat
-    least, failed, members = lat.top, 0, []
+    index = ideal_index(ring)
+    lat = right_ideal_lattice(ring)
+    least, failed, members = lat.top, 0, 0
     for t, c in enumerate(cyclic_modules_up_to_iso(ring)):
-        l = ctx.index[cyclic_origin(c)[0]]
+        l = index[cyclic_origin(c)[0]]
         if lat.le(least, l) or (not failed >> l & 1 and relative(m, c)[0]):
             least = lat.meet[least][l]
-            members.append(t)
+            members |= 1 << t
         else:
             failed |= lat.down[l]
     return CyclicFingerprint(ring, members)
@@ -98,8 +104,8 @@ def killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
 def _killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
     reps = cyclic_modules_up_to_iso(ring)
     return CyclicFingerprint(
-        ring, [t for t, c in enumerate(reps)
-               if module_times_ideal(full_submodule(c), ideal).size() == 1])
+        ring, sum(1 << t for t, c in enumerate(reps)
+                  if module_times_ideal(full_submodule(c), ideal).size() == 1))
 
 
 class ProfileReport:

@@ -155,13 +155,14 @@ def same_ring(r: FiniteRing, s: FiniteRing) -> bool:
 
 
 class IndexSet:
-    """A set of indices into one of a ring's canonical lists, ordered by
-    inclusion.  Two are equal when they are of one class, over one ring,
-    with the same members."""
+    """A set of indices into one of a ring's canonical lists, held as an
+    int bitset (bit t for index t) and ordered by inclusion.  Two are
+    equal when they are of one class, over one ring, with the same
+    members."""
 
-    def __init__(self, ring: FiniteRing, members):
+    def __init__(self, ring: FiniteRing, members: int):
         self.ring = ring
-        self.members = frozenset(int(t) for t in members)
+        self.members = members
 
     def __eq__(self, other):
         return (type(other) is type(self)
@@ -172,10 +173,10 @@ class IndexSet:
         return hash(self.members)
 
     def __le__(self, other):
-        return self.members <= other.members
+        return not self.members & ~other.members
 
     def __len__(self):
-        return len(self.members)
+        return self.members.bit_count()
 
 
 def verify_ring_axioms(r: FiniteRing):
@@ -331,11 +332,15 @@ def matrix_ring(base: FiniteRing, size: int) -> FiniteRing:
     """size × size matrices over the base ring."""
     if size < 1:
         raise InputError("matrix size must be >= 1")
-    # the order is base.order() ** size²; a base of order >= 2 passes the
-    # cap by the power cap.bit_length(), so no larger power is taken
+    # the order is base.order() ** size²: a base of order >= 2 passes the
+    # cap only at size² <= cap.bit_length(), and one of order 1 is held to
+    # that too, before the basis is listed
     cap = max_ring_order()
     if base.order() ** min(size * size, cap.bit_length()) > cap:
         raise BoundExceededError(f"matrix ring order exceeds bound {cap}")
+    if size * size > cap.bit_length():
+        raise BoundExceededError(
+            f"matrix size {size} exceeds bound: size² > {cap.bit_length()}")
     db = base.rank
     basis = [(i, j, s) for i in range(size) for j in range(size)
              for s in range(db)]

@@ -3,8 +3,8 @@
 A linear filter is a set 𝔉 of right ideals with: F1 R ∈ 𝔉; F2 closed
 under pairwise intersection; F3 upward closed; F4 closed under
 (I : r) = {y : r·y ∈ I} for every ring element r.  Filters are stored
-extensionally as index sets into the canonical right-ideal list, which
-makes all the axioms finite checks.
+as bitsets over the canonical right-ideal list, the form of the
+right-ideal lattice's up-sets, which makes all the axioms finite checks.
 
 Two facts of a finite lattice make the checks short:
 (a) a set of right ideals with F1 and F2 has a least member m, the meet
@@ -44,21 +44,15 @@ FILTER_IDEAL_GUARD = 400
 
 
 class IdealContext:
-    """Per-ring tables over the canonical right-ideal list: ideal_index,
-    the right-ideal lattice (meet = intersection), the quotient R/I_t of
-    each ideal, and the colon ideals at the additive generators of each
-    R/I_t.  The last two are memoised on the ring, by the ideal's Howell
+    """Per-ring colon tables over the canonical right-ideal list: the
+    quotient R/I_t of each ideal and the colon ideals at the additive
+    generators of each R/I_t, memoised on the ring by the ideal's Howell
     rows."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
         self.ideals = right_ideals(ring)
         self.index = ideal_index(ring)
-        self.lat = right_ideal_lattice(ring)
-        self.top = self.lat.top
-        if self.ideals[self.top].size() != ring.order():
-            raise TheoremViolationError(
-                f"{ring.label}: the top right ideal is not the whole ring")
 
     def _quotient(self, t: int):
         """R/I_t as (new_orders, proj, lift), see quotient_presentation:
@@ -72,8 +66,8 @@ class IdealContext:
         ring = self.ring
         r = ring.reduce_el(r)
         new_orders, proj, _ = self._quotient(t)
-        if not new_orders:
-            return self.top
+        if not new_orders:     # I_t = R, and (R : r) = R
+            return t
         rows = [apply_matrix(ring.el_mul(r, ring.generator(j)), proj,
                              new_orders)
                 for j in range(ring.rank)]
@@ -89,60 +83,51 @@ class IdealContext:
                     lambda: [(r, self.colon(t, r)) for r in
                              map(self.ring.reduce_el, self._quotient(t)[2])])
 
-    def upset(self, t: int) -> frozenset:
-        return frozenset(_bits(self.lat.up[t]))
-
-    def meet_all(self, members) -> int:
-        """The intersection of the indexed ideals; R when there are none."""
-        t = self.top
-        for s in members:
-            t = self.lat.meet[t][s]
-        return t
-
 
 def ideal_context(ring: FiniteRing) -> IdealContext:
     return memo(ring, "ideal_context", IdealContext, ring)
 
 
 class LinearFilter(IndexSet):
-    """A set of right ideals, held as indices into the canonical list."""
+    """A set of right ideals, held as an int bitset over the canonical
+    list: bit t for right_ideals(ring)[t]."""
 
     def smallest_member(self) -> Submodule:
         """Intersection of the members; the generating ideal when the
         filter is an η(I)."""
-        ctx = ideal_context(self.ring)
-        return ctx.ideals[ctx.meet_all(self.members)]
+        lat = right_ideal_lattice(self.ring)
+        return right_ideals(self.ring)[lat.meet_all(self.members)]
 
     def __contains__(self, ideal: Submodule):
-        ctx = ideal_context(self.ring)
-        return ctx.index[ideal.gens] in self.members
+        return bool(self.members >> ideal_index(self.ring)[ideal.gens] & 1)
 
     def __repr__(self):
-        return f"LinearFilter({len(self.members)} ideals)"
+        return f"LinearFilter({len(self)} ideals)"
 
 
 def is_linear_filter(ring: FiniteRing, members):
-    """(flag, report) for a LinearFilter or a set of ideal indices: report
-    names the first violated axiom."""
-    ctx = ideal_context(ring)
-    if isinstance(members, LinearFilter):
-        mem = members.members
-    else:
-        mem = frozenset(map(int, members))
-    if ctx.top not in mem:
+    """(flag, report) for a LinearFilter or a bitset of ideal indices:
+    report names the first violated axiom.  F1 and F3 are mask tests;
+    past them F2 holds iff the set is up(m), m the meet of all members,
+    by fact (a).  Else some pair has its meet outside: were every
+    pairwise meet a member, so would m be, and F3 would give up(m)."""
+    lat = right_ideal_lattice(ring)
+    mem = members.members if isinstance(members, LinearFilter) else members
+    if not mem >> lat.top & 1:
         return False, "F1: the whole ring is missing"
-    for t in mem:
-        for b in ctx.upset(t):
-            if b not in mem:
-                return False, (f"F3: member {t} is contained in non-member {b}")
-    for a in mem:
-        for b in mem:
-            if ctx.lat.meet[a][b] not in mem:
-                return False, f"F2: intersection of members {a}, {b} missing"
-    m = ctx.meet_all(mem)
+    for t in _bits(mem):
+        above = lat.up[t] & ~mem
+        if above:
+            return False, (f"F3: member {t} is contained in non-member "
+                           f"{next(_bits(above))}")
+    m = lat.meet_all(mem)
+    if mem != lat.up[m]:
+        a, b = next((a, b) for a in _bits(mem) for b in _bits(mem)
+                    if not mem >> lat.meet[a][b] & 1)
+        return False, f"F2: intersection of members {a}, {b} missing"
     # facts (b) and (c): F4 at m, at the additive generators of R/m
-    for r, colon in ctx.generator_colons(m):
-        if colon not in mem:
+    for r, colon in ideal_context(ring).generator_colons(m):
+        if not mem >> colon & 1:
             return False, f"F4: ({m} : {r}) missing"
     return True, None
 
@@ -151,25 +136,28 @@ def eta_filter(ring: FiniteRing, ideal: Submodule) -> LinearFilter:
     """η(I): all right ideals containing the two-sided ideal I."""
     if not is_two_sided(ring, ideal):
         raise InputError("eta filter needs a two-sided ideal")
-    ctx = ideal_context(ring)
-    t = ctx.index[ideal.gens]
-    filt = LinearFilter(ring, ctx.upset(t))
+    return _checked_upset(ring, ideal, "eta filter of a two-sided ideal")
+
+
+def _checked_upset(ring: FiniteRing, ideal: Submodule, name: str):
+    """up(I), the right ideals containing I, as a LinearFilter that must
+    pass is_linear_filter."""
+    t = ideal_index(ring)[ideal.gens]
+    filt = LinearFilter(ring, right_ideal_lattice(ring).up[t])
     ok, report = is_linear_filter(ring, filt)
     if not ok:
-        raise TheoremViolationError(
-            f"eta filter of a two-sided ideal violates {report}")
+        raise TheoremViolationError(f"{name} violates {report}")
     return filt
 
 
-def check_filter_guard(ring: FiniteRing) -> int:
-    """The number of right ideals, or BoundExceededError past
-    FILTER_IDEAL_GUARD.  Whatever lists the linear filters checks it
-    first, before it builds the right-ideal lattice or the radical."""
+def check_filter_guard(ring: FiniteRing):
+    """BoundExceededError past FILTER_IDEAL_GUARD right ideals.  Whatever
+    lists the linear filters checks it first, before it builds the
+    right-ideal lattice or the radical."""
     n = len(right_ideals(ring))
     if n > FILTER_IDEAL_GUARD:
         raise BoundExceededError(
             f"{n} right ideals exceed the filter guard {FILTER_IDEAL_GUARD}")
-    return n
 
 
 def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
@@ -180,15 +168,12 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
     With above_all_maximal, keeps only filters containing every maximal
     right ideal.
     """
-    n = check_filter_guard(ring)
-    ctx = ideal_context(ring)
-    required = set(ctx.lat.coatoms()) if above_all_maximal else set()
-    out = []
-    for s in range(n):
-        cand = ctx.upset(s)
-        if required <= cand and is_linear_filter(ring, cand)[0]:
-            out.append(LinearFilter(ring, cand))
-    out.sort(key=lambda f: (len(f.members), sorted(f.members)))
+    check_filter_guard(ring)
+    lat = right_ideal_lattice(ring)
+    required = sum(1 << c for c in lat.coatoms()) if above_all_maximal else 0
+    out = [LinearFilter(ring, up) for up in lat.up
+           if not required & ~up and is_linear_filter(ring, up)[0]]
+    out.sort(key=lambda f: (len(f), list(_bits(f.members))))
     return out
 
 
@@ -196,13 +181,7 @@ def sigma_filter(m: RightModule) -> LinearFilter:
     """The filter of σ[M]: the right ideals holding a finite intersection
     of element annihilators.  The meet of them all is one of those
     intersections, and it is ann(M), so the filter is up(ann M)."""
-    ring = m.ring
-    ctx = ideal_context(ring)
-    filt = LinearFilter(ring, ctx.upset(ctx.index[annihilator(m).gens]))
-    ok, report = is_linear_filter(ring, filt)
-    if not ok:
-        raise TheoremViolationError(f"sigma filter violates {report}")
-    return filt
+    return _checked_upset(m.ring, annihilator(m), "sigma filter")
 
 
 def sigma_contains(m: RightModule, n: RightModule) -> bool:

@@ -11,7 +11,12 @@ import math
 from ringscope.classify import is_qf
 from ringscope.exactla import apply_matrix, solve_affine
 from ringscope.hom import hom_group
-from ringscope.ideals import right_ideals, two_sided_ideals
+from ringscope.ideals import (
+    right_ideal_lattice,
+    right_ideals,
+    two_sided_ideals,
+)
+from ringscope.lattice import _bits
 from ringscope.modules import (
     ModuleMap,
     Submodule,
@@ -21,6 +26,7 @@ from ringscope.modules import (
     element_annihilator,
     factor_module,
     factor_presentation,
+    full_submodule,
     is_isomorphic_modules,
     quotient_module,
     regular_module,
@@ -32,6 +38,17 @@ from ringscope.modules import (
 from ringscope.profile import CyclicFingerprint
 from ringscope.ring import memo, quotient_ring
 from ringscope.torsion import LinearFilter, ideal_context
+
+
+def mask(indices):
+    """The int bitset with bit t for each index t, the form in which the
+    library holds filters and fingerprints."""
+    return sum(1 << t for t in set(indices))
+
+
+def upset(ctx, t):
+    """The indices of the right ideals containing I_t, as a frozenset."""
+    return frozenset(_bits(right_ideal_lattice(ctx.ring).up[t]))
 
 
 def add_vectors(orders, x, y):
@@ -222,7 +239,7 @@ def fingerprint_by_scan(m, relative):
     library reads most classes off the domain's linear filter instead."""
     reps = cyclic_modules_up_to_iso(m.ring)
     return CyclicFingerprint(
-        m.ring, [t for t, c in enumerate(reps) if relative(m, c)[0]])
+        m.ring, mask(t for t, c in enumerate(reps) if relative(m, c)[0]))
 
 
 def dense_el_mul(r, x, y):
@@ -327,9 +344,11 @@ def sigma_filter_by_elements(m):
     annihilators, one solve per element; the library solves for ann(M)
     once."""
     ctx = ideal_context(m.ring)
-    t = ctx.meet_all(ctx.index[element_annihilator(m, x).gens]
-                     for x in m.elements())
-    return LinearFilter(m.ring, ctx.upset(t))
+    lat = right_ideal_lattice(m.ring)
+    t = _top(ctx)
+    for x in m.elements():
+        t = lat.meet[t][ctx.index[element_annihilator(m, x).gens]]
+    return LinearFilter(m.ring, lat.up[t])
 
 
 def additive_closure(mod, vecs):
@@ -365,7 +384,7 @@ def brute_maps(a, b):
                             for yi, m in zip(y, b.orders))])
     out = []
     for rows in itertools.product(*cand):
-        f = ModuleMap(a, b, rows, check=False)
+        f = ModuleMap(a, b, rows)
         if f.is_valid():
             out.append(f)
     return out
@@ -454,15 +473,21 @@ def filter_axiom_failed(ring, mem):
     the least member's additive generators.  The colon ideals are
     colon_table, which the torsion tests check against an element scan."""
     ctx = ideal_context(ring)
-    if ctx.top not in mem:
+    if _top(ctx) not in mem:
         return "F1"
-    if any(not ctx.upset(t) <= mem for t in mem):
+    if any(not upset(ctx, t) <= mem for t in mem):
         return "F3"
     return _f2_f4_failed(ctx, mem)
 
 
+def _top(ctx):
+    """The index of R itself in the right-ideal list."""
+    return ctx.index[full_submodule(regular_module(ctx.ring)).gens]
+
+
 def _f2_f4_failed(ctx, mem):
-    if any(ctx.lat.meet[a][b] not in mem for a in mem for b in mem):
+    meet = right_ideal_lattice(ctx.ring).meet
+    if any(meet[a][b] not in mem for a in mem for b in mem):
         return "F2"
     if any(not colon_table(ctx, t).keys() <= mem for t in mem):
         return "F4"
@@ -477,7 +502,7 @@ def _upsets(ctx):
     """
     n = len(ctx.ideals)
     order = sorted(range(n), key=lambda t: -ctx.ideals[t].size())
-    strict_above = [[b for b in ctx.upset(t) if b != t] for t in range(n)]
+    strict_above = [[b for b in upset(ctx, t) if b != t] for t in range(n)]
 
     def rec(pos, chosen):
         if pos == n:
@@ -498,9 +523,10 @@ def filters_by_upsets(ring, above_all_maximal=False):
     right-ideal poset that passes F1, F2 and F4 on every member, sorted as
     all_linear_filters sorts.  Assumes nothing about least members."""
     ctx = ideal_context(ring)
-    required = set(ctx.lat.coatoms()) if above_all_maximal else set()
-    out = [LinearFilter(ring, cand) for cand in _upsets(ctx)
-           if ctx.top in cand and required <= cand
+    lat = right_ideal_lattice(ring)
+    required = set(lat.coatoms()) if above_all_maximal else set()
+    out = [cand for cand in _upsets(ctx)
+           if _top(ctx) in cand and required <= cand
            and _f2_f4_failed(ctx, cand) is None]
-    out.sort(key=lambda f: (len(f.members), sorted(f.members)))
-    return out
+    out.sort(key=lambda cand: (len(cand), sorted(cand)))
+    return [LinearFilter(ring, mask(cand)) for cand in out]

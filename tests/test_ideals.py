@@ -28,7 +28,12 @@ from ringscope.modules import (
 from ringscope.torsion import sigma_filter
 
 from conftest import DIFFERENTIAL_RINGS, SMALL_CORPUS, corpus
-from oracle_utils import atoms_by_covers, dense_el_mul, submodule_intersection
+from oracle_utils import (
+    atoms_by_covers,
+    dense_el_mul,
+    mask,
+    submodule_intersection,
+)
 
 
 def test_right_ideal_counts():
@@ -178,8 +183,8 @@ def test_sigma_filter_is_the_closure_of_annihilators():
                 if not fresh:
                     break
                 closed |= fresh
-            members = {t for t, i in enumerate(ideals)
-                       if any(i.contains_sub(a) for a in closed)}
+            members = mask(t for t, i in enumerate(ideals)
+                           if any(i.contains_sub(a) for a in closed))
             assert sigma_filter(c).members == members
 
 
@@ -289,6 +294,24 @@ def test_lattice_check_catches_a_missing_zero_ideal(monkeypatch, name):
     real = ideals_mod.right_ideals
     monkeypatch.setattr(ideals_mod, "right_ideals", lambda r: real(r)[1:])
     with pytest.raises(TheoremViolationError, match="the least one is not 0"):
+        right_ideal_lattice(ring)
+    assert "right_ideal_lattice" not in ring._cache
+
+
+@pytest.mark.parametrize("name", ["z8", "f2xy_x2y2"])
+def test_lattice_check_catches_a_missing_whole_ring(monkeypatch, name):
+    """With R dropped from the list, the right ideals of these local rings
+    (each has one maximal right ideal) still form a lattice whose least
+    one is 0, whose joins are sums and whose orders multiply; the check
+    that the greatest one is R refuses it, and nothing is kept."""
+    import ringscope.ideals as ideals_mod
+
+    ring = load_ring(name)
+    real = ideals_mod.right_ideals
+    monkeypatch.setattr(ideals_mod, "right_ideals", lambda r: [
+        i for i in real(r) if i.size() < r.order()])
+    with pytest.raises(TheoremViolationError,
+                       match="the greatest one is not R"):
         right_ideal_lattice(ring)
     assert "right_ideal_lattice" not in ring._cache
 

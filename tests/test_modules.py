@@ -532,7 +532,7 @@ def test_isomorphism_witness_must_pass_the_map_check(monkeypatch):
     ring = load_ring("t2f2")  # fresh, so the hom memo is not shared
     reg = regular_module(ring)
     swap = [reg.generator(1), reg.generator(0), reg.generator(2)]
-    assert not ModuleMap(reg, reg, swap, check=False).is_valid()
+    assert not ModuleMap(reg, reg, swap).is_valid()
     flat = [x for row in swap for x in row]
     monkeypatch.setattr(hom, "_hom_kernel",
                         lambda a, b: howell_span(b.orders * a.rank, [flat]))

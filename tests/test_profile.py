@@ -123,7 +123,7 @@ def test_semisimple_cyclics():
     reps = fp.modules()
     assert sorted(m.order() for m in reps) == [1, 2]
     assert semisimple_cyclics(corpus("m2f2")).members == \
-        frozenset(range(len(cyclic_modules_up_to_iso(corpus("m2f2")))))
+        (1 << len(cyclic_modules_up_to_iso(corpus("m2f2")))) - 1
 
 
 def test_poverty():
@@ -142,7 +142,7 @@ def test_poverty():
 def test_regular_module_has_full_domains():
     for name in ("z8", "t2f2", "f2xy_x2y2"):
         ring = corpus(name)
-        all_classes = frozenset(range(len(cyclic_modules_up_to_iso(ring))))
+        all_classes = (1 << len(cyclic_modules_up_to_iso(ring))) - 1
         assert proj_fingerprint(regular_module(ring)).members == all_classes
 
 

@@ -7,7 +7,11 @@ import pytest
 
 from ringscope.cli import load_ring
 from ringscope.errors import InputError
-from ringscope.ideals import jacobson_radical, two_sided_ideals
+from ringscope.ideals import (
+    jacobson_radical,
+    right_ideal_lattice,
+    two_sided_ideals,
+)
 from ringscope.modules import (
     Submodule,
     cyclic_module,
@@ -41,8 +45,10 @@ from oracle_utils import (
     dense_el_mul,
     filter_axiom_failed,
     filters_by_upsets,
+    mask,
     oracle_sigma,
     sigma_filter_by_elements,
+    upset,
 )
 
 
@@ -63,18 +69,19 @@ def oracle_colon(ring, t, r):
 
 
 def assert_f4_report_names_a_witness(ring, members, report):
-    """The element named in an F4 report has its colon ideal outside."""
+    """The element named in an F4 report, on the bitset members, has its
+    colon ideal outside."""
     match = re.fullmatch(r"F4: \((\d+) : (\(.*\))\) missing", report)
     assert match, report
     t, r = int(match.group(1)), ast.literal_eval(match.group(2))
-    assert t in members
-    assert oracle_colon(ring, t, r) not in members
+    assert members >> t & 1
+    assert not members >> oracle_colon(ring, t, r) & 1
 
 
 def test_filter_axiom_f1():
     ring = corpus("z8")
     two = idx_of(ring, [(2,)])
-    ok, report = is_linear_filter(ring, {two})
+    ok, report = is_linear_filter(ring, 1 << two)
     assert not ok and report.startswith("F1")
 
 
@@ -83,15 +90,16 @@ def test_filter_axiom_f3():
     top = idx_of(ring, [(1,)])
     four = idx_of(ring, [(4,)])
     # contains (4) and R but not the intermediate (2)
-    ok, report = is_linear_filter(ring, {top, four})
+    ok, report = is_linear_filter(ring, 1 << top | 1 << four)
     assert not ok and report.startswith("F3")
 
 
 def test_filter_axiom_f2():
     ring = corpus("m2f2")
     ctx = ideal_context(ring)
+    up = right_ideal_lattice(ring).up
     a, b = [ctx.index[i.gens] for i in ctx.ideals if i.size() == 4][:2]
-    members = ctx.upset(a) | ctx.upset(b)  # up-closed, misses a ∩ b = 0
+    members = up[a] | up[b]  # up-closed, misses a ∩ b = 0
     ok, report = is_linear_filter(ring, members)
     assert not ok and report.startswith("F2")
 
@@ -104,20 +112,20 @@ def test_filter_axiom_f4():
 
     one_sided = next(t for t, i in enumerate(ctx.ideals)
                      if i.size() == 2 and not is_two_sided(ring, i))
-    ok, report = is_linear_filter(ring, ctx.upset(one_sided))
+    members = right_ideal_lattice(ring).up[one_sided]
+    ok, report = is_linear_filter(ring, members)
     assert not ok and report.startswith(("F2", "F4"))
     # and the E22 up-set specifically violates F4, not F2
     sizes = sorted(i.size() for t, i in enumerate(ctx.ideals)
-                   if t in ctx.upset(one_sided))
+                   if members >> t & 1)
     assert sizes == [2, 4, 8]
     assert report.startswith("F4")
-    assert_f4_report_names_a_witness(ring, ctx.upset(one_sided), report)
+    assert_f4_report_names_a_witness(ring, members, report)
     # every F4 report on a principal up-set names a real witness
     for name in ("t2f2", "m2f2"):
         ring = corpus(name)
-        ctx = ideal_context(ring)
-        reports = [(ctx.upset(t), is_linear_filter(ring, ctx.upset(t))[1])
-                   for t in range(len(ctx.ideals))]
+        reports = [(up, is_linear_filter(ring, up)[1])
+                   for up in right_ideal_lattice(ring).up]
         f4 = [(m, rep) for m, rep in reports if rep and rep.startswith("F4")]
         assert f4
         for members, rep in f4:
@@ -140,20 +148,38 @@ def test_principal_filters_match_the_upset_walk():
                          + tuple(TRIANGULAR_RINGS))
 def test_f4_at_the_least_member_matches_every_member(name):
     """is_linear_filter fails exactly where F4 on every member fails, with
-    the same axiom letter, on the principal up-sets and their pairwise
-    unions; every F4 report names a witness."""
+    the same axiom letter, on the principal up-sets, their pairwise
+    unions and the pairs {I, R}.  Each report names a witness: an F4
+    report a colon ideal outside, an F2 report two members whose meet is
+    outside, an F3 report a member t inside a non-member b."""
     ring = corpus(name)
     ctx = ideal_context(ring)
-    ups = [ctx.upset(t) for t in range(len(ctx.ideals))]
-    cands = {a | b for a in ups for b in ups}
+    lat = right_ideal_lattice(ring)
+    ups = [upset(ctx, t) for t in range(len(ctx.ideals))]
+    cands = ({a | b for a in ups for b in ups}
+             | {frozenset({t, lat.top}) for t in range(len(ups))})
+    letters = set()
     for members in cands:
-        ok, report = is_linear_filter(ring, members)
+        ok, report = is_linear_filter(ring, mask(members))
         failed = filter_axiom_failed(ring, members)
         assert ok == (failed is None), (members, report)
         if not ok:
             assert report[:2] == failed, (members, report)
         if failed == "F4":
-            assert_f4_report_names_a_witness(ring, members, report)
+            assert_f4_report_names_a_witness(ring, mask(members), report)
+        elif failed == "F2":
+            a, b = map(int, re.fullmatch(
+                r"F2: intersection of members (\d+), (\d+) missing",
+                report).groups())
+            assert {a, b} <= members and lat.meet[a][b] not in members
+        elif failed == "F3":
+            t, b = map(int, re.fullmatch(
+                r"F3: member (\d+) is contained in non-member (\d+)",
+                report).groups())
+            assert t in members and b not in members
+            assert ctx.ideals[b].contains_sub(ctx.ideals[t])
+        letters.add(failed)
+    assert "F3" in letters
 
 
 @pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
@@ -163,9 +189,7 @@ def test_f4_reports_name_a_witness(group):
     ideal, found by an element scan, is no member."""
     reports = 0
     for ring in DIFFERENTIAL_RINGS[group]():
-        ctx = ideal_context(ring)
-        for t in range(len(ctx.ideals)):
-            members = ctx.upset(t)
+        for members in right_ideal_lattice(ring).up:
             report = is_linear_filter(ring, members)[1]
             if report and report.startswith("F4"):
                 assert_f4_report_names_a_witness(ring, members, report)
@@ -289,12 +313,12 @@ def test_sigma_matches_the_element_annihilators(group):
         ctx = ideal_context(ring)
         mods = cyclic_modules_up_to_iso(ring) + [regular_module(ring)]
         filters = [sigma_filter_by_elements(m) for m in mods]
-        anns = [{ctx.index[element_annihilator(n, x).gens]
-                 for x in n.elements()} for n in mods]
+        anns = [mask(ctx.index[element_annihilator(n, x).gens]
+                     for x in n.elements()) for n in mods]
         for m, filt in zip(mods, filters):
             assert sigma_filter(m) == filt
             for n, ann in zip(mods, anns):
-                assert sigma_contains(m, n) == (ann <= filt.members)
+                assert sigma_contains(m, n) == (not ann & ~filt.members)
 
 
 def test_sigma_contains_matches_embedding_oracle():
