@@ -9,7 +9,7 @@ right_ideal_lattice, which every inclusion and meet question reads.
 from __future__ import annotations
 
 from .errors import InputError, NotALatticeError, TheoremViolationError
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice, _bits, build_lattice, inclusion_order
 from .modules import (
     Submodule,
     _minimal,
@@ -18,6 +18,7 @@ from .modules import (
     module_times_ideal,
     regular_module,
     submodule_sum,
+    submodule_walk,
     submodules,
 )
 from .ring import FiniteRing, memo
@@ -39,8 +40,11 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     """The right ideals under inclusion, memoised on the ring.
 
     Element t is right_ideals(ring)[t]; meet is intersection and join is
-    sum.  The order comes from contains_sub and is checked once, when the
-    lattice is built, on three facts:
+    sum.  The order is read off the regular module's walk: each ideal is
+    held there as the bitset of the cyclic right ideals inside it, and A
+    lies in B iff A's bitset lies inside B's (inclusion_order).  Whatever
+    built it, the order is checked once, when the lattice is built, on
+    three facts:
     (a) the least element is the zero ideal, and the greatest is R;
     (b) join(A, g) is the Howell sum A + g for every A and every
     join-irreducible g (an element other than the bottom whose strict
@@ -61,10 +65,8 @@ def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     ideals = right_ideals(ring)
     sizes = [i.size() for i in ideals]
     n = len(ideals)
-    # a distinct ideal inside another one is strictly smaller
-    up = [1 << a | sum(1 << b for b in range(n) if sizes[b] > sizes[a]
-                       and ideals[b].contains_sub(ideals[a]))
-          for a in range(n)]
+    held = submodule_walk(regular_module(ring))[1]
+    up = inclusion_order([held[i] for i in ideals])
     try:
         lat = FiniteLattice(range(n), up)
     except (InputError, NotALatticeError) as exc:
@@ -115,9 +117,26 @@ def _two_sided_ideals(ring: FiniteRing):
     return [i for i in right_ideals(ring) if is_two_sided(ring, i)]
 
 
+def annihilator_cores(ring: FiniteRing) -> list:
+    """[core of L, by ideal index, for each right ideal L]: the largest
+    two-sided ideal inside L, the join of the two-sided ideals below it,
+    memoised on the ring.  It is ann(R/L) = {r : Rr ⊆ L}, which lies in L
+    (1·r ∈ L) and is two-sided, and which holds every two-sided I ⊆ L
+    (RI ⊆ I ⊆ L)."""
+    return memo(ring, "annihilator_cores", _annihilator_cores, ring)
+
+
+def _annihilator_cores(ring: FiniteRing) -> list:
+    lat = right_ideal_lattice(ring)
+    index = ideal_index(ring)
+    two = sum(1 << index[i.gens] for i in two_sided_ideals(ring))
+    return [lat.join_all(two & down) for down in lat.down]
+
+
 def maximal_right_ideals(ring: FiniteRing):
     """The coatoms of the right-ideal lattice, in canonical order."""
-    return [right_ideals(ring)[t] for t in right_ideal_lattice(ring).coatoms()]
+    ideals = right_ideals(ring)
+    return [ideals[t] for t in _bits(right_ideal_lattice(ring).coatoms())]
 
 
 def jacobson_radical(ring: FiniteRing) -> Submodule:
@@ -140,8 +159,7 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
     is not asked: it would read them off R's own lattice (cyclic_origin),
     where J came from."""
     lat = right_ideal_lattice(ring)
-    maximal = sum(1 << c for c in lat.coatoms())
-    jac = right_ideals(ring)[lat.meet_all(maximal)]
+    jac = right_ideals(ring)[lat.meet_all(lat.coatoms())]
     if not is_two_sided(ring, jac):
         raise TheoremViolationError(
             f"radical of {ring.label} is not two-sided")
@@ -159,7 +177,7 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
             raise TheoremViolationError("radical power chain does not stop")
     if jac.size() > 1:
         quo = factor_module(ring, jac)[0]
-        atoms = _minimal(_walk_submodules(quo))
+        atoms = _minimal(_walk_submodules(quo)[0])
         if Submodule(quo, [row for a in atoms
                            for row in a.gens.rows]).size() != quo.order():
             raise TheoremViolationError(
@@ -169,7 +187,8 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
 
 def minimal_right_ideals(ring: FiniteRing):
     """The atoms of the right-ideal lattice, in canonical order."""
-    return [right_ideals(ring)[t] for t in right_ideal_lattice(ring).atoms()]
+    ideals = right_ideals(ring)
+    return [ideals[t] for t in _bits(right_ideal_lattice(ring).atoms())]
 
 
 def ideals_in_radical(ring: FiniteRing):

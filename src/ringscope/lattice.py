@@ -86,6 +86,14 @@ class FiniteLattice:
             t = self.meet[t][s]
         return t
 
+    def join_all(self, mask: int) -> int:
+        """The join of the elements in the bitset mask; the bottom when
+        the mask is empty."""
+        t = self.bottom
+        for s in _bits(mask):
+            t = self.join[t][s]
+        return t
+
     def le(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 
@@ -95,15 +103,19 @@ class FiniteLattice:
         return [(a, b) for a in range(n) for b in range(n)
                 if a != b and self.up[a] & self.down[b] == 1 << a | 1 << b]
 
-    def atoms(self) -> list:
-        """The elements whose strict down-set is the bottom alone."""
+    def atoms(self) -> int:
+        """The bitset of the elements whose strict down-set is the bottom
+        alone."""
         bottom = 1 << self.bottom
-        return [b for b, d in enumerate(self.down) if d & ~(1 << b) == bottom]
+        return sum(1 << b for b, d in enumerate(self.down)
+                   if d & ~(1 << b) == bottom)
 
-    def coatoms(self) -> list:
-        """The elements whose strict up-set is the top alone."""
+    def coatoms(self) -> int:
+        """The bitset of the elements whose strict up-set is the top
+        alone."""
         top = 1 << self.top
-        return [a for a, u in enumerate(self.up) if u & ~(1 << a) == top]
+        return sum(1 << a for a, u in enumerate(self.up)
+                   if u & ~(1 << a) == top)
 
     def height(self) -> int:
         """Length of a longest chain from bottom to top (number of steps)."""
@@ -149,6 +161,24 @@ def build_lattice(elements, order_pairs=None, *, leq=None) -> FiniteLattice:
                 if up[i] >> k & 1:
                     up[i] |= up[k]
     return FiniteLattice(elements, up)
+
+
+def inclusion_order(sets) -> list:
+    """The up-sets of a list of bitsets under inclusion: bit b of row a
+    when sets[a] lies inside sets[b].  Row a is the meet, over the members
+    of sets[a], of the rows of the sets holding that member."""
+    holding = {}
+    for b, s in enumerate(sets):
+        for t in _bits(s):
+            holding[t] = holding.get(t, 0) | 1 << b
+    full = (1 << len(sets)) - 1
+    up = []
+    for s in sets:
+        row = full
+        for t in _bits(s):
+            row &= holding[t]
+        up.append(row)
+    return up
 
 
 def _pentagon_witness(lat: FiniteLattice):
@@ -199,12 +229,13 @@ def structure_report(lat: FiniteLattice) -> dict:
     """Lattice-theoretic flags plus sublattice certificates for failures."""
     pent = _pentagon_witness(lat)
     modular = pent is None
+    atoms, coatoms = lat.atoms(), lat.coatoms()
     report = {
         "size": lat.size,
         "chain": lat.is_chain(),
         "length": lat.height(),
-        "atoms": lat.atoms(),
-        "coatoms": lat.coatoms(),
+        "atoms": list(_bits(atoms)),
+        "coatoms": list(_bits(coatoms)),
         "modular": modular,
         "distributive": False,
         "atomic": False,
@@ -220,8 +251,6 @@ def structure_report(lat: FiniteLattice) -> dict:
             report["diamond"] = diam
     # atomic: every nonzero element sits above an atom;
     # coatomic: every non-top element sits below a coatom
-    atoms = sum(1 << a for a in report["atoms"])
-    coatoms = sum(1 << c for c in report["coatoms"])
     report["atomic"] = all(
         i == lat.bottom or lat.down[i] & atoms for i in range(lat.size))
     report["coatomic"] = all(

@@ -399,11 +399,21 @@ def _submodules(n: RightModule):
         origin = cyclic_origin(n)
         if origin is not None:
             return _cyclic_submodules(n, *origin)
-    return _walk_submodules(n)
+    return submodule_walk(n)[0]
+
+
+def submodule_walk(n: RightModule):
+    """_walk_submodules(n), memoised on the ring by n's content: the
+    right-ideal lattice reads its order off the bitsets of the regular
+    module's walk."""
+    return memo(n.ring, ("submodule_walk", n.key), _walk_submodules, n)
 
 
 def _walk_submodules(n: RightModule):
-    """Every submodule of n, by a walk from 0 over the covers.
+    """(subs, held): every submodule of n, canonically sorted, by a walk
+    from 0 over the covers, and {S: the bitset of the cyclic submodules
+    inside S} over them.  S ⊆ T iff held[S] lies inside held[T], S being
+    the sum of its cyclic submodules.
 
     Let c be a cyclic submodule, c ⊄ S, whose proper cyclic submodules
     all lie in S.  A proper submodule of c is the sum of its cyclic
@@ -484,7 +494,7 @@ def _walk_submodules(n: RightModule):
                 mask = seen[cover] = inside(cover)
                 frontier.append(cover)
             free &= ~mask
-    return sorted(seen, key=lambda s: (s.size(), s.gens.rows))
+    return sorted(seen, key=lambda s: (s.size(), s.gens.rows)), seen
 
 
 def _cyclic_submodules(n: RightModule, ideal: ModMatrix, proj: ModuleMap):
@@ -692,10 +702,21 @@ def is_isomorphic_modules(a: RightModule, b: RightModule):
     is lifted to a map f.  The witness f is checked against the
     module-map conditions, an independent check of the hom solve, and
     for a full image, a check of J and of Nakayama's lemma.
+
+    Isomorphic modules have equal annihilators, so two cyclic modules
+    R/K and R/L (cyclic_origin) whose annihilators, the two-sided cores
+    of K and L (annihilator_cores), differ answer no before any hom solve.
     """
     if (not same_ring(a.ring, b.ring) or a.order() != b.order()
             or additive_type(a.orders) != additive_type(b.orders)):
         return False, None
+    ka, kb = cyclic_origin(a), cyclic_origin(b)
+    if ka and kb and a.ring.order() <= SUBMODULE_ENUM_BOUND:
+        from .ideals import annihilator_cores, ideal_index  # deferred
+
+        cores, index = annihilator_cores(a.ring), ideal_index(a.ring)
+        if cores[index[ka[0]]] != cores[index[kb[0]]]:
+            return False, None
     from .hom import hom_group  # deferred: hom builds on modules
 
     homs = hom_group(a, b)

@@ -11,11 +11,12 @@ any two domains over these rings.
 
 from __future__ import annotations
 
-from .errors import TheoremViolationError
+from .errors import InputError, TheoremViolationError
 from .hom import is_relatively_injective, is_relatively_projective
 from .ideals import (
     ideal_index,
     ideals_in_radical,
+    is_two_sided,
     jacobson_radical,
     right_ideal_lattice,
 )
@@ -31,8 +32,6 @@ from .modules import (
     cyclic_modules_up_to_iso,
     cyclic_origin,
     factor_module,
-    full_submodule,
-    module_times_ideal,
     regular_module,
 )
 from .ring import FiniteRing, IndexSet, memo
@@ -96,16 +95,23 @@ def semisimple_cyclics(ring: FiniteRing) -> CyclicFingerprint:
 
 
 def killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
-    """Cyclic classes C with C·I = 0, memoised on the ring by I's
-    generators."""
+    """Cyclic classes C with C·I = 0 for a two-sided ideal I, memoised on
+    the ring by I's generators; InputError when I is not two-sided.
+
+    For C = R/L (cyclic_origin), C·I = (I + L)/L, so C is killed by I iff
+    I ⊆ L: one lookup in the right-ideal lattice per class."""
     return memo(ring, ("killed_by", ideal.gens), _killed_by, ring, ideal)
 
 
 def _killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
-    reps = cyclic_modules_up_to_iso(ring)
+    if not is_two_sided(ring, ideal):
+        raise InputError("killed_by needs a two-sided ideal")
+    index = ideal_index(ring)
+    lat = right_ideal_lattice(ring)
+    i = index[ideal.gens]
     return CyclicFingerprint(
-        ring, sum(1 << t for t, c in enumerate(reps)
-                  if module_times_ideal(full_submodule(c), ideal).size() == 1))
+        ring, sum(1 << t for t, c in enumerate(cyclic_modules_up_to_iso(ring))
+                  if lat.le(i, index[cyclic_origin(c)[0]])))
 
 
 class ProfileReport:

@@ -170,7 +170,7 @@ def all_linear_filters(ring: FiniteRing, above_all_maximal: bool = False):
     """
     check_filter_guard(ring)
     lat = right_ideal_lattice(ring)
-    required = sum(1 << c for c in lat.coatoms()) if above_all_maximal else 0
+    required = lat.coatoms() if above_all_maximal else 0
     out = [LinearFilter(ring, up) for up in lat.up
            if not required & ~up and is_linear_filter(ring, up)[0]]
     out.sort(key=lambda f: (len(f), list(_bits(f.members))))

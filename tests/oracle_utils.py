@@ -28,6 +28,7 @@ from ringscope.modules import (
     factor_presentation,
     full_submodule,
     is_isomorphic_modules,
+    module_times_ideal,
     quotient_module,
     regular_module,
     submodule_as_module,
@@ -332,11 +333,21 @@ def act_by_loop(m, x, r):
 
 
 def atoms_by_covers(lat):
-    """(atoms, coatoms) read off the covering pairs: the upper covers of
-    the bottom and the lower covers of the top."""
+    """(atoms, coatoms) as bitsets, read off the covering pairs: the upper
+    covers of the bottom and the lower covers of the top."""
     covers = lat.covers()
-    return ([b for a, b in covers if a == lat.bottom],
-            [a for a, b in covers if b == lat.top])
+    return (mask(b for a, b in covers if a == lat.bottom),
+            mask(a for a, b in covers if b == lat.top))
+
+
+def killed_by_by_products(ring, ideal):
+    """killed_by(ring, ideal) by module arithmetic: the cyclic classes C
+    with C·I = 0, each product spanned from the generators of C and of I;
+    the library reads I ⊆ L off the right-ideal lattice instead."""
+    reps = cyclic_modules_up_to_iso(ring)
+    return CyclicFingerprint(ring, mask(
+        t for t, c in enumerate(reps)
+        if module_times_ideal(full_submodule(c), ideal).size() == 1))
 
 
 def sigma_filter_by_elements(m):
@@ -524,7 +535,7 @@ def filters_by_upsets(ring, above_all_maximal=False):
     all_linear_filters sorts.  Assumes nothing about least members."""
     ctx = ideal_context(ring)
     lat = right_ideal_lattice(ring)
-    required = set(lat.coatoms()) if above_all_maximal else set()
+    required = set(_bits(lat.coatoms())) if above_all_maximal else set()
     out = [cand for cand in _upsets(ctx)
            if _top(ctx) in cand and required <= cand
            and _f2_f4_failed(ctx, cand) is None]

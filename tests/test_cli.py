@@ -205,14 +205,14 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 def test_broken_ideal_order_exits_4(monkeypatch, capsys):
     """A right-ideal order that is not a lattice is an internal error
     (exit 4), not bad input (exit 2)."""
-    from ringscope.modules import Submodule
+    import ringscope.ideals as ideals_mod
 
-    real = Submodule.contains_sub
+    real = ideals_mod.inclusion_order
 
-    def lossy(self, other):  # forgets that 0 lies in the whole ring
-        return other.size() > 1 and real(self, other)
+    def lossy(sets):  # forgets that 0, listed first, lies in the others
+        return [1] + real(sets)[1:]
 
-    monkeypatch.setattr(Submodule, "contains_sub", lossy)
+    monkeypatch.setattr(ideals_mod, "inclusion_order", lossy)
     code, _ = run(["classify", "z8"])
     assert code == 4
     assert "no meet" in capsys.readouterr().err

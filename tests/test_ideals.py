@@ -7,6 +7,8 @@ import pytest
 from ringscope.cli import load_ring
 from ringscope.errors import TheoremViolationError
 from ringscope.ideals import (
+    annihilator_cores,
+    ideal_index,
     ideals_in_radical,
     is_two_sided,
     jacobson_radical,
@@ -18,8 +20,10 @@ from ringscope.ideals import (
 )
 from ringscope.modules import (
     Submodule,
+    annihilator,
     cyclic_modules_up_to_iso,
     element_annihilator,
+    factor_module,
     regular_module,
     submodule_as_module,
     submodules,
@@ -122,7 +126,7 @@ def test_ideals_in_radical_shapes():
     assert sorted(n.size() for n in nodes) == [1, 2, 2, 4]
     lat, nodes = ideals_in_radical(corpus("f2xy_j2"))
     assert lat.size == 5
-    assert len(lat.atoms()) == 3 and len(lat.coatoms()) == 3
+    assert lat.atoms().bit_count() == 3 and lat.coatoms().bit_count() == 3
 
 
 def test_local_ring_ideals_in_radical_match_radical_submodules():
@@ -163,8 +167,8 @@ def test_right_ideal_lattice_matches_element_sets():
                  if not any(elems[s] < elems[t] for s in nonzero)]
         coatoms = [t for t in proper
                    if not any(elems[t] < elems[s] for s in proper)]
-        assert lat.atoms() == atoms
-        assert lat.coatoms() == coatoms
+        assert lat.atoms() == mask(atoms)
+        assert lat.coatoms() == mask(coatoms)
         assert minimal_right_ideals(ring) == [ideals[t] for t in atoms]
         assert maximal_right_ideals(ring) == [ideals[t] for t in coatoms]
 
@@ -188,26 +192,40 @@ def test_sigma_filter_is_the_closure_of_annihilators():
             assert sigma_filter(c).members == members
 
 
+def _lossy_order(ideals, dropped):
+    """inclusion_order on the walk's bitsets of the right ideals listed in
+    ideals, forgetting the containment of small in big for the pair
+    (big.gens, small.gens) dropped."""
+    pos = {i.gens: t for t, i in enumerate(ideals)}
+    big, small = (pos[gens] for gens in dropped)
+
+    def lossy(sets):
+        return [sum(1 << b for b, t in enumerate(sets)
+                    if not s & ~t and (a, b) != (small, big))
+                for a, s in enumerate(sets)]
+
+    return lossy
+
+
 @pytest.mark.parametrize("name, count", [("t2f2", 15), ("z8", 6)])
 def test_lattice_check_catches_a_dropped_containment(monkeypatch, name,
                                                      count):
-    """Dropping any one true containment from contains_sub makes the
-    right-ideal lattice fail its check.  On z8, dropping (4) ⊆ (2) leaves
-    a lattice whose orders multiply correctly; only the join check sees
-    it."""
+    """Dropping any one true containment from the order read off the
+    walk's bitsets makes the right-ideal lattice fail its check.  On z8,
+    dropping (4) ⊆ (2) leaves a lattice whose orders multiply correctly;
+    only the join check sees it."""
+    import ringscope.ideals as ideals_mod
+
     ideals = right_ideals(load_ring(name))
     strict = [(big.gens, small.gens) for big in ideals for small in ideals
               if big != small and big.contains_sub(small)]
     assert len(strict) == count
-    real = Submodule.contains_sub
     for dropped in strict:
-        def lossy(self, other, dropped=dropped):
-            return (self.gens, other.gens) != dropped and real(self, other)
-
-        monkeypatch.setattr(Submodule, "contains_sub", lossy)
+        monkeypatch.setattr(ideals_mod, "inclusion_order",
+                            _lossy_order(ideals, dropped))
         with pytest.raises(TheoremViolationError, match="right ideals"):
             right_ideal_lattice(load_ring(name))
-        monkeypatch.setattr(Submodule, "contains_sub", real)
+        monkeypatch.undo()
 
 
 def _join_irreducible(ideals, g):
@@ -225,21 +243,20 @@ def test_lattice_check_catches_a_dropped_containment_off_the_irreducibles(
     """The join = sum check pairs every ideal with the join-irreducibles
     only; dropping a containment between two ideals neither of which is
     join-irreducible still fails the lattice check."""
+    import ringscope.ideals as ideals_mod
+
     ideals = right_ideals(load_ring(name))
     reducible = [i for i in ideals if not _join_irreducible(ideals, i)]
     strict = [(big.gens, small.gens) for big in reducible
               for small in reducible
               if big != small and big.contains_sub(small)]
     assert len(strict) == count
-    real = Submodule.contains_sub
     for dropped in strict:
-        def lossy(self, other, dropped=dropped):
-            return (self.gens, other.gens) != dropped and real(self, other)
-
-        monkeypatch.setattr(Submodule, "contains_sub", lossy)
+        monkeypatch.setattr(ideals_mod, "inclusion_order",
+                            _lossy_order(ideals, dropped))
         with pytest.raises(TheoremViolationError, match="right ideals"):
             right_ideal_lattice(load_ring(name))
-        monkeypatch.setattr(Submodule, "contains_sub", real)
+        monkeypatch.undo()
 
 
 def test_failed_radical_check_memoises_nothing(monkeypatch):
@@ -323,3 +340,26 @@ def test_atoms_and_coatoms_match_the_covers(group):
     for ring in DIFFERENTIAL_RINGS[group]():
         lat = right_ideal_lattice(ring)
         assert (lat.atoms(), lat.coatoms()) == atoms_by_covers(lat)
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_the_walk_order_is_contains_sub(group):
+    """The order read off the walk's bitsets is inclusion of the Howell
+    spans, asked pair by pair."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        ideals = right_ideals(ring)
+        lat = right_ideal_lattice(ring)
+        for a, small in enumerate(ideals):
+            for b, big in enumerate(ideals):
+                assert lat.le(a, b) == big.contains_sub(small), ring.label
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_annihilator_cores_are_the_annihilators(group):
+    """The core of each right ideal L, the join of the two-sided ideals
+    inside it, is ann(R/L), solved from the action of R/L."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        index = ideal_index(ring)
+        assert annihilator_cores(ring) == [
+            index[annihilator(factor_module(ring, i)[0]).gens]
+            for i in right_ideals(ring)], ring.label

@@ -42,7 +42,7 @@ from ringscope.modules import (
 from ringscope.ring import product_ring, same_ring, table_ring, zmod
 
 from conftest import (DIFFERENTIAL_RINGS, RECIPE_RINGS, SMALL_CORPUS, corpus,
-                      recipe_ring)
+                      drawn_rings, recipe_ring)
 from oracle_utils import (
     act_by_loop,
     additive_closure,
@@ -130,7 +130,7 @@ def test_cover_walk_matches_the_oracles(group):
         walked = _walked_modules(ring, 256)
         free = walked[1] if len(walked) > 1 else None
         for m in walked + list(cyclic_modules_up_to_iso(ring)):
-            listed = modules._walk_submodules(m)
+            listed = modules._walk_submodules(m)[0]
             assert listed == submodules_by_socle_walk(m, _oracle_jgens(m)), \
                 (ring.label, m.label)
             if m is not free:
@@ -163,7 +163,7 @@ def test_the_walk_makes_one_sum_per_cover_edge(monkeypatch, name, rank):
     monkeypatch.setattr(modules, "quotient_presentation",
                         lambda *args: presented.append(args)
                         or real_present(*args))
-    subs = modules._walk_submodules(m)
+    subs = modules._walk_submodules(m)[0]
     monkeypatch.undo()
     assert presented == []
     assert len(sums) == len(_cover_edges(subs)) > len(subs) - 1
@@ -340,6 +340,25 @@ def test_cyclic_classes_match_the_unbucketed_scan(group):
     for ring in DIFFERENTIAL_RINGS[group]():
         assert [m.key for m in cyclic_modules_up_to_iso(ring)] == \
             [m.key for m in cyclic_classes_by_scan(ring)], ring.label
+
+
+def test_cyclic_classes_reach_hom_group_past_the_cores(monkeypatch):
+    """The cyclic classes of the rings drawn at seed 7 make 231 isomorphism
+    tests; unequal annihilator cores answer all but 60 of them before any
+    hom solve."""
+    reached = []
+    real_iso, real_hom = modules.is_isomorphic_modules, hom.hom_group
+
+    def counted_hom(a, b):
+        reached[-1] = True
+        return real_hom(a, b)
+
+    monkeypatch.setattr(modules, "is_isomorphic_modules",
+                        lambda a, b: reached.append(False) or real_iso(a, b))
+    monkeypatch.setattr(hom, "hom_group", counted_hom)
+    for ring in drawn_rings(7):
+        cyclic_modules_up_to_iso(ring)
+    assert (len(reached), sum(reached)) == (231, 60)
 
 
 def test_cyclic_classes_z8_orders():

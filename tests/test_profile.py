@@ -6,10 +6,16 @@ import itertools
 import pytest
 
 from ringscope.cli import load_ring
-from ringscope.errors import TheoremViolationError
+from ringscope.errors import InputError, TheoremViolationError
 from ringscope import modules
 from ringscope.hom import is_relatively_injective, is_relatively_projective
-from ringscope.ideals import ideals_in_radical, jacobson_radical, right_ideals
+from ringscope.ideals import (
+    ideals_in_radical,
+    is_two_sided,
+    jacobson_radical,
+    right_ideals,
+    two_sided_ideals,
+)
 from ringscope.lattice import are_isomorphic, build_lattice, lattice_product
 from ringscope.modules import (
     Submodule,
@@ -36,6 +42,7 @@ from ringscope.profile import (
 from ringscope.ring import zmod
 
 from conftest import (
+    DIFFERENTIAL_RINGS,
     RECIPE_RINGS,
     SMALL_CORPUS,
     corpus,
@@ -43,7 +50,7 @@ from conftest import (
     recipe_ring,
     simple_modules,
 )
-from oracle_utils import fingerprint_by_scan
+from oracle_utils import fingerprint_by_scan, killed_by_by_products
 
 # the package re-exports the function profile(), which shadows the module
 profile_mod = importlib.import_module("ringscope.profile")
@@ -163,6 +170,49 @@ def test_killed_by_matches_proj_fingerprint_on_nodes():
         for ideal in p_profile(ring).ideals:
             w = cyclic_module(ring, ideal)[0]
             assert proj_fingerprint(w) == killed_by(ring, ideal)
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_killed_by_matches_the_products(group):
+    """killed_by, read off the right-ideal lattice as I ⊆ L, keeps the
+    classes C with C·I = 0 by module products, for every two-sided I."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        for ideal in two_sided_ideals(ring):
+            assert killed_by(ring, ideal) == \
+                killed_by_by_products(ring, ideal), ring.label
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_killed_by_refuses_a_one_sided_ideal(group):
+    """killed_by reads (R/L)·I = (I + L)/L, which holds for a two-sided I
+    only; a right ideal that is not two-sided is refused, as eta_filter
+    refuses it.  Each group has such an ideal."""
+    refused = 0
+    for ring in DIFFERENTIAL_RINGS[group]():
+        for ideal in right_ideals(ring):
+            if not is_two_sided(ring, ideal):
+                with pytest.raises(InputError, match="two-sided"):
+                    killed_by(ring, ideal)
+                refused += 1
+    assert refused
+
+
+def test_killed_by_computes_no_module_product(monkeypatch):
+    """Once the cyclic classes are listed, killed_by reads the lattice and
+    multiplies no module by the ideal."""
+    rings = [load_ring(name) for name in SMALL_CORPUS]  # fresh: no memo
+    for ring in rings:
+        cyclic_modules_up_to_iso(ring)
+
+    def refuse(sub, ideal):
+        raise AssertionError(f"{sub.parent.label} multiplied by an ideal")
+
+    for mod in (modules, profile_mod):
+        if hasattr(mod, "module_times_ideal"):
+            monkeypatch.setattr(mod, "module_times_ideal", refuse)
+    for ring in rings:
+        for ideal in two_sided_ideals(ring):
+            killed_by(ring, ideal)
 
 
 def test_find_witness_p_always_verified():
