@@ -31,7 +31,9 @@ class ModMatrix:
     modulus (a common multiple of all column moduli, by default the lcm).
     """
 
-    __slots__ = ("n", "col_moduli", "rows", "_howell", "_scaled")
+    # _solver, the elimination that solve reuses, is set on the first
+    # solve and never by a constructor
+    __slots__ = ("n", "col_moduli", "rows", "_howell", "_scaled", "_solver")
 
     def __init__(self, col_moduli, rows, n: int | None = None):
         col_moduli = tuple(map(int, col_moduli))
@@ -115,10 +117,18 @@ class ModMatrix:
             scaled = [[x * s for x, s in zip(r, sc)] for r in self.rows]
             h = tuple(map(tuple, howell_mod(scaled, self.ncols, n)))
             rows = tuple(tuple(x // s for x, s in zip(r, sc)) for r in h)
-        out = ModMatrix._reduced(self.col_moduli, rows, n)
-        object.__setattr__(out, "_howell", out)
-        object.__setattr__(out, "_scaled", h)
+        out = ModMatrix._canonical(self.col_moduli, rows, n, h)
         object.__setattr__(self, "_howell", out)
+        return out
+
+    @classmethod
+    def _canonical(cls, col_moduli, rows, n: int, scaled) -> "ModMatrix":
+        """_reduced(col_moduli, rows, n), marked as its own Howell form:
+        rows must be the Howell rows of their span, and scaled those rows
+        scaled to the working modulus."""
+        out = cls._reduced(col_moduli, rows, n)
+        object.__setattr__(out, "_howell", out)
+        object.__setattr__(out, "_scaled", scaled)
         return out
 
     def _howell_scaled(self):
@@ -185,10 +195,43 @@ class ModMatrix:
 
         Returns (particular, kernel) where kernel is a ModMatrix whose
         rows span all homogeneous solutions (column moduli all n), or
-        None when no solution exists.
+        None when no solution exists.  The elimination is made on the
+        first solve and kept (see _elimination); every later solve on
+        this matrix only back-substitutes.
         """
         if len(vec) != self.ncols:
             raise InputError("right-hand side has wrong length")
+        pivots, kernel = self._elimination()
+        n = self.n
+        b = [int(x) % m * s
+             for x, m, s in zip(vec, self.col_moduli, self._scales())]
+        part = [0] * self.nrows
+        for j, g, left, right in pivots:
+            if b[j] % g:
+                return None
+            q = b[j] // g
+            if q:
+                b = [(a - q * x) % n for a, x in zip(b, left)]
+                part = [(a + q * x) % n for a, x in zip(part, right)]
+        if any(b):
+            return None
+        return tuple(part), kernel
+
+    def _elimination(self):
+        """(pivots, kernel) from the Howell form over Z/n of [A·scale | I],
+        A the rows, made on the first call and kept on the matrix.
+
+        pivots holds (j, g, left, right) for each Howell row whose pivot j
+        lies in the first c = ncols columns: g the pivot, left the row's
+        first c entries and right the rest.  The rows with pivot past c
+        are (0 | x) with x·A = 0, and by the Howell property at column c
+        they span every such x: their right parts are the kernel.  They
+        are already its Howell form, as the Howell form of a span is
+        unique, so the kernel is marked canonical, not reduced again."""
+        try:
+            return self._solver
+        except AttributeError:
+            pass
         n, L, c = self.n, self.nrows, self.ncols
         sc = self._scales()
         aug = []
@@ -196,31 +239,22 @@ class ModMatrix:
             row = [x * s for x, s in zip(r, sc)] + [0] * L
             row[c + i] = 1
             aug.append(row)
-        h = howell_mod(aug, c + L, n)
-        b = [int(x) % m * s for x, m, s in zip(vec, self.col_moduli, sc)]
-        part = [0] * L
-        kernel_rows = []
-        for row in h:
+        pivots, kernel_rows = [], []
+        for row in howell_mod(aug, c + L, n):
             j = next(i for i, x in enumerate(row) if x)
             if j >= c:
                 kernel_rows.append(tuple(row[c:]))
-                continue
-            g = row[j]
-            if b[j] % g == 0:
-                q = b[j] // g
-                if q:
-                    b = [(a - q * x) % n for a, x in zip(b, row[:c])]
-                    part = [(a + q * x) % n for a, x in zip(part, row[c:])]
-        if any(b):
-            return None
-        kernel = ModMatrix._reduced((n,) * L, tuple(kernel_rows),
-                                    n).howell_form()
-        return tuple(part), kernel
+            else:
+                pivots.append((j, row[j], row[:c], row[c:]))
+        kernel_rows = tuple(kernel_rows)
+        kernel = ModMatrix._canonical((n,) * L, kernel_rows, n, kernel_rows)
+        object.__setattr__(self, "_solver", (pivots, kernel))
+        return self._solver
 
     def kernel(self) -> "ModMatrix":
-        """Howell basis of {x : x · self = 0} over Z/n."""
-        _, ker = self.solve((0,) * self.ncols)
-        return ker
+        """Howell basis of {x : x · self = 0} over Z/n, the kernel that
+        every solve on this matrix returns."""
+        return self._elimination()[1]
 
 
 def zero_matrix(col_moduli) -> ModMatrix:
@@ -234,7 +268,10 @@ def solve_affine(coeff_rows, eq_moduli, rhs, unknown_moduli):
     The system must be well defined on ⊕ Z/unknown_moduli, i.e. shifting
     x_l by unknown_moduli[l] must fix every equation (checked).  Returns
     (particular | None, kernel ModMatrix over unknown_moduli); the kernel
-    spans the full homogeneous solution group.
+    spans the full homogeneous solution group.  When every unknown has
+    the working modulus, as in every hom system over F_p, the solve's
+    kernel is already that Howell form and is returned as it is; else its
+    rows are reduced per unknown modulus and canonicalised again.
     """
     eq_moduli = tuple(int(m) for m in eq_moduli)
     unknown_moduli = tuple(int(m) for m in unknown_moduli)
@@ -252,6 +289,8 @@ def solve_affine(coeff_rows, eq_moduli, rhs, unknown_moduli):
     if sol is None:
         return None, zero_matrix(unknown_moduli)
     part, ker = sol
+    if ker.col_moduli == unknown_moduli and ker.n == lcm_all(unknown_moduli):
+        return part, ker
     part = tuple(x % u for x, u in zip(part, unknown_moduli))
     rows = tuple(tuple(x % u for x, u in zip(r, unknown_moduli))
                  for r in ker.rows)
@@ -346,12 +385,15 @@ def smith_normal_form(mat):
 
 
 def quotient_presentation(orders, rel_rows):
-    """Present (⊕ Z/orders) / ⟨rel_rows⟩ as ⊕ Z/new_orders.
+    """Present (⊕ Z/orders) / ⟨rel_rows⟩ as ⊕ Z/new_orders, by the Smith
+    form: the general route, for any relations and any moduli.
 
     Returns (new_orders, proj, lift):
       proj: d×k integer matrix, x ↦ x·proj (entries reduced per new order);
       lift: k×d integer matrix, section sending new basis j to a preimage.
-    Coordinates with invariant factor 1 are dropped.
+    Coordinates with invariant factor 1 are dropped.  echelon_presentation
+    reads the same orders, in other coordinates, off a Howell form with
+    unit pivots; the tests hold this route as its reference.
     """
     d = len(orders)
     if d == 0:
@@ -369,6 +411,36 @@ def quotient_presentation(orders, rel_rows):
     proj = [[V[t][i] % diag[i] for i in keep] for t in range(d)]
     lift = [[Vinv[i][t] % orders[t] for t in range(d)] for i in keep]
     return new_orders, proj, lift
+
+
+def echelon_presentation(rels: ModMatrix):
+    """quotient_presentation's (new_orders, proj, lift) for
+    (Z/n)^d / ⟨rels⟩, read off the Howell rows of rels, or None unless
+    every column has the working modulus n > 1 and every Howell pivot is
+    1, as at a prime n.
+
+    Unit pivots are reduced above, so the rows are a reduced echelon
+    form, and the row of pivot j is e_j + Σ_i row_j[t_i]·e_{t_i} over the
+    free columns t_1 < … < t_k.  The rows span a free summand of rank d−k,
+    and the quotient is (Z/n)^k, coordinate i read at column t_i: a free
+    column t_i maps to e_i and a pivot column j to Σ_i −row_j[t_i]·e_i.
+    The section sends e_i to e_{t_i}.  The orders (n,)*k are those the
+    Smith form gives; the coordinates in general are not."""
+    n = rels.n
+    if n == 1 or not rels._uniform():
+        return None
+    pivots = {}
+    for row in rels.howell_form().rows:
+        j = next(i for i, x in enumerate(row) if x)
+        if row[j] != 1:
+            return None
+        pivots[j] = row
+    d = rels.ncols
+    free = [t for t in range(d) if t not in pivots]
+    proj = [[-pivots[j][t] % n for t in free] if j in pivots
+            else [int(j == t) for t in free] for j in range(d)]
+    lift = [[int(j == t) for j in range(d)] for t in free]
+    return (n,) * len(free), proj, lift
 
 
 def apply_matrix(vec, mat, out_moduli):

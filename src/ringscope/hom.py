@@ -19,6 +19,7 @@ from .exactla import ModMatrix, howell_span, solve_affine, zero_matrix
 from .modules import (
     ModuleMap,
     RightModule,
+    _reduced_action,
     quotient_via_lattice,
     regular_module,
     submodule_as_module,
@@ -114,10 +115,12 @@ def _summands(m: RightModule):
 def _block_modules(m: RightModule, blocks):
     out = []
     for coords in blocks:
-        action = [[[act.rows[i][k] for k in coords] for i in coords]
+        orders = tuple(m.orders[i] for i in coords)
+        action = [[tuple(act.rows[i][k] for k in coords) for i in coords]
                   for act in m.action]
-        out.append((coords, RightModule(m.ring, [m.orders[i] for i in coords],
-                                        action, label=f"{m.label} (block)")))
+        out.append((coords, RightModule(m.ring, orders,
+                                        _reduced_action(orders, action),
+                                        label=f"{m.label} (block)")))
     return out
 
 

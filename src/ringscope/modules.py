@@ -16,7 +16,9 @@ from .errors import BoundExceededError, InputError, TheoremViolationError
 from .exactla import (
     ModMatrix,
     apply_matrix,
+    echelon_presentation,
     howell_span,
+    lcm_all,
     quotient_presentation,
     solve_affine,
     zero_matrix,
@@ -120,6 +122,15 @@ def verify_module_axioms(m: RightModule):
                 if lhs != rhs:
                     return f"action incompatible with g{a}*g{b} on generator {i}"
     return None
+
+
+def _reduced_action(orders: tuple, action):
+    """One action matrix per list of rows, built by ModMatrix._reduced
+    with no second reduction: each row must be a tuple already reduced
+    modulo the tuple orders, as apply_matrix gives it or as a slice of
+    checked rows is.  _validated still checks the module's content."""
+    n = lcm_all(orders)
+    return [ModMatrix._reduced(orders, tuple(rows), n) for rows in action]
 
 
 def _validated(mod: RightModule) -> RightModule:
@@ -261,13 +272,12 @@ def direct_sum(mods, label: str | None = None) -> RightModule:
     for j in range(ring.rank):
         rows = []
         for mod, o in zip(mods, offsets):
-            for r in mod.action[j].rows:
-                row = [0] * off
-                row[o:o + mod.rank] = list(r)
-                rows.append(row)
+            head, tail = (0,) * o, (0,) * (off - o - mod.rank)
+            rows += [head + r + tail for r in mod.action[j].rows]
         action.append(rows)
     name = label or " + ".join(m.label for m in mods)
-    return RightModule(ring, orders, action, label=name)
+    return RightModule(ring, orders, _reduced_action(orders, action),
+                       label=name)
 
 
 def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
@@ -287,7 +297,8 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
 
     action = [[down(n.act_gen(row, j)) for row in lift]
               for j in range(n.ring.rank)]
-    q = _validated(RightModule(n.ring, new_orders, action,
+    q = _validated(RightModule(n.ring, new_orders,
+                               _reduced_action(new_orders, action),
                                label=label or f"{n.label}/K"))
     projection = ModuleMap(n, q, [down(n.generator(i)) for i in range(n.rank)])
     projection.section = [tuple(r) for r in lift]
@@ -358,17 +369,25 @@ def cyclic_span(m: RightModule, x) -> Submodule:
 
 
 def factor_presentation(n: RightModule, s: Submodule):
-    """quotient_presentation of N/S, which quotient_module and the colon
-    ideals read.  See _presentation."""
+    """(new_orders, proj, lift) presenting N/S, which quotient_module and
+    the colon ideals read.  See _presentation."""
     return _presentation(n.ring, s.gens)
 
 
 def _presentation(ring: FiniteRing, rels: ModMatrix):
-    """quotient_presentation of (⊕ Z/rels.col_moduli) / ⟨rels⟩, memoised
-    on the ring by rels, a canonical Howell matrix whose column moduli
-    and rows are all it reads.  Callers must not mutate it."""
+    """(new_orders, proj, lift) presenting (⊕ Z/rels.col_moduli) / ⟨rels⟩,
+    memoised on the ring by rels, a canonical Howell matrix whose column
+    moduli and rows are all it reads.  Callers must not mutate it.
+
+    Relations with one modulus n on every column and unit Howell pivots,
+    as over every F_p, are read off their echelon form
+    (echelon_presentation); others, over Z/p^k with a non-unit pivot or
+    with mixed moduli, take the Smith form (quotient_presentation).  The
+    orders agree; the coordinates, which no output prints, may not.
+    Quotient rings, whose coordinates are printed, keep the Smith form."""
     return memo(ring, ("quotient_presentation", rels),
-                quotient_presentation, rels.col_moduli, rels.rows)
+                lambda: echelon_presentation(rels)
+                or quotient_presentation(rels.col_moduli, rels.rows))
 
 
 def submodules(n: RightModule):
@@ -538,13 +557,14 @@ def _present_submodule(parent: RightModule, gens: ModMatrix):
     def express(vec):
         sol = gens.solve(vec)
         if sol is None:
-            return None
+            raise InputError("span is not closed under the ring action")
         return apply_matrix(sol[0], proj, new_orders)
 
     incl_rows = [apply_matrix(lrow, gens.rows, parent.orders) for lrow in lift]
     action = [[express(parent.act_gen(row, j)) for row in incl_rows]
               for j in range(parent.ring.rank)]
-    mod = _validated(RightModule(parent.ring, new_orders, action,
+    mod = _validated(RightModule(parent.ring, new_orders,
+                                 _reduced_action(new_orders, action),
                                  label=f"{parent.label} (sub)"))
     return mod, ModuleMap(mod, parent, incl_rows)
 

@@ -55,9 +55,10 @@ class IdealContext:
         self.index = ideal_index(ring)
 
     def _quotient(self, t: int):
-        """R/I_t as (new_orders, proj, lift), see quotient_presentation:
+        """R/I_t as (new_orders, proj, lift), see factor_presentation:
         the presentation of the regular module's quotient, which the
-        cyclic classes have usually made already."""
+        cyclic classes have usually made already (by the echelon form of
+        I_t over F_p, else by the Smith form)."""
         return factor_presentation(regular_module(self.ring), self.ideals[t])
 
     def colon(self, t: int, r) -> int:

@@ -7,19 +7,30 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringscope import exactla
 from ringscope.errors import InputError, TheoremViolationError
 from ringscope.exactla import (
     ModMatrix,
     apply_matrix,
+    echelon_presentation,
     howell_span,
     quotient_presentation,
     smith_normal_form,
     solve_affine,
     zero_matrix,
 )
-from ringscope.modules import RightModule, Submodule, regular_module
+from ringscope.modules import (
+    RightModule,
+    Submodule,
+    cyclic_modules_up_to_iso,
+    regular_module,
+    submodule_as_module,
+    submodules,
+)
 from ringscope.ring import zmod
+from ringscope.torsion import ideal_context
 
+from conftest import DIFFERENTIAL_RINGS
 from oracle_utils import apply_matrix_by_loop
 
 
@@ -249,6 +260,13 @@ def test_internal_constructions_equal_the_public_ones():
         _, ker = a.solve(target)
         _assert_canonical(ker)
         assert ker == ModMatrix((a.n,) * a.nrows, ker.rows, a.n).howell_form()
+        # later solves reuse the elimination: each answers as a fresh copy
+        for rhs in (target, [rng.randrange(m) for m in moduli],
+                    [0] * a.ncols):
+            again, fresh = a.solve(rhs), _as_public(a).solve(rhs)
+            assert again == fresh
+            if again is not None:
+                _assert_canonical(again[1])
 
         umods = tuple(rng.choice([2, 3, 4, 6]) for _ in range(a.nrows))
         rows = [[x * (m // math.gcd(m, u)) for x, m in zip(r, moduli)]
@@ -257,6 +275,111 @@ def test_internal_constructions_equal_the_public_ones():
         _assert_canonical(ker)
         assert ker.n == math.lcm(*umods)
         assert ker == ModMatrix(umods, ker.rows).howell_form()
+
+
+def _count_howell_calls(monkeypatch):
+    calls = []
+    real = exactla.howell_mod
+    monkeypatch.setattr(exactla, "howell_mod",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_solves_on_one_matrix_eliminate_once(monkeypatch):
+    """k solves and the kernel of one matrix make one elimination: the
+    kernel is the trailing block of its Howell form, not reduced again."""
+    calls = _count_howell_calls(monkeypatch)
+    m = ModMatrix((4, 2, 4), [(1, 1, 2), (2, 0, 1), (3, 1, 3), (0, 1, 0)])
+    sols = [m.solve(rhs) for rhs in ((1, 1, 2), (0, 0, 0), (1, 0, 0),
+                                     (3, 1, 1))]
+    assert m.kernel() is sols[1][1]
+    assert len(calls) == 1
+    assert sols[0][1].howell_form() is sols[0][1]
+    assert len(calls) == 1
+
+
+def test_solve_affine_at_one_modulus_returns_the_solve_kernel(monkeypatch):
+    """With every unknown modulus the working modulus, as in every hom
+    system over F_p, solve_affine returns the kernel of its one
+    elimination; mixed moduli reduce the kernel and take its Howell form."""
+    calls = _count_howell_calls(monkeypatch)
+    rows = [(1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+    part, ker = solve_affine(rows, (2, 2, 2), (1, 1, 0), (2,) * 4)
+    assert len(calls) == 1
+    assert ker.howell_form() is ker and ker.n == 2
+    assert ker == ModMatrix((2,) * 4, [(1, 1, 1, 0)]).howell_form()
+    assert apply_matrix(part, rows, (2, 2, 2)) == (1, 1, 0)
+    del calls[:]
+    solve_affine([(2,), (3,)], (6,), (0,), (3, 2))
+    assert len(calls) == 2
+    # no unknowns: the kernel lives in the zero group, whose modulus is 1
+    _, ker = solve_affine([], (4,), (0,), ())
+    assert ker.col_moduli == () and ker.n == 1
+
+
+def _assert_presents(rels, presentation):
+    """presentation presents (⊕ Z/rels.col_moduli)/⟨rels⟩ with the orders
+    of the Smith route: proj kills exactly rels, and lift is a section."""
+    new_orders, proj, lift = presentation
+    assert new_orders == quotient_presentation(rels.col_moduli, rels.rows)[0]
+    _, ker = solve_affine(proj, new_orders, (0,) * len(new_orders),
+                          rels.col_moduli)
+    assert ker.howell_form() == rels.howell_form()
+    for i, row in enumerate(lift):
+        assert apply_matrix(row, proj, new_orders) == tuple(
+            int(i == k) for k in range(len(new_orders)))
+
+
+def test_echelon_presentation_matches_the_smith_route():
+    """On random Howell matrices with unit pivots over Z/n the echelon
+    reader gives the Smith route's orders, a projection whose kernel is
+    the span, and a section; on any other matrix it declines."""
+    rng = random.Random(30)
+    read = dict.fromkeys((2, 3, 4, 8, 9), 0)
+    for n in read:
+        for draw in range(300):
+            d = rng.randrange(1, 6)
+            if draw % 2:
+                rows = [[rng.randrange(n) for _ in range(d)]
+                        for _ in range(rng.randrange(0, 5))]
+            else:  # unit pivots in random columns, random entries past them
+                rows = [[0] * j + [1] + [rng.randrange(n) for _ in range(j + 1, d)]
+                        for j in rng.sample(range(d), rng.randrange(0, d + 1))]
+            rels = howell_span((n,) * d, rows)
+            pivots = [next(x for x in row if x) for row in rels.rows]
+            presentation = echelon_presentation(rels)
+            assert (presentation is None) == any(g != 1 for g in pivots)
+            if presentation is not None:
+                read[n] += 1
+                assert presentation[0] == (n,) * (d - rels.nrows)
+                _assert_presents(rels, presentation)
+    assert all(count >= 150 for count in read.values()), read
+    assert echelon_presentation(howell_span((4, 2), [(1, 1)])) is None
+    assert echelon_presentation(ModMatrix((4, 4), [(1, 0)], n=8)) is None
+    assert echelon_presentation(howell_span((1, 1), [])) is None
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_module_presentations_match_the_smith_route(group):
+    """Every relation matrix that the module layer presents by its
+    echelon form, as the cyclic classes, the presented submodules of R
+    and the colon tables meet them, is presented as the Smith route
+    presents it, up to coordinates."""
+    read = 0
+    for ring in DIFFERENTIAL_RINGS[group]():
+        cyclic_modules_up_to_iso(ring)
+        for s in submodules(regular_module(ring)):
+            submodule_as_module(s)
+        ctx = ideal_context(ring)
+        for t in range(len(ctx.ideals)):
+            ctx.generator_colons(t)
+        for key, presentation in list(ring._cache.items()):
+            if isinstance(key, tuple) and key[0] == "quotient_presentation":
+                if echelon_presentation(key[1]) is not None:
+                    assert presentation == echelon_presentation(key[1])
+                    _assert_presents(key[1], presentation)
+                    read += 1
+    assert read
 
 
 def matmul(a, b):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ringscope.errors import BoundExceededError, InputError
+from ringscope.exactla import echelon_presentation, quotient_presentation
 from ringscope.ideals import two_sided_ideals
 from ringscope.modules import regular_module
 from ringscope.ring import (
@@ -236,6 +237,27 @@ def test_quotient_rings_match_element_sets(name):
         assert {x for x in elems if down(x) == q.zero} == set(ideal.elements())
         for v in q.elements():
             assert down(up(v)) == v
+
+
+def test_quotient_ring_coordinates_are_the_smith_forms():
+    """A quotient ring's coordinates are printed (ring show, classify's
+    certificates, the benchmark's answer digests), so quotient_ring keeps
+    the Smith form's.  On the F2 path algebra of three arrows 1 → 2 cut by
+    a1 + a3 the echelon form of the ideal gives the same orders in other
+    coordinates, and the ring's table is pinned."""
+    base = path_algebra(2, 2, [[1, 2]] * 3)
+    q, down, _ = quotient_ring(base, [(0, 0, 1, 0, 1)])
+    assert q.orders == (2, 2, 2, 2) and q.one == (1, 1, 0, 0)
+    e1 = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    e2 = ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    a1 = ((0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    a2 = ((0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    assert q.mul == (e1, e2, a1, a2)
+    assert down((0, 0, 0, 0, 1)) == (0, 0, 1, 0)
+    ideal = two_sided_closure(base, [(0, 0, 1, 0, 1)])
+    echelon = echelon_presentation(ideal)
+    smith = quotient_presentation(ideal.col_moduli, ideal.rows)
+    assert echelon[0] == smith[0] and echelon[1:] != smith[1:]
 
 
 def test_opposite_involution():
