@@ -104,12 +104,6 @@ def socle_homogeneous(m) -> bool:
     return all(is_isomorphic_modules(simples[0], s)[0] for s in simples[1:])
 
 
-def is_simple_artinian(ring: FiniteRing) -> bool:
-    """A nonzero ring whose regular module is semisimple with a single
-    simple class: a matrix ring over a division ring."""
-    return ring.order() > 1 and socle_homogeneous(regular_module(ring))
-
-
 STATEMENTS = {
     "V1": "ideal route and filter route give the same profile",
     "V2": "domain of a direct sum is the intersection of domains",

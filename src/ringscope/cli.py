@@ -63,11 +63,26 @@ def parse_module_file(text: str, ring: FiniteRing):
                           lambda doc: _module_from_doc(doc, ring))
 
 
+# module type -> the fields its document may carry besides "type"
+MODULE_FIELDS = {
+    "regular": (),
+    "cyclic": ("ideal_gens",),
+    "quotient_of_free": ("rank", "relations"),
+    "direct_sum": ("summands",),
+}
+
+
 def _module_from_doc(doc, ring: FiniteRing):
-    """The module of a parsed module document, or of a direct_sum summand."""
+    """The module of a parsed module document, or of a direct_sum summand.
+    Unknown types and unknown fields raise InputError."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputError("module file needs a top-level 'type'")
     kind = doc["type"]
+    if not isinstance(kind, str) or kind not in MODULE_FIELDS:
+        raise InputError(f"unknown module type {kind!r}")
+    for key in doc:
+        if key != "type" and key not in MODULE_FIELDS[kind]:
+            raise InputError(f"module type {kind!r} has no field {key!r}")
     if kind == "regular":
         return regular_module(ring)
     if kind == "cyclic":
@@ -88,12 +103,10 @@ def _module_from_doc(doc, ring: FiniteRing):
             Submodule(free, [free.reduce_el(r) for r in relations]),
             full_submodule(regular_module(ring)))
         return quotient_module(free, closed)[0]
-    if kind == "direct_sum":
-        summands = doc.get("summands", [])
-        if not isinstance(summands, list) or not summands:
-            raise InputError("direct_sum: needs a list of summands")
-        return direct_sum([_module_from_doc(p, ring) for p in summands])
-    raise InputError(f"unknown module type {kind!r}")
+    summands = doc.get("summands", [])
+    if not isinstance(summands, list) or not summands:
+        raise InputError("direct_sum: needs a list of summands")
+    return direct_sum([_module_from_doc(p, ring) for p in summands])
 
 
 def corpus_names():

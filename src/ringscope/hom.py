@@ -14,7 +14,7 @@ side uses composition with the projections N → N/L.
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, InputError, TheoremViolationError
+from .errors import InputError, TheoremViolationError
 from .exactla import ModMatrix, howell_span, solve_affine, zero_matrix
 from .modules import (
     ModuleMap,
@@ -51,13 +51,6 @@ class HomGroup:
 
     def gen_maps(self):
         return [self._unflatten(r) for r in self.basis.rows]
-
-    def maps(self, bound: int = 4096):
-        if self.size() > bound:
-            raise BoundExceededError(
-                f"hom group of order {self.size()} exceeds bound {bound}")
-        for flat in self.basis.span_elements():
-            yield self._unflatten(flat)
 
 
 def hom_group(a: RightModule, b: RightModule) -> HomGroup:

@@ -12,10 +12,10 @@ from .errors import InputError, NotALatticeError, TheoremViolationError
 from .lattice import FiniteLattice, _bits, build_lattice, inclusion_order
 from .modules import (
     Submodule,
+    _descending_series,
     _minimal,
     _walk_submodules,
     factor_module,
-    module_times_ideal,
     regular_module,
     submodule_sum,
     submodule_walk,
@@ -164,17 +164,7 @@ def _jacobson_radical(ring: FiniteRing) -> Submodule:
         raise TheoremViolationError(
             f"radical of {ring.label} is not two-sided")
     # nilpotency: powers must strictly descend to zero
-    power = jac
-    steps = 0
-    while power.size() > 1:
-        nxt = module_times_ideal(power, jac)
-        if nxt.size() >= power.size():
-            raise TheoremViolationError(
-                f"radical of {ring.label} is not nilpotent")
-        power = nxt
-        steps += 1
-        if steps > ring.order():
-            raise TheoremViolationError("radical power chain does not stop")
+    _descending_series(jac, jac, f"radical of {ring.label} is not nilpotent")
     if jac.size() > 1:
         quo = factor_module(ring, jac)[0]
         atoms = _minimal(_walk_submodules(quo)[0])

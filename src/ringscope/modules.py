@@ -290,7 +290,7 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
         raise InputError("submodule does not live in the given module")
     if not k.is_action_stable():
         raise InputError("span is not closed under the ring action")
-    new_orders, proj, lift = factor_presentation(n, k)
+    new_orders, proj, lift = _presentation(n.ring, k.gens)
 
     def down(vec):
         return apply_matrix(vec, proj, new_orders)
@@ -366,12 +366,6 @@ def cyclic_span(m: RightModule, x) -> Submodule:
     x·g_j, as the ring generators g_j span R."""
     x = m.reduce_el(x)
     return Submodule(m, [x] + _images(m, x))
-
-
-def factor_presentation(n: RightModule, s: Submodule):
-    """(new_orders, proj, lift) presenting N/S, which quotient_module and
-    the colon ideals read.  See _presentation."""
-    return _presentation(n.ring, s.gens)
 
 
 def _presentation(ring: FiniteRing, rels: ModMatrix):
@@ -649,15 +643,20 @@ def radical_series(m: RightModule):
     """Descending chain M > MJ > MJ² > ... > 0."""
     from .ideals import jacobson_radical
 
-    jac = jacobson_radical(m.ring)
-    chain = [full_submodule(m)]
+    return _descending_series(
+        full_submodule(m), jacobson_radical(m.ring),
+        f"radical series stalls on {m.label}; ring radical is not nilpotent "
+        "on this module")
+
+
+def _descending_series(start: Submodule, ideal: Submodule, message: str):
+    """[S, S·I, S·I², …, 0] for a submodule S and a right ideal I; a step
+    that does not shrink raises TheoremViolationError(message)."""
+    chain = [start]
     while chain[-1].size() > 1:
-        prev = chain[-1]
-        nxt = module_times_ideal(prev, jac)
-        if nxt.size() == prev.size():
-            raise TheoremViolationError(
-                f"radical series stalls on {m.label}; ring radical is "
-                "not nilpotent on this module")
+        nxt = module_times_ideal(chain[-1], ideal)
+        if nxt.size() >= chain[-1].size():
+            raise TheoremViolationError(message)
         chain.append(nxt)
     return chain
 

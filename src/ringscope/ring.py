@@ -465,18 +465,6 @@ def inverse(ring: FiniteRing, x):
     return y
 
 
-def central_idempotents(ring: FiniteRing) -> set:
-    gens = [ring.generator(i) for i in range(ring.rank)]
-    out = set()
-    for x in ring.elements():
-        x = tuple(x)
-        if ring.el_mul(x, x) != x:
-            continue
-        if all(ring.el_mul(x, g) == ring.el_mul(g, x) for g in gens):
-            out.add(x)
-    return out
-
-
 # -- ring documents -----------------------------------------------------------
 
 # constructor -> its fields, each mapped to how deep its integers sit in

@@ -23,7 +23,6 @@ oracle for (a)–(c).
 from __future__ import annotations
 
 from .errors import BoundExceededError, InputError, TheoremViolationError
-from .exactla import apply_matrix, solve_affine
 from .ideals import (
     ideal_index,
     is_two_sided,
@@ -35,8 +34,8 @@ from .modules import (
     RightModule,
     Submodule,
     annihilator,
-    factor_presentation,
-    regular_module,
+    element_annihilator,
+    factor_module,
 )
 from .ring import FiniteRing, IndexSet, memo, same_ring
 
@@ -45,44 +44,30 @@ FILTER_IDEAL_GUARD = 400
 
 class IdealContext:
     """Per-ring colon tables over the canonical right-ideal list: the
-    quotient R/I_t of each ideal and the colon ideals at the additive
-    generators of each R/I_t, memoised on the ring by the ideal's Howell
-    rows."""
+    colon ideals at the additive generators of each R/I_t, memoised on
+    the ring by the ideal's Howell rows."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
         self.ideals = right_ideals(ring)
         self.index = ideal_index(ring)
 
-    def _quotient(self, t: int):
-        """R/I_t as (new_orders, proj, lift), see factor_presentation:
-        the presentation of the regular module's quotient, which the
-        cyclic classes have usually made already (by the echelon form of
-        I_t over F_p, else by the Smith form)."""
-        return factor_presentation(regular_module(self.ring), self.ideals[t])
-
     def colon(self, t: int, r) -> int:
-        """(I_t : r) = {y : r·y ∈ I_t}, as an ideal index: the kernel of
-        y ↦ r·y + I_t, solved in the coordinates of R/I_t."""
-        ring = self.ring
-        r = ring.reduce_el(r)
-        new_orders, proj, _ = self._quotient(t)
-        if not new_orders:     # I_t = R, and (R : r) = R
-            return t
-        rows = [apply_matrix(ring.el_mul(r, ring.generator(j)), proj,
-                             new_orders)
-                for j in range(ring.rank)]
-        _, ker = solve_affine(rows, new_orders, (0,) * len(new_orders),
-                              ring.orders)
-        return self.index[Submodule(regular_module(ring), ker).gens]
+        """(I_t : r) = {y : r·y ∈ I_t} = ann(r + I_t), as an ideal index:
+        the annihilator of r's coset in the module R/I_t of
+        factor_module."""
+        q, proj = factor_module(self.ring, self.ideals[t])
+        ann = element_annihilator(q, proj.apply(self.ring.reduce_el(r)))
+        return self.index[ann.gens]
 
     def generator_colons(self, t: int) -> list:
         """[(r, (I_t : r))] for the lifts r of the additive generators of
-        R/I_t, the rows of its presentation: by fact (c) these colons
+        R/I_t, the section of its projection: by fact (c) these colons
         decide F4 at I_t."""
+        proj = factor_module(self.ring, self.ideals[t])[1]
         return memo(self.ring, ("f4_colons", self.ideals[t].gens),
-                    lambda: [(r, self.colon(t, r)) for r in
-                             map(self.ring.reduce_el, self._quotient(t)[2])])
+                    lambda: [(r, self.colon(t, r))
+                             for r in map(self.ring.reduce_el, proj.section)])
 
 
 def ideal_context(ring: FiniteRing) -> IdealContext:

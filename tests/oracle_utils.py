@@ -1,15 +1,18 @@
 """Independent brute-force oracles used to cross-validate the library.
 
-Nothing here goes through the linear-algebra solvers: maps are found by
+Most routes here avoid the library's solvers: maps are found by
 filtering additive homomorphisms, annihilators by scanning ring
-elements, subgroups by closing subsets.  Slow on purpose.
+elements, subgroups by closing subsets.  Slow on purpose.  The
+element-level routes that the library does not need (hom_maps,
+central_idempotents, is_simple_artinian) live here too.
 """
 
 import itertools
 import math
 
-from ringscope.classify import is_qf
-from ringscope.exactla import apply_matrix, solve_affine
+from ringscope.classify import is_qf, socle_homogeneous
+from ringscope.errors import BoundExceededError
+from ringscope.exactla import apply_matrix, quotient_presentation, solve_affine
 from ringscope.hom import hom_group
 from ringscope.ideals import (
     right_ideal_lattice,
@@ -25,7 +28,6 @@ from ringscope.modules import (
     direct_sum,
     element_annihilator,
     factor_module,
-    factor_presentation,
     full_submodule,
     is_isomorphic_modules,
     module_times_ideal,
@@ -115,8 +117,9 @@ def join_all_submodules(n):
 
 def _socle_lifts(n, s, jgens):
     """Lifts to n of the nonzero y in Soc(N/S) = {y : y·j = 0 for the rows
-    j of jgens}, solved in the coordinates of N/S; no rows: all of N/S."""
-    new_orders, proj, lift = factor_presentation(n, s)
+    j of jgens}, solved in the Smith coordinates of N/S; no rows: all of
+    N/S."""
+    new_orders, proj, lift = quotient_presentation(n.orders, s.gens.rows)
     if not new_orders:
         return
     if jgens:
@@ -169,13 +172,41 @@ def submodule_intersection(a, b):
     return Submodule(a.parent, rows)
 
 
+def hom_maps(grp, bound=4096):
+    """Every map of the HomGroup grp, one per element of its basis span;
+    BoundExceededError past bound maps."""
+    if grp.size() > bound:
+        raise BoundExceededError(
+            f"hom group of order {grp.size()} exceeds bound {bound}")
+    for flat in grp.basis.span_elements():
+        yield grp._unflatten(flat)
+
+
+def central_idempotents(ring):
+    """The idempotents that commute with every ring generator, by a scan
+    of the ring's elements."""
+    gens = [ring.generator(i) for i in range(ring.rank)]
+    out = set()
+    for x in map(tuple, ring.elements()):
+        if ring.el_mul(x, x) == x and all(
+                ring.el_mul(x, g) == ring.el_mul(g, x) for g in gens):
+            out.add(x)
+    return out
+
+
+def is_simple_artinian(ring):
+    """A nonzero ring whose regular module is semisimple with a single
+    simple class: a matrix ring over a division ring."""
+    return ring.order() > 1 and socle_homogeneous(regular_module(ring))
+
+
 def iso_by_hom_scan(a, b):
     """(flag, witness) by walking every map of Hom(a, b): modules of equal
     order are isomorphic iff some map is onto, and the first onto map is
     the witness."""
     if a.order() != b.order():
         return False, None
-    for f in hom_group(a, b).maps(bound=1 << 20):
+    for f in hom_maps(hom_group(a, b), bound=1 << 20):
         if f.image_span().span_size() == b.order():
             return True, f
     return False, None
@@ -470,10 +501,10 @@ def colon_table(ctx, t):
 
 
 def _colon_table(ctx, t):
-    new_orders, _, lift = ctx._quotient(t)
+    q, proj = factor_module(ctx.ring, ctx.ideals[t])
     table = {}
-    for c in itertools.product(*(range(m) for m in new_orders)):
-        r = apply_matrix(c, lift, ctx.ring.orders)
+    for c in itertools.product(*(range(m) for m in q.orders)):
+        r = apply_matrix(c, proj.section, ctx.ring.orders)
         table.setdefault(ctx.colon(t, r), r)
     return table
 

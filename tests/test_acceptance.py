@@ -30,11 +30,12 @@ from ringscope.profile import (
     proj_fingerprint,
 )
 from ringscope.classify import is_super_qf
-from ringscope.ring import central_idempotents, zmod
+from ringscope.ring import zmod
 from ringscope.torsion import all_linear_filters, eta_filter, sigma_contains
 
 from conftest import SMALL_CORPUS, corpus, simple_modules
 from oracle_utils import (
+    central_idempotents,
     dense_el_mul,
     oracle_rel_inj,
     oracle_rel_proj,

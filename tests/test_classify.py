@@ -12,7 +12,6 @@ from ringscope.classify import (
     is_local,
     is_qf,
     is_semisimple_ring,
-    is_simple_artinian,
     is_super_qf,
     is_uniform_ring,
     socle_homogeneous,
@@ -27,7 +26,11 @@ from ringscope.profile import CyclicFingerprint, i_profile, p_profile
 from ringscope.ring import product_ring, quotient_ring, units, zmod
 
 from conftest import DIFFERENTIAL_RINGS, GUARD_RINGS, SMALL_CORPUS, corpus
-from oracle_utils import add_vectors, super_qf_by_factor_rings
+from oracle_utils import (
+    add_vectors,
+    is_simple_artinian,
+    super_qf_by_factor_rings,
+)
 
 classify_mod = importlib.import_module("ringscope.classify")
 

@@ -437,6 +437,23 @@ def test_malformed_field_exits_2(tmp_path, capsys, ring_doc, module_doc,
     ({"construct": {"type": "zmod", "n": 8}},
      {"type": "direct_sum", "summands": [{"type": "wat"}]},
      "unknown module type 'wat'"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "cyclic", "ideal_gen": [[2]]},
+     "module type 'cyclic' has no field 'ideal_gen'"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "quotient_of_free", "rank": 2, "relation": [[1, 0]]},
+     "module type 'quotient_of_free' has no field 'relation'"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "regular", "label": "R"},
+     "module type 'regular' has no field 'label'"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "direct_sum", "summands": [
+         {"type": "regular"}, {"type": "cyclic", "ideal_gens": [[4]],
+                               "rank": 1}]},
+     "module type 'cyclic' has no field 'rank'"),
+    ({"construct": {"type": "zmod", "n": 8}},
+     {"type": "direct_sum", "summand": [{"type": "regular"}]},
+     "module type 'direct_sum' has no field 'summand'"),
 ])
 def test_malformed_document_raises_input_error(ring_doc, module_doc, message):
     """Library callers get the checks the CLI relies on."""
@@ -591,10 +608,6 @@ def test_package_imports_only_names_it_uses():
 # projectivity test and σ[M] membership, which the README names, the
 # paper's middle-class predicate, and the units the README lists
 PAPER_API = {"is_projective", "sigma_contains", "has_middle_class", "units"}
-# functions and methods that nothing in the package reads, kept as the
-# tests' element-level routes to what the library computes by other means
-LIBRARY_ORACLES = {"element_annihilator", "central_idempotents",
-                   "is_simple_artinian", "HomGroup.maps"}
 
 
 def _names_read(node, enclosing=frozenset()):
@@ -623,7 +636,7 @@ def test_every_export_has_a_caller():
     """Each name the package's __init__ re-exports, and each module-level
     function and class, is read somewhere in the package outside its own
     definition; each method of a class is read as an attribute somewhere
-    in the package; or the name is in PAPER_API or LIBRARY_ORACLES."""
+    in the package; or the name is in PAPER_API."""
     src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
     init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.asname or alias.name for node in init.body
@@ -640,8 +653,6 @@ def test_every_export_has_a_caller():
                          if isinstance(node, ast.Attribute)
                          and isinstance(node.ctx, ast.Load))
     unread = {m for m in methods if m.split(".")[1] not in attrs}
-    kept = PAPER_API | LIBRARY_ORACLES
-    assert sorted((exported | defined) - read - kept) == []
-    assert sorted(unread - kept) == []
+    assert sorted((exported | defined) - read - PAPER_API) == []
+    assert sorted(unread) == []
     assert PAPER_API <= exported
-    assert LIBRARY_ORACLES <= (defined - read) | unread

@@ -24,6 +24,7 @@ from ringscope.modules import (
     cyclic_modules_up_to_iso,
     element_annihilator,
     factor_module,
+    radical_series,
     regular_module,
     submodule_as_module,
     submodules,
@@ -278,6 +279,26 @@ def test_failed_radical_check_memoises_nothing(monkeypatch):
     monkeypatch.undo()
     jac = jacobson_radical(ring)
     assert jac.size() == 4 and jac == jacobson_radical(load_ring("z8"))
+
+
+def test_stalled_series_raise_their_callers_messages(monkeypatch):
+    """jacobson_radical's nilpotency check and radical_series walk one
+    descending loop; a product that does not shrink raises each caller's
+    own message."""
+    import ringscope.modules as modules_mod
+
+    ring = load_ring("z8")
+    reg = regular_module(ring)
+    jacobson_radical(ring)
+    monkeypatch.setattr(modules_mod, "module_times_ideal",
+                        lambda sub, ideal: sub)
+    with pytest.raises(TheoremViolationError) as exc:
+        radical_series(reg)
+    assert str(exc.value) == (f"radical series stalls on {reg.label}; ring "
+                              "radical is not nilpotent on this module")
+    with pytest.raises(TheoremViolationError) as exc:
+        jacobson_radical(load_ring("z8"))
+    assert str(exc.value) == "radical of Z/8 is not nilpotent"
 
 
 def test_radical_check_reads_no_submodule_list(monkeypatch):

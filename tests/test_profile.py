@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from ringscope.classify import classify_report
 from ringscope.cli import load_ring
 from ringscope.errors import InputError, TheoremViolationError
 from ringscope import modules
@@ -21,6 +22,7 @@ from ringscope.modules import (
     Submodule,
     cyclic_module,
     cyclic_modules_up_to_iso,
+    cyclic_origin,
     direct_sum,
     factor_module,
     regular_module,
@@ -40,6 +42,7 @@ from ringscope.profile import (
     semisimple_cyclics,
 )
 from ringscope.ring import zmod
+from ringscope.torsion import all_linear_filters
 
 from conftest import (
     DIFFERENTIAL_RINGS,
@@ -427,3 +430,33 @@ def test_filter_fingerprints_save_relative_tests():
             profile_mod._fingerprint(m, counting(relative, calls))
         made.append(len(calls))
     assert made == [1360, 1336]
+
+
+def _answers(ring):
+    """classify_report, both profiles' sizes and flags, the linear filters
+    and every cyclic class's fingerprints."""
+    profiles = (i_profile(ring), p_profile(ring))
+    return (classify_report(ring), [(p.size, p.flags) for p in profiles],
+            [f.members for f in all_linear_filters(ring)],
+            [(inj_fingerprint(c).members, proj_fingerprint(c).members)
+             for c in cyclic_modules_up_to_iso(ring)])
+
+
+def test_answers_do_not_follow_the_first_built_quotient():
+    """Right ideals L ≠ L′ may give R/L and R/L′ one content, and
+    cyclic_origin keeps the one built first.  Building every R/I in
+    reverse index order on a fresh ring moves some of those origins and
+    none of the answers."""
+    pairs = [(load_ring(n), load_ring(n))
+             for n in ("m2f2", "t2f2", "quiver_f2", "m2z4")]
+    pairs += zip(drawn_rings(7), drawn_rings(7))
+    moved = 0
+    for plain, turned in pairs:
+        for ideal in reversed(right_ideals(turned)):
+            factor_module(turned, ideal)
+        assert _answers(turned) == _answers(plain), plain.label
+        moved += sum(
+            cyclic_origin(factor_module(plain, a)[0])[0]
+            != cyclic_origin(factor_module(turned, b)[0])[0]
+            for a, b in zip(right_ideals(plain), right_ideals(turned)))
+    assert moved

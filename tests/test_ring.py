@@ -14,7 +14,6 @@ from ringscope.modules import regular_module
 from ringscope.ring import (
     SPEC_FIELDS,
     FiniteRing,
-    central_idempotents,
     inverse,
     matrix_ring,
     memo,
@@ -32,7 +31,12 @@ from ringscope.ring import (
 from ringscope.torsion import ideal_context
 
 from conftest import DIFFERENTIAL_RINGS, SMALL_CORPUS, corpus
-from oracle_utils import add_vectors, axioms_by_dense_products, dense_el_mul
+from oracle_utils import (
+    add_vectors,
+    axioms_by_dense_products,
+    central_idempotents,
+    dense_el_mul,
+)
 
 
 def test_zmod_basics():
@@ -387,6 +391,38 @@ def test_every_cache_goes_through_memo():
             if name not in CACHE_OWNERS:
                 stray.append(f"{path.name}:{lineno} ({name})")
     assert stray == []
+
+
+# the routes that present a quotient group, read in modules, which picks
+# the echelon or the Smith form for every module quotient, and by
+# quotient_ring, whose printed coordinates are the Smith form's
+PRESENTATIONS = {"echelon_presentation", "quotient_presentation",
+                 "_presentation"}
+PRESENTATION_READERS = {("ring.py", "quotient_ring", "quotient_presentation")}
+
+
+def test_presentations_are_read_only_in_modules():
+    """Outside modules, only quotient_ring reads a presentation route, so
+    modules alone decides which presentation a module quotient gets."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
+    reads = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = list(_scopes(tree))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name in PRESENTATIONS and isinstance(node.ctx, ast.Load):
+                inner = [s for s in scopes
+                         if s[1] <= node.lineno <= s[2]]
+                scope = (max(inner, key=lambda s: s[1])[0] if inner
+                         else "<module>")
+                reads.add((path.name, scope, name))
+    assert {read for read in reads if read[0] != "modules.py"} \
+        == PRESENTATION_READERS
+    assert {read[2] for read in reads if read[0] == "modules.py"} \
+        == PRESENTATIONS
 
 
 def test_modules_and_ideal_contexts_hold_no_cache():
