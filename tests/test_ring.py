@@ -377,6 +377,12 @@ def _scopes(node, prefix=""):
             yield from _scopes(child, prefix)
 
 
+def _scope_of(scopes, lineno):
+    """The innermost def or class of _scopes holding line lineno."""
+    inner = [s for s in scopes if s[1] <= lineno <= s[2]]
+    return max(inner, key=lambda s: s[1])[0] if inner else "<module>"
+
+
 def test_every_cache_goes_through_memo():
     src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
     stray = []
@@ -386,8 +392,7 @@ def test_every_cache_goes_through_memo():
         for lineno, line in enumerate(text.splitlines(), 1):
             if not re.search(r"\b_cache\b", line):
                 continue
-            inner = [s for s in scopes if s[1] <= lineno <= s[2]]
-            name = max(inner, key=lambda s: s[1])[0] if inner else "<module>"
+            name = _scope_of(scopes, lineno)
             if name not in CACHE_OWNERS:
                 stray.append(f"{path.name}:{lineno} ({name})")
     assert stray == []
@@ -414,11 +419,7 @@ def test_presentations_are_read_only_in_modules():
                     else node.attr if isinstance(node, ast.Attribute)
                     else None)
             if name in PRESENTATIONS and isinstance(node.ctx, ast.Load):
-                inner = [s for s in scopes
-                         if s[1] <= node.lineno <= s[2]]
-                scope = (max(inner, key=lambda s: s[1])[0] if inner
-                         else "<module>")
-                reads.add((path.name, scope, name))
+                reads.add((path.name, _scope_of(scopes, node.lineno), name))
     assert {read for read in reads if read[0] != "modules.py"} \
         == PRESENTATION_READERS
     assert {read[2] for read in reads if read[0] == "modules.py"} \
