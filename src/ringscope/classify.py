@@ -42,7 +42,7 @@ from .profile import (
     p_profile,
     proj_fingerprint,
 )
-from .ring import FiniteRing, memo
+from .ring import FiniteRing
 from .torsion import all_linear_filters, check_filter_guard, eta_filter
 
 
@@ -68,8 +68,11 @@ def is_uniform_ring(ring: FiniteRing) -> bool:
 
 def is_qf(ring: FiniteRing) -> bool:
     """Self-injectivity of the regular module (finite rings are
-    noetherian), memoised on the ring."""
-    return memo(ring, "qf", is_injective, regular_module(ring))
+    noetherian).  R is injective iff it is R-injective (Baer's test), and
+    R ≅ R/0 is a cyclic class, so R is QF iff its injectivity fingerprint,
+    memoised on the ring, holds every cyclic class."""
+    fp = inj_fingerprint(regular_module(ring))
+    return len(fp) == len(cyclic_modules_up_to_iso(ring))
 
 
 def is_super_qf(ring: FiniteRing):

@@ -8,18 +8,34 @@ moduli that is additively well defined and commutes with the action of
 every ring generator, all of which are linear conditions on the
 entries.  Relative injectivity of M with respect to N is decided by
 surjectivity of the restriction maps Hom(N,M) → Hom(K,M) over all
-submodules K ≤ N, one span comparison per submodule; the projective
-side uses composition with the projections N → N/L.
+submodules K ≤ N, one span comparison per submodule.
+
+Relative projectivity has two routes.  The hom route asks, for each
+submodule L of N, whether the composites of Hom(M, N) with N → N/L span
+Hom(M, N/L).  The colon route serves M = R/I, I two-sided, and N = R/L:
+R/I is R/L-projective iff C(L) + K = C(K) for every right ideal K ⊇ L,
+C(K) = {r : rI ⊆ K}, a lattice test on one table per I
+(is_relatively_projective has the proof).
 """
 
 from __future__ import annotations
 
 from .errors import InputError, TheoremViolationError
 from .exactla import ModMatrix, howell_span, solve_affine, zero_matrix
+from .ideals import (
+    colon_ideals,
+    ideal_index,
+    right_ideal_lattice,
+    right_ideals,
+)
+from .lattice import _bits
 from .modules import (
+    SUBMODULE_ENUM_BOUND,
     ModuleMap,
     RightModule,
+    Submodule,
     _reduced_action,
+    cyclic_origin,
     quotient_via_lattice,
     regular_module,
     submodule_as_module,
@@ -239,7 +255,61 @@ def is_relatively_projective(m: RightModule, n: RightModule):
     Each n/L is memoised on the ring by the contents of n and L, so the
     quotient, and ψ's target, may be one built from an equal-content twin
     of n; for a cyclic n = R/I it is the factor module R/K ≅ n/L, K the
-    preimage of L (see quotient_via_lattice)."""
+    preimage of L (see quotient_via_lattice).
+
+    When m = R/I with I two-sided and n = R/L (cyclic_origin of both), on
+    a ring small enough to list its right ideals, the answer is read off
+    the colon ideals C(K) = {r : rI ⊆ K} (ideals.colon_ideals).  A map
+    R/I → R/K is 1 + I ↦ y + K for a y with yI ⊆ K, so Hom(R/I, R/K) ≅
+    C(K)/K.  The quotients of R/L are the R/K, K ⊇ L (the correspondence
+    theorem), and 1 + I ↦ y + L composed with R/L → R/K is 1 + I ↦ y + K;
+    so the maps that lift are the y + K with y in C(L) + K, and R/I is
+    R/L-projective iff C(L) + K = C(K) for every K ⊇ L.  On a failing K,
+    ψ(1 + I) = y + K for a Howell row y of C(K) outside C(L) + K.  Other
+    pairs take the hom route (_projective_by_homs).
+    """
+    ring = m.ring
+    origin_m, origin_n = cyclic_origin(m), cyclic_origin(n)
+    if (origin_m and origin_n and same_ring(ring, n.ring)
+            and ring.order() <= SUBMODULE_ENUM_BOUND):
+        colons = colon_ideals(ring, origin_m[0])
+        if colons is not None:
+            return _projective_by_colons(m, n, colons)
+    return _projective_by_homs(m, n)
+
+
+def _projective_by_colons(m: RightModule, n: RightModule, colons):
+    """is_relatively_projective(m, n) for m = R/I, I two-sided, and
+    n = R/L, given the colon ideals of I; the K ⊇ L are tried in ideal
+    index order."""
+    ring = m.ring
+    lat = right_ideal_lattice(ring)
+    gens, proj_n = cyclic_origin(n)
+    start = ideal_index(ring)[gens]
+    for k in _bits(lat.up[start]):
+        lifted = lat.join[colons[start]][k]
+        if lifted == colons[k]:
+            continue
+        ideals = right_ideals(ring)
+        y = next((r for r in ideals[colons[k]].gens.rows
+                  if not ideals[lifted].contains(r)), None)
+        if y is None:
+            raise TheoremViolationError(
+                f"{ring.label}: colon ideals of a two-sided ideal are not "
+                "monotone")
+        l = Submodule(n, [proj_n.apply(r) for r in ideals[k].gens.rows])
+        q, proj = memo(ring, ("quotients", n.key, l.gens),
+                       quotient_via_lattice, n, l)
+        psi = ModuleMap(m, q, [proj.apply(proj_n.apply(ring.el_mul(y, s)))
+                               for s in cyclic_origin(m)[1].section])
+        return False, (l, psi)
+    return True, None
+
+
+def _projective_by_homs(m: RightModule, n: RightModule):
+    """is_relatively_projective(m, n) by hom groups: for each submodule L
+    of n, the composites of Hom(m, n) with n → n/L must span
+    Hom(m, n/L)."""
     mn_gens = hom_group(m, n).gen_maps()
     for l in submodules(n):
         if l.size() == 1:

@@ -16,6 +16,7 @@ from .modules import (
     _minimal,
     _walk_submodules,
     factor_module,
+    module_times_ideal,
     regular_module,
     submodule_sum,
     submodule_walk,
@@ -48,7 +49,9 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     (a) the least element is the zero ideal, and the greatest is R;
     (b) join(A, g) is the Howell sum A + g for every A and every
     join-irreducible g (an element other than the bottom whose strict
-    down-set is another element's down-set);
+    down-set is another element's down-set); when A and g are comparable
+    the join is the larger one, and the sum is that one iff it holds the
+    other, one containment test;
     (c) |meet(A, B)|·|join(A, B)| = |A|·|B| for every pair.
     They give join(A, B) = A + B for every pair.  In a finite lattice B
     is join(g₁, …, g_k) over the join-irreducibles below it (Grätzer,
@@ -86,17 +89,21 @@ def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
                     f"{ring.label}: right ideals {a}, {b} have meet {meet} "
                     f"and join {join}, whose orders do not multiply to "
                     "theirs")
-    downs = set(lat.down)
-    irreducible = [g for g in range(n) if g != lat.bottom
-                   and lat.down[g] & ~(1 << g) in downs]
     index = ideal_index(ring)
+    irreducible = list(_bits(lat.join_irreducibles()))
     for b in range(n):
         for g in irreducible:
-            if index.get(submodule_sum(ideals[b], ideals[g]).gens) != \
-                    lat.join[b][g]:
+            join = lat.join[b][g]
+            if join in (b, g):
+                # comparable: the sum is the larger one iff it holds the other
+                other = g if join == b else b
+                ok = ideals[join].contains_sub(ideals[other])
+            else:
+                ok = index.get(submodule_sum(ideals[b], ideals[g]).gens) == join
+            if not ok:
                 raise TheoremViolationError(
                     f"{ring.label}: right ideals {b}, {g} have join "
-                    f"{lat.join[b][g]}, not their sum")
+                    f"{join}, not their sum")
     return lat
 
 
@@ -131,6 +138,32 @@ def _annihilator_cores(ring: FiniteRing) -> list:
     index = ideal_index(ring)
     two = sum(1 << index[i.gens] for i in two_sided_ideals(ring))
     return [lat.join_all(two & down) for down in lat.down]
+
+
+def colon_ideals(ring: FiniteRing, gens):
+    """[C(K) for each right ideal K, both by ideal index], C(K) = {r in R :
+    rI ⊆ K}, for the right ideal I with Howell generators gens, memoised
+    on the ring by them; None when I is not two-sided.
+
+    C(K) is a right ideal, I being a left ideal too (rsI ⊆ rI ⊆ K).  A
+    right ideal is the join of the join-irreducibles below it, and g ⊆
+    C(K) iff gI ⊆ K, so C(K) is the join of the join-irreducibles g with
+    gI ⊆ K: one product gI (module_times_ideal) per join-irreducible, then
+    one mask per K."""
+    return memo(ring, ("colon_ideals", gens), _colon_ideals, ring, gens)
+
+
+def _colon_ideals(ring: FiniteRing, gens):
+    ideals = right_ideals(ring)
+    index = ideal_index(ring)
+    ideal = ideals[index[gens]]
+    if not is_two_sided(ring, ideal):
+        return None
+    lat = right_ideal_lattice(ring)
+    products = [(g, index[module_times_ideal(ideals[g], ideal).gens])
+                for g in _bits(lat.join_irreducibles())]
+    return [lat.join_all(sum(1 << g for g, p in products if down >> p & 1))
+            for down in lat.down]
 
 
 def maximal_right_ideals(ring: FiniteRing):

@@ -117,6 +117,14 @@ class FiniteLattice:
         return sum(1 << a for a, u in enumerate(self.up)
                    if u & ~(1 << a) == top)
 
+    def join_irreducibles(self) -> int:
+        """The bitset of the elements other than the bottom whose strict
+        down-set is another element's down-set: each element is the join
+        of the join-irreducibles below it."""
+        downs = set(self.down)
+        return sum(1 << g for g, d in enumerate(self.down)
+                   if g != self.bottom and d & ~(1 << g) in downs)
+
     def height(self) -> int:
         """Length of a longest chain from bottom to top (number of steps)."""
         n = self.size

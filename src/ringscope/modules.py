@@ -280,15 +280,21 @@ def direct_sum(mods, label: str | None = None) -> RightModule:
                        label=name)
 
 
-def quotient_module(n: RightModule, k: Submodule, label: str | None = None):
+def quotient_module(n: RightModule, k: Submodule, label: str | None = None,
+                    *, closed: bool = False):
     """Factor module together with the projection map.
 
     The returned projection carries a ``section`` attribute: integer rows
     lifting each quotient generator back into n.
+
+    k is scanned for closure under the ring action, unless the caller
+    passes closed=True for a span that is a submodule by construction (a
+    member of submodules(n), a listed right ideal, N·J, a preimage of a
+    submodule).  The quotient's content is checked either way.
     """
     if k.parent is not n and k.parent.key != n.key:
         raise InputError("submodule does not live in the given module")
-    if not k.is_action_stable():
+    if not closed and not k.is_action_stable():
         raise InputError("span is not closed under the ring action")
     new_orders, proj, lift = _presentation(n.ring, k.gens)
 
@@ -315,9 +321,16 @@ def cyclic_module(ring: FiniteRing, ideal: Submodule,
     right-ideal lattice."""
     reg = regular_module(ring)
     sub = Submodule(reg, ideal.gens)
-    q, proj = quotient_module(reg, sub, label=label or f"{ring.label}/I")
-    memo(ring, "cyclic_origins", dict).setdefault(q.key, (sub.gens, proj))
-    return q, proj
+    return _record_origin(sub, quotient_module(
+        reg, sub, label=label or f"{ring.label}/I"))
+
+
+def _record_origin(ideal: Submodule, built):
+    """built = (R/I, projection), recorded as R/I's origin unless its
+    content has one already; returned as it is."""
+    q, proj = built
+    memo(q.ring, "cyclic_origins", dict).setdefault(q.key, (ideal.gens, proj))
+    return built
 
 
 def cyclic_origin(m: RightModule):
@@ -331,9 +344,22 @@ def cyclic_origin(m: RightModule):
 def factor_module(ring: FiniteRing, ideal: Submodule):
     """(R/I, projection) for a right ideal I, built once per ring: the
     cyclic classes, the profile witnesses and the quotients of the
-    projectivity test all read this table."""
-    return memo(ring, ("factor_modules", ideal.gens), cyclic_module, ring,
+    projectivity test all read this table.  An I listed in ideal_index is
+    a submodule of R by construction, so its quotient skips the closure
+    scan."""
+    return memo(ring, ("factor_modules", ideal.gens), _factor_module, ring,
                 ideal)
+
+
+def _factor_module(ring: FiniteRing, ideal: Submodule):
+    from .ideals import ideal_index  # deferred: ideals builds on modules
+
+    reg = regular_module(ring)
+    sub = Submodule(reg, ideal.gens)
+    listed = (ring.order() <= SUBMODULE_ENUM_BOUND
+              and sub.gens in ideal_index(ring))
+    return _record_origin(sub, quotient_module(
+        reg, sub, label=f"{ring.label}/I", closed=listed))
 
 
 def quotient_via_lattice(n: RightModule, l: Submodule):
@@ -625,7 +651,7 @@ def socle_series(m: RightModule):
     chain = [zero_submodule(m)]
     current = chain[0]
     while current.size() < m.order():
-        q, proj = quotient_module(m, current)
+        q, proj = quotient_module(m, current, closed=True)
         s = socle(q)
         lifted = [apply_matrix(row, proj.section, m.orders)
                   for row in s.gens.rows]
@@ -785,7 +811,7 @@ def _build_top(b: RightModule):
         from .ideals import jacobson_radical  # deferred: ideals builds on modules
 
         small = module_times_ideal(full_submodule(b), jacobson_radical(ring))
-    return quotient_module(b, small, label=f"top of {b.label}")
+    return quotient_module(b, small, label=f"top of {b.label}", closed=True)
 
 
 def cyclic_modules_up_to_iso(ring: FiniteRing):
@@ -869,7 +895,7 @@ def enumerate_modules(ring: FiniteRing, max_free_rank: int = 2,
         for s in subs:
             if free.order() // s.size() > max_order:
                 continue
-            q, _ = quotient_module(free, s)
+            q, _ = quotient_module(free, s, closed=True)
             if q.key in seen:
                 continue
             seen.add(q.key)

@@ -118,13 +118,12 @@ class ProfileReport:
     """Profile lattice plus per-node data and structure flags."""
 
     def __init__(self, kind: str, ring: FiniteRing, lattice: FiniteLattice,
-                 ideals, filters, witnesses):
+                 ideals, filters):
         self.kind = kind
         self.ring = ring
         self.lattice = lattice
         self.ideals = ideals          # node t -> two-sided ideal I_t
         self.filters = filters        # node t -> eta(I_t)
-        self.witnesses = witnesses    # node t -> module or None
         rep = structure_report(lattice)
         self.flags = {
             "is_chain": rep["chain"],
@@ -141,6 +140,13 @@ class ProfileReport:
     @property
     def size(self) -> int:
         return self.lattice.size
+
+    @property
+    def witnesses(self) -> list:
+        """node t -> module or None, from find_witness on each node the
+        first time the witnesses of this kind are read, memoised on the
+        ring."""
+        return _witnesses(self.ring, self.kind, self.ideals)
 
 
 def _skeleton(ring: FiniteRing):
@@ -172,14 +178,22 @@ def _skeleton(ring: FiniteRing):
 
 def profile(ring: FiniteRing, kind: str) -> ProfileReport:
     """The profile of kind "i" or "p": the shared skeleton, with a witness
-    per node from find_witness."""
+    per node from find_witness.  The i-witnesses are found when first
+    read; the p-witnesses at once, since verifying each R/I is the
+    p-profile's check."""
     if kind not in ("i", "p"):
         raise ValueError(f"kind must be 'i' or 'p', got {kind!r}")
     check_filter_guard(ring)
     nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
-    witnesses = [find_witness(ring, i, kind) for i in nodes]
-    return ProfileReport(kind, ring, lat, list(nodes), list(filters),
-                         witnesses)
+    if kind == "p":
+        _witnesses(ring, kind, nodes)
+    return ProfileReport(kind, ring, lat, list(nodes), list(filters))
+
+
+def _witnesses(ring: FiniteRing, kind: str, nodes) -> list:
+    """[find_witness of each node], memoised on the ring by kind."""
+    return memo(ring, ("witnesses", kind),
+                lambda: [find_witness(ring, i, kind) for i in nodes])
 
 
 def i_profile(ring: FiniteRing) -> ProfileReport:

@@ -10,10 +10,10 @@ central_idempotents, is_simple_artinian) live here too.
 import itertools
 import math
 
-from ringscope.classify import is_qf, socle_homogeneous
+from ringscope.classify import socle_homogeneous
 from ringscope.errors import BoundExceededError
 from ringscope.exactla import apply_matrix, quotient_presentation, solve_affine
-from ringscope.hom import hom_group
+from ringscope.hom import hom_group, is_injective
 from ringscope.ideals import (
     right_ideal_lattice,
     right_ideals,
@@ -326,14 +326,15 @@ def axioms_by_dense_products(r):
 
 def super_qf_by_factor_rings(ring):
     """(flag, certificate) of is_super_qf by rebuilding each factor ring
-    R/I with quotient_ring and testing it with is_qf; the library asks
-    the same question of the R-module R/I instead."""
+    R/I with quotient_ring and testing its regular module for
+    self-injectivity; the library asks the same question of the R-module
+    R/I instead, mostly as a bit of its injectivity fingerprint."""
     for ideal in two_sided_ideals(ring):
         if ideal.size() == ring.order():
             continue  # zero factor ring
         factor = (ring if ideal.size() == 1
                   else quotient_ring(ring, ideal.gens.rows)[0])
-        if not is_qf(factor):
+        if not is_injective(regular_module(factor)):
             return False, ideal
     return True, None
 

@@ -19,6 +19,7 @@ from ringscope.classify import (
 )
 from ringscope.cli import load_ring
 from ringscope.errors import BoundExceededError, InputError
+from ringscope.hom import is_injective
 from ringscope.ideals import two_sided_ideals
 from ringscope.lattice import are_isomorphic, build_lattice
 from ringscope.modules import Submodule, factor_module, regular_module, socle
@@ -33,6 +34,7 @@ from oracle_utils import (
 )
 
 classify_mod = importlib.import_module("ringscope.classify")
+profile_mod = importlib.import_module("ringscope.profile")
 
 # name -> (semisimple, local, chain, uniform, qf, super_qf)
 TRUTH = {
@@ -229,20 +231,65 @@ def test_local_means_one_maximal_right_ideal():
 
 
 def test_is_qf_is_computed_once_per_ring(monkeypatch):
-    """is_super_qf, V6 and classify_report share one self-injectivity test
-    of the regular module."""
+    """is_super_qf, V6 and classify_report read one fact, the injectivity
+    fingerprint of R: it is built once, and no self-injectivity test of
+    the regular module runs."""
     calls = []
     is_injective = classify_mod.is_injective
+    fingerprint = profile_mod._fingerprint
 
     def counted(m):
         calls.append(m)
         return is_injective(m)
 
+    def built(m, relative):
+        calls.append((m.key, relative.__name__))
+        return fingerprint(m, relative)
+
     monkeypatch.setattr(classify_mod, "is_injective", counted)
+    monkeypatch.setattr(profile_mod, "_fingerprint", built)
     ring = load_ring("z4xf2")
+    reg = regular_module(ring)
     classify_report(ring)
     verify_suite(ring)
-    assert sum(m is regular_module(ring) for m in calls) == 1
+    assert calls.count((reg.key, "is_relatively_injective")) == 1
+    assert not any(m is reg for m in calls)
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_is_qf_matches_the_self_injectivity_test(group):
+    """is_qf, read off the injectivity fingerprint of R, equals the direct
+    self-injectivity test of the regular module, the route it replaced."""
+    answers = set()
+    for ring in DIFFERENTIAL_RINGS[group]():
+        qf = is_qf(ring)
+        assert qf == is_injective(regular_module(ring)), ring.label
+        answers.add(qf)
+    if group in ("corpus", "drawn_7"):
+        assert answers == {True, False}
+
+
+def test_reports_find_no_i_witness(monkeypatch):
+    """classify_report and verify_suite never look for an i-witness: only
+    a reader of the i-profile's witnesses does."""
+    kinds = []
+    find_witness = profile_mod.find_witness
+
+    def counted(ring, ideal, kind):
+        kinds.append(kind)
+        return find_witness(ring, ideal, kind)
+
+    monkeypatch.setattr(profile_mod, "find_witness", counted)
+    for name in ("z8", "t2f2", "f2xy_x2y2"):
+        ring = load_ring(name)
+        classify_report(ring)
+        verify_suite(ring)
+        assert "i" not in kinds and "p" in kinds
+        rep = i_profile(ring)
+        assert "i" not in kinds
+        assert len(rep.witnesses) == rep.size
+        assert kinds.count("i") == rep.size
+        kinds.clear()
 
 
 def test_super_qf_builds_no_factor_ring(monkeypatch):

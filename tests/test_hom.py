@@ -4,6 +4,8 @@ The solver-based hom groups are compared to brute-force map filtering,
 and the domain predicates to pointwise extension/lift search.
 """
 
+import importlib
+
 import pytest
 
 from ringscope.cli import load_ring
@@ -11,6 +13,7 @@ from ringscope.errors import InputError
 from ringscope.exactla import howell_span
 from ringscope.hom import (
     _blocks,
+    _projective_by_homs,
     _hom_kernel,
     _hom_kernel_mono,
     hom_group,
@@ -20,14 +23,17 @@ from ringscope.hom import (
     is_relatively_injective,
     is_relatively_projective,
 )
+from ringscope.ideals import right_ideals, two_sided_ideals
 from ringscope.modules import (
     Submodule,
     cyclic_module,
     cyclic_modules_up_to_iso,
     direct_sum,
+    factor_module,
     is_isomorphic_modules,
     minimal_submodules,
     quotient_module,
+    quotient_via_lattice,
     regular_module,
     socle,
     submodule_as_module,
@@ -37,6 +43,7 @@ from ringscope.ring import zmod
 from ringscope.torsion import sigma_contains
 
 from conftest import (
+    DIFFERENTIAL_RINGS,
     RECIPE_RINGS,
     SMALL_CORPUS,
     corpus,
@@ -50,6 +57,8 @@ from oracle_utils import (
     oracle_rel_proj,
     trace,
 )
+
+hom_mod = importlib.import_module("ringscope.hom")
 
 
 def test_hom_group_sizes_z8():
@@ -135,17 +144,61 @@ def test_relative_injectivity_certificate():
 
 
 def test_relative_projectivity_certificate():
+    """Z/2 is not Z/8-projective.  Both routes certify it: the colon route
+    for R/(2) against R/0, the hom route for R/(2) against the regular
+    module; no map Z/2 → Z/8 lifts either certificate ψ."""
     ring = corpus("z8")
     reg = regular_module(ring)
     z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
-    flag, cert = is_relatively_projective(z2, reg)
-    assert not flag
-    l, psi = cert
-    q, proj = quotient_module(reg, l)
-    lifts = [f for f in brute_maps(z2, reg)
-             if all(proj.apply(f.rows[t]) == psi.rows[t]
-                    for t in range(z2.rank))]
-    assert lifts == []
+    r0 = factor_module(ring, Submodule(reg, []))[0]
+    for n, cert in ((r0, is_relatively_projective(z2, r0)),
+                    (reg, _projective_by_homs(z2, reg))):
+        flag, (l, psi) = cert
+        assert not flag and psi.is_valid()
+        q, proj = quotient_via_lattice(n, l)
+        assert psi.target.key == q.key
+        lifts = [f for f in brute_maps(z2, n)
+                 if all(proj.apply(f.rows[t]) == psi.rows[t]
+                        for t in range(z2.rank))]
+        assert lifts == []
+
+
+def assert_no_lift(m, n, certificate):
+    """ψ of a certificate (L, ψ) is a map m → n/L that no map m → n lifts:
+    the composites of Hom(m, n) with the projection do not reach it."""
+    l, psi = certificate
+    assert l in submodules(n) and l.size() > 1
+    q, proj = quotient_via_lattice(n, l)
+    assert psi.target.key == q.key and psi.is_valid()
+    composites = howell_span(
+        q.orders * m.rank,
+        [[x for r in f.rows for x in proj.apply(r)]
+         for f in hom_group(m, n).gen_maps()])
+    assert not composites.contains([x for r in psi.rows for x in r])
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_colon_route_matches_the_hom_route(group, monkeypatch):
+    """For every two-sided I and right ideal L, is_relatively_projective
+    (R/I, R/L) takes the colon route, never the hom route, and its verdict
+    equals the hom route's; each of its certificates is a map that does
+    not lift."""
+    real = hom_mod._projective_by_homs
+    monkeypatch.setattr(hom_mod, "_projective_by_homs", None)
+    pairs = failures = 0
+    for ring in DIFFERENTIAL_RINGS[group]():
+        for i in two_sided_ideals(ring):
+            m = factor_module(ring, i)[0]
+            for l in right_ideals(ring):
+                n = factor_module(ring, l)[0]
+                flag, certificate = is_relatively_projective(m, n)
+                assert flag == real(m, n)[0], (ring.label, i, l)
+                if not flag:
+                    assert_no_lift(m, n, certificate)
+                    failures += 1
+                pairs += 1
+    assert failures > 0
+    assert pairs >= {"corpus": 400, "drawn_7": 2000}.get(group, 0)
 
 
 def test_domains_closed_under_submodules_and_quotients():
@@ -301,6 +354,10 @@ def test_modules_over_different_rings_are_refused():
                  lambda m, n: direct_sum([m, n])):
         with pytest.raises(InputError, match="ring"):
             call(a, b)
+    # two factor modules R/0, each with its origin: no colon route either
+    a0, b0 = (factor_module(m.ring, Submodule(m, []))[0] for m in (a, b))
+    with pytest.raises(InputError, match="ring"):
+        is_relatively_projective(a0, b0)
     assert is_isomorphic_modules(a, b) == (False, None)
     copy = regular_module(load_ring("z8"))
     assert hom_group(a, copy).size() == 8

@@ -6,8 +6,10 @@ import pytest
 
 from ringscope.cli import load_ring
 from ringscope.errors import TheoremViolationError
+from ringscope.lattice import inclusion_order
 from ringscope.ideals import (
     annihilator_cores,
+    colon_ideals,
     ideal_index,
     ideals_in_radical,
     is_two_sided,
@@ -229,12 +231,81 @@ def test_lattice_check_catches_a_dropped_containment(monkeypatch, name,
         monkeypatch.undo()
 
 
+def _padded_order(ideals, added):
+    """inclusion_order on the walk's bitsets of the right ideals listed in
+    ideals, with the false containment of small in big added for the pair
+    (big.gens, small.gens), closed under transitivity."""
+    pos = {i.gens: t for t, i in enumerate(ideals)}
+    big, small = (pos[gens] for gens in added)
+
+    def padded(sets):
+        up = inclusion_order(sets)
+        return [u | up[big] if u >> small & 1 else u for u in up]
+
+    return padded
+
+
+@pytest.mark.parametrize("name, count", [("t2f2", 12), ("z4xf2", 6),
+                                         ("f2xy_j2", 6)])
+def test_lattice_check_catches_an_added_containment(monkeypatch, name,
+                                                    count):
+    """Adding a false containment between two incomparable right ideals
+    to the order read off the walk's bitsets makes the right-ideal lattice
+    fail its check.  The pair then has the larger ideal as its join, so
+    the orders multiply correctly on it; the containment test of check
+    (b) on comparable pairs, or an order that is no lattice, sees it."""
+    import ringscope.ideals as ideals_mod
+
+    ideals = right_ideals(load_ring(name))
+    false = [(big.gens, small.gens) for big in ideals for small in ideals
+             if not big.contains_sub(small) and not small.contains_sub(big)]
+    assert len(false) == count
+    for added in false:
+        monkeypatch.setattr(ideals_mod, "inclusion_order",
+                            _padded_order(ideals, added))
+        with pytest.raises(TheoremViolationError, match="right ideals"):
+            right_ideal_lattice(load_ring(name))
+        monkeypatch.undo()
+
+
 def _join_irreducible(ideals, g):
     """g is not the sum of the ideals strictly inside it (0 is the empty
     sum)."""
     return g != Submodule(g.parent, [row for i in ideals
                                      if i != g and g.contains_sub(i)
                                      for row in i.gens.rows])
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_join_irreducibles_are_the_ideals_not_summed_from_below(group):
+    """The lattice's join-irreducibles, which check (b) and colon_ideals
+    read, are the right ideals that are not the sum of those strictly
+    inside them."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        ideals = right_ideals(ring)
+        assert right_ideal_lattice(ring).join_irreducibles() == mask(
+            t for t, g in enumerate(ideals) if _join_irreducible(ideals, g))
+
+
+@pytest.mark.parametrize("group", ["corpus", "recipes", "drawn_7"])
+def test_colon_ideals_match_the_element_scan(group):
+    """colon_ideals(I)[K] is {r in R : rI ⊆ K}, scanned element by element
+    (r·g in K for each Howell row g of I), for every two-sided I and right
+    ideal K; a one-sided I has no table."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        ideals = right_ideals(ring)
+        reg = regular_module(ring)
+        elements = list(ring.elements())
+        for i in ideals:
+            colons = colon_ideals(ring, i.gens)
+            if not is_two_sided(ring, i):
+                assert colons is None
+                continue
+            for k, c in zip(ideals, colons):
+                scanned = Submodule(reg, [
+                    r for r in elements
+                    if all(k.contains(ring.el_mul(r, g)) for g in i.gens.rows)])
+                assert ideals[c] == scanned, (ring.label, i, k)
 
 
 @pytest.mark.parametrize("name, count", [("t2f2", 3), ("quiver_f2", 73),

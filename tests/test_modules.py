@@ -324,6 +324,8 @@ def test_quotient_rejects_a_submodule_of_another_module():
         quotient_module(reg, k)
     with pytest.raises(InputError, match="not closed under"):
         quotient_module(reg, Submodule(reg, [(1, 1)]))
+    with pytest.raises(InputError, match="not closed under"):
+        factor_module(reg.ring, Submodule(reg, [(1, 1)]))  # not listed
 
 
 def test_cyclic_class_counts():
@@ -343,6 +345,22 @@ def test_cyclic_classes_match_the_unbucketed_scan(group):
     for ring in DIFFERENTIAL_RINGS[group]():
         assert [m.key for m in cyclic_modules_up_to_iso(ring)] == \
             [m.key for m in cyclic_classes_by_scan(ring)], ring.label
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_RINGS)
+def test_listed_submodules_are_closed_under_the_action(group):
+    """Every member of submodules(R), and on the corpus and recipe rings of
+    submodules(R²), passes the closure scan that quotient_module skips for
+    them (closed=True in factor_module and enumerate_modules)."""
+    for ring in DIFFERENTIAL_RINGS[group]():
+        reg = regular_module(ring)
+        modules_checked = [reg]
+        if group in ("corpus", "recipes") and \
+                reg.order() ** 2 <= modules.SUBMODULE_ENUM_BOUND:
+            modules_checked.append(direct_sum([reg, reg]))
+        for m in modules_checked:
+            assert all(s.is_action_stable() for s in submodules(m)), \
+                (ring.label, m.label)
 
 
 def test_cyclic_classes_reach_hom_group_past_the_cores(monkeypatch):

@@ -1,12 +1,14 @@
 """Profile lattices, fingerprints, poverty, and witness search."""
 
+import hashlib
 import importlib
 import itertools
+import json
 
 import pytest
 
-from ringscope.classify import classify_report
-from ringscope.cli import load_ring
+from ringscope.classify import classify_report, verify_suite
+from ringscope.cli import _profile_json, load_ring
 from ringscope.errors import InputError, TheoremViolationError
 from ringscope import modules
 from ringscope.hom import is_relatively_injective, is_relatively_projective
@@ -54,6 +56,7 @@ from conftest import (
     simple_modules,
 )
 from oracle_utils import fingerprint_by_scan, killed_by_by_products
+from test_cli_golden import GOLDEN
 
 # the package re-exports the function profile(), which shadows the module
 profile_mod = importlib.import_module("ringscope.profile")
@@ -311,23 +314,56 @@ def test_profiles_share_one_skeleton(monkeypatch, name):
 def test_profiles_build_one_factor_module_per_node(monkeypatch):
     """i_profile then p_profile build R/I once per node and share it: the
     node witnesses, the cyclic classes and the quotients of the
-    projectivity test all read one factor module per right ideal."""
-    real = modules.cyclic_module
-    calls = []
+    projectivity test all read one factor module per right ideal, and
+    none of them scans a listed right ideal for closure.  The
+    i-witnesses are found when first read, once."""
+    real = modules._factor_module
+    calls, scans, kinds = [], [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].gens)
-        return real(*args, **kwargs)
+    def counted(ring, ideal):
+        calls.append(ideal.gens)
+        return real(ring, ideal)
 
-    monkeypatch.setattr(modules, "cyclic_module", counted)
+    def scanned(sub):
+        scans.append(sub.gens)
+        return stable(sub)
+
+    def witness(ring, ideal, kind):
+        kinds.append(kind)
+        return find_witness(ring, ideal, kind)
+
+    stable = modules.Submodule.is_action_stable
+    find_witness = profile_mod.find_witness
+    monkeypatch.setattr(modules, "_factor_module", counted)
+    monkeypatch.setattr(modules.Submodule, "is_action_stable", scanned)
+    monkeypatch.setattr(profile_mod, "find_witness", witness)
     ring = load_ring("f2xy_x2y2")
     ip = i_profile(ring)
     pp = p_profile(ring)
     assert ip.size == 6
     assert len(calls) == len(set(calls))
     assert set(calls) == {i.gens for i in right_ideals(ring)}
+    assert scans == []
+    assert kinds == ["p"] * pp.size
     assert all(w in (None, v, regular_module(ring))
                for w, v in zip(ip.witnesses, pp.witnesses))
+    assert ip.witnesses is i_profile(ring).witnesses
+    assert kinds == ["p"] * pp.size + ["i"] * ip.size
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_i_profile_read_after_the_reports_is_pinned(name):
+    """The i-witnesses, found only when read, give the pinned output of
+    `ringscope profile --kind i --json` also when they are read after
+    classify_report and verify_suite have run on the ring."""
+    ring = load_ring(name)
+    classify_report(ring)
+    if name != "quiver_f2":  # its verify_suite takes about 40 s
+        verify_suite(ring)
+    text = json.dumps(_profile_json(i_profile(ring)), sort_keys=True) + "\n"
+    assert (0, hashlib.sha256(text.encode()).hexdigest()) == \
+        GOLDEN[f"profile {name} --kind i --json"]
 
 
 def test_profile_order_is_filter_inclusion():
