@@ -52,10 +52,10 @@ from .modules import (
     RightModule,
     Submodule,
     annihilator,
-    cyclic_module,
     cyclic_modules_up_to_iso,
     direct_sum,
     enumerate_modules,
+    factor_module,
     is_isomorphic_modules,
     quotient_module,
     radical_series,

@@ -25,9 +25,9 @@ from .ideals import right_ideals
 from .lattice import to_dot
 from .modules import (
     Submodule,
-    cyclic_module,
     direct_sum,
     enumerate_modules,
+    factor_module,
     full_submodule,
     module_times_ideal,
     quotient_module,
@@ -91,7 +91,7 @@ def _module_from_doc(doc, ring: FiniteRing):
         ideal = Submodule(reg, [ring.reduce_el(g) for g in gens])
         if not ideal.is_action_stable():
             raise InputError("cyclic module: generators do not span a right ideal")
-        return cyclic_module(ring, ideal)[0]
+        return factor_module(ring, ideal)[0]
     if kind == "quotient_of_free":
         rank = int_field(doc, "rank", 0, "quotient_of_free", 1)
         if rank < 1:

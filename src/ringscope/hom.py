@@ -41,7 +41,7 @@ from .modules import (
     submodule_as_module,
     submodules,
 )
-from .ring import memo, same_ring
+from .ring import memoised, same_ring
 
 
 class HomGroup:
@@ -80,10 +80,10 @@ def hom_group(a: RightModule, b: RightModule) -> HomGroup:
     """
     if not same_ring(a.ring, b.ring):
         raise InputError("hom between modules over different rings")
-    basis = memo(a.ring, ("hom_bases", a.key, b.key), _hom_kernel, a, b)
-    return HomGroup(a, b, basis)
+    return HomGroup(a, b, _hom_kernel(a, b))
 
 
+@memoised(lambda m: ("blocks", m.key))
 def _blocks(m: RightModule):
     """The coordinates of m split into blocks, as sorted tuples ordered by
     their first coordinate: the classes of the union-find joining i and k
@@ -115,15 +115,16 @@ def _summands(m: RightModule):
     are memoised on the ring by m's content, as one module meets many
     others in Hom (the block modules carry the label of the first module
     of that content)."""
-    blocks = memo(m.ring, ("blocks", m.key), _blocks, m)
+    blocks = _blocks(m)
     if len(blocks) <= 1:
         return [(coords, m) for coords in blocks]
-    return memo(m.ring, ("summands", m.key), _block_modules, m, blocks)
+    return _block_modules(m)
 
 
-def _block_modules(m: RightModule, blocks):
+@memoised(lambda m: ("summands", m.key))
+def _block_modules(m: RightModule):
     out = []
-    for coords in blocks:
+    for coords in _blocks(m):
         orders = tuple(m.orders[i] for i in coords)
         action = [[tuple(act.rows[i][k] for k in coords) for i in coords]
                   for act in m.action]
@@ -133,14 +134,14 @@ def _block_modules(m: RightModule, blocks):
     return out
 
 
+@memoised(lambda a, b: ("hom_bases", a.key, b.key))
 def _hom_kernel(a: RightModule, b: RightModule) -> ModMatrix:
     """The canonical basis of Hom_R(a, b), one block pair at a time.
 
-    Each Hom(a_s, b_t) is memoised on the ring under the same
-    ``("hom_bases", ...)`` key as hom_group, so a pair that repeats is
-    solved once; its rows are placed at the flattened coordinates of the
-    pair, and one Howell span canonicalises them.  The result is the
-    basis that _hom_kernel_mono gives for the whole pair of modules.
+    Each Hom(a_s, b_t) is this fact of the pair of blocks, so a pair that
+    repeats is solved once; its rows are placed at the flattened
+    coordinates of the pair, and one Howell span canonicalises them.  The
+    result is the basis that _hom_kernel_mono gives for the whole pair.
     """
     sa, sb = _summands(a), _summands(b)
     if len(sa) <= 1 and len(sb) <= 1:
@@ -150,8 +151,7 @@ def _hom_kernel(a: RightModule, b: RightModule) -> ModMatrix:
     rows = []
     for cs, ms in sa:
         for ct, mt in sb:
-            basis = memo(a.ring, ("hom_bases", ms.key, mt.key),
-                         _hom_kernel_mono, ms, mt)
+            basis = _hom_kernel(ms, mt)
             w = len(ct)
             for flat in basis.rows:
                 row = [0] * len(umods)
@@ -298,8 +298,7 @@ def _projective_by_colons(m: RightModule, n: RightModule, colons):
                 f"{ring.label}: colon ideals of a two-sided ideal are not "
                 "monotone")
         l = Submodule(n, [proj_n.apply(r) for r in ideals[k].gens.rows])
-        q, proj = memo(ring, ("quotients", n.key, l.gens),
-                       quotient_via_lattice, n, l)
+        q, proj = quotient_via_lattice(n, l)
         psi = ModuleMap(m, q, [proj.apply(proj_n.apply(ring.el_mul(y, s)))
                                for s in cyclic_origin(m)[1].section])
         return False, (l, psi)
@@ -314,8 +313,7 @@ def _projective_by_homs(m: RightModule, n: RightModule):
     for l in submodules(n):
         if l.size() == 1:
             continue  # lifting along the identity
-        q, proj = memo(n.ring, ("quotients", n.key, l.gens),
-                       quotient_via_lattice, n, l)
+        q, proj = quotient_via_lattice(n, l)
         homs_mq = hom_group(m, q)
         if homs_mq.size() == 1:
             continue

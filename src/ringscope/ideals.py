@@ -22,7 +22,7 @@ from .modules import (
     submodule_walk,
     submodules,
 )
-from .ring import FiniteRing, memo
+from .ring import FiniteRing, memoised
 
 
 def right_ideals(ring: FiniteRing):
@@ -30,13 +30,14 @@ def right_ideals(ring: FiniteRing):
     return submodules(regular_module(ring))
 
 
+@memoised("ideal_index")
 def ideal_index(ring: FiniteRing) -> dict:
     """{I.gens: t} for right_ideals(ring)[t] = I, memoised on the ring:
     a right ideal's position, by its Howell generators."""
-    return memo(ring, "ideal_index", lambda: {
-        i.gens: t for t, i in enumerate(right_ideals(ring))})
+    return {i.gens: t for t, i in enumerate(right_ideals(ring))}
 
 
+@memoised("right_ideal_lattice")
 def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     """The right ideals under inclusion, memoised on the ring.
 
@@ -61,10 +62,6 @@ def right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     join(A, g₁, …, g_k) = join(A, B).  That pins the order (A ⊆ B iff
     A + B = B), and by (c) the meet, lying in A∩B, is A∩B.
     """
-    return memo(ring, "right_ideal_lattice", _right_ideal_lattice, ring)
-
-
-def _right_ideal_lattice(ring: FiniteRing) -> FiniteLattice:
     ideals = right_ideals(ring)
     sizes = [i.size() for i in ideals]
     n = len(ideals)
@@ -116,30 +113,25 @@ def is_two_sided(ring: FiniteRing, ideal: Submodule) -> bool:
     return True
 
 
+@memoised("two_sided_ideals")
 def two_sided_ideals(ring: FiniteRing):
-    return memo(ring, "two_sided_ideals", _two_sided_ideals, ring)
-
-
-def _two_sided_ideals(ring: FiniteRing):
     return [i for i in right_ideals(ring) if is_two_sided(ring, i)]
 
 
+@memoised("annihilator_cores")
 def annihilator_cores(ring: FiniteRing) -> list:
     """[core of L, by ideal index, for each right ideal L]: the largest
     two-sided ideal inside L, the join of the two-sided ideals below it,
     memoised on the ring.  It is ann(R/L) = {r : Rr ⊆ L}, which lies in L
     (1·r ∈ L) and is two-sided, and which holds every two-sided I ⊆ L
     (RI ⊆ I ⊆ L)."""
-    return memo(ring, "annihilator_cores", _annihilator_cores, ring)
-
-
-def _annihilator_cores(ring: FiniteRing) -> list:
     lat = right_ideal_lattice(ring)
     index = ideal_index(ring)
     two = sum(1 << index[i.gens] for i in two_sided_ideals(ring))
     return [lat.join_all(two & down) for down in lat.down]
 
 
+@memoised(lambda ring, gens: ("colon_ideals", gens))
 def colon_ideals(ring: FiniteRing, gens):
     """[C(K) for each right ideal K, both by ideal index], C(K) = {r in R :
     rI ⊆ K}, for the right ideal I with Howell generators gens, memoised
@@ -150,10 +142,6 @@ def colon_ideals(ring: FiniteRing, gens):
     C(K) iff gI ⊆ K, so C(K) is the join of the join-irreducibles g with
     gI ⊆ K: one product gI (module_times_ideal) per join-irreducible, then
     one mask per K."""
-    return memo(ring, ("colon_ideals", gens), _colon_ideals, ring, gens)
-
-
-def _colon_ideals(ring: FiniteRing, gens):
     ideals = right_ideals(ring)
     index = ideal_index(ring)
     ideal = ideals[index[gens]]
@@ -172,25 +160,20 @@ def maximal_right_ideals(ring: FiniteRing):
     return [ideals[t] for t in _bits(right_ideal_lattice(ring).coatoms())]
 
 
+@memoised("jacobson_radical")
 def jacobson_radical(ring: FiniteRing) -> Submodule:
-    """Intersection of the maximal right ideals: the meet of the coatoms.
+    """Intersection of the maximal right ideals: the meet of the coatoms,
+    memoised on the ring.
 
-    Post-verified: nilpotent, two-sided, and with semisimple quotient
-    (the R-module R/J is the sum of its minimal submodules).  Failure of
-    any check is a bug in the enumeration, reported as a hard error;
+    Post-verified: two-sided, nilpotent, and with R/J semisimple: the
+    R-module R/J of factor_module, walked afresh by _walk_submodules,
+    must be the sum of its minimal submodules.  Its R-submodules are its
+    R/J-submodules, so the ring R/J is then semisimple, as a finite ring
+    is iff its radical is 0.  submodules(R/J) is not asked: it would read
+    them off R's own lattice (cyclic_origin), where J came from.  Failure
+    of any check is a bug in the enumeration, reported as a hard error;
     nothing is memoised then.
     """
-    return memo(ring, "jacobson_radical", _jacobson_radical, ring)
-
-
-def _jacobson_radical(ring: FiniteRing) -> Submodule:
-    """The meet of the coatoms, checked two-sided and nilpotent, and with
-    R/J semisimple: the R-module R/J of factor_module, walked afresh by
-    _walk_submodules, must be the sum of its minimal submodules.  Its
-    R-submodules are its R/J-submodules, so the ring R/J is then
-    semisimple, as a finite ring is iff its radical is 0.  submodules(R/J)
-    is not asked: it would read them off R's own lattice (cyclic_origin),
-    where J came from."""
     lat = right_ideal_lattice(ring)
     jac = right_ideals(ring)[lat.meet_all(lat.coatoms())]
     if not is_two_sided(ring, jac):

@@ -24,7 +24,7 @@ from .exactla import (
     zero_matrix,
 )
 from .lattice import _bits
-from .ring import FiniteRing, memo, reduce_vector, same_ring
+from .ring import FiniteRing, memoised, reduce_vector, same_ring
 
 SUBMODULE_ENUM_BOUND = 4096
 # most submodules of R^k that enumerate_modules takes on
@@ -133,11 +133,16 @@ def _reduced_action(orders: tuple, action):
     return [ModMatrix._reduced(orders, tuple(rows), n) for rows in action]
 
 
+@memoised(lambda m: ("module_axioms", m.key))
+def _axiom_report(m: RightModule):
+    """verify_module_axioms(m), memoised on the ring by m's content."""
+    return verify_module_axioms(m)
+
+
 def _validated(mod: RightModule) -> RightModule:
     """mod, once its content passes verify_module_axioms; the report is
     memoised on the ring, so broken content is refused on every build."""
-    report = memo(mod.ring, ("module_axioms", mod.key), verify_module_axioms,
-                  mod)
+    report = _axiom_report(mod)
     if report is not None:
         raise InputError(f"{mod.label}: {report}")
     return mod
@@ -235,12 +240,9 @@ def full_submodule(m: RightModule) -> Submodule:
 # -- construction -------------------------------------------------------------
 
 
+@memoised("regular")
 def regular_module(ring: FiniteRing) -> RightModule:
     """The ring acting on itself by right multiplication."""
-    return memo(ring, "regular", _regular_module, ring)
-
-
-def _regular_module(ring: FiniteRing) -> RightModule:
     action = [ring.right_mul_matrix(ring.generator(j)).rows
               for j in range(ring.rank)]
     return _validated(RightModule(ring, ring.orders, action,
@@ -311,62 +313,49 @@ def quotient_module(n: RightModule, k: Submodule, label: str | None = None,
     return q, projection
 
 
-def cyclic_module(ring: FiniteRing, ideal: Submodule,
-                  label: str | None = None):
-    """R/I for a right ideal I, with the projection from the regular module.
-
-    Each build records I's generators and the projection in the ring's
-    table of origins (see cyclic_origin); the first build of a content
-    wins.  The submodules and quotients of R/I are then read off the
-    right-ideal lattice."""
-    reg = regular_module(ring)
-    sub = Submodule(reg, ideal.gens)
-    return _record_origin(sub, quotient_module(
-        reg, sub, label=label or f"{ring.label}/I"))
-
-
-def _record_origin(ideal: Submodule, built):
-    """built = (R/I, projection), recorded as R/I's origin unless its
-    content has one already; returned as it is."""
-    q, proj = built
-    memo(q.ring, "cyclic_origins", dict).setdefault(q.key, (ideal.gens, proj))
-    return built
+@memoised("cyclic_origins")
+def _origins(ring: FiniteRing) -> dict:
+    """{content key: (L, π)} for the contents built as R/L, on the ring."""
+    return {}
 
 
 def cyclic_origin(m: RightModule):
-    """(L, π) when m's content has been built as R/L by cyclic_module:
+    """(L, π) when m's content has been built as R/L by factor_module:
     L's Howell generators and the projection π: R → R/L, which carries
     its section; else None.  A lookup records nothing, so a content
     built as R/L after it was first asked about has its origin then."""
-    return memo(m.ring, "cyclic_origins", dict).get(m.key)
+    return _origins(m.ring).get(m.key)
 
 
+@memoised(lambda ring, ideal: ("factor_modules", ideal.gens))
 def factor_module(ring: FiniteRing, ideal: Submodule):
-    """(R/I, projection) for a right ideal I, built once per ring: the
-    cyclic classes, the profile witnesses and the quotients of the
-    projectivity test all read this table.  An I listed in ideal_index is
-    a submodule of R by construction, so its quotient skips the closure
-    scan."""
-    return memo(ring, ("factor_modules", ideal.gens), _factor_module, ring,
-                ideal)
-
-
-def _factor_module(ring: FiniteRing, ideal: Submodule):
+    """(R/I, projection from the regular module) for a right ideal I,
+    built once per ring: every call with I returns the one R/I, which the
+    cyclic classes, the profile witnesses and the projectivity test read.
+    An I listed in ideal_index is a submodule of R by construction, so
+    its quotient skips the closure scan.  The build records I and the
+    projection as the origin of R/I's content (cyclic_origin) unless it
+    has one: the first build of a content wins.  The submodules and
+    quotients of R/I are then read off the right-ideal lattice."""
     from .ideals import ideal_index  # deferred: ideals builds on modules
 
     reg = regular_module(ring)
     sub = Submodule(reg, ideal.gens)
     listed = (ring.order() <= SUBMODULE_ENUM_BOUND
               and sub.gens in ideal_index(ring))
-    return _record_origin(sub, quotient_module(
-        reg, sub, label=f"{ring.label}/I", closed=listed))
+    q, proj = quotient_module(reg, sub, label=f"{ring.label}/I",
+                              closed=listed)
+    _origins(ring).setdefault(q.key, (sub.gens, proj))
+    return q, proj
 
 
+@memoised(lambda n, l: ("quotients", n.key, l.gens))
 def quotient_via_lattice(n: RightModule, l: Submodule):
-    """n/l with its projection.  For n = R/L (cyclic_origin) it is R/K,
-    K the preimage of l in R, L plus the lifts of l's rows, read from
-    factor_module: (R/L)/(K/L) ≅ R/K.  The projection sends e_i to
-    π_K(section_L(e_i)).  Any other n goes through quotient_module."""
+    """n/l with its projection, memoised on the ring by the contents of n
+    and l.  For n = R/L (cyclic_origin) it is R/K, K the preimage of l in
+    R, L plus the lifts of l's rows, read from factor_module: (R/L)/(K/L)
+    ≅ R/K.  The projection sends e_i to π_K(section_L(e_i)).  Any other
+    n goes through quotient_module."""
     origin = cyclic_origin(n)
     if origin is None:
         return quotient_module(n, l)
@@ -394,6 +383,7 @@ def cyclic_span(m: RightModule, x) -> Submodule:
     return Submodule(m, [x] + _images(m, x))
 
 
+@memoised(lambda ring, rels: ("quotient_presentation", rels))
 def _presentation(ring: FiniteRing, rels: ModMatrix):
     """(new_orders, proj, lift) presenting (⊕ Z/rels.col_moduli) / ⟨rels⟩,
     memoised on the ring by rels, a canonical Howell matrix whose column
@@ -405,15 +395,15 @@ def _presentation(ring: FiniteRing, rels: ModMatrix):
     with mixed moduli, take the Smith form (quotient_presentation).  The
     orders agree; the coordinates, which no output prints, may not.
     Quotient rings, whose coordinates are printed, keep the Smith form."""
-    return memo(ring, ("quotient_presentation", rels),
-                lambda: echelon_presentation(rels)
-                or quotient_presentation(rels.col_moduli, rels.rows))
+    return (echelon_presentation(rels)
+            or quotient_presentation(rels.col_moduli, rels.rows))
 
 
+@memoised(lambda n: ("submodules", n.key))
 def submodules(n: RightModule):
     """Every submodule, canonically sorted; 0 and N included.
 
-    A module whose content cyclic_module has built as R/L reads its
+    A module whose content factor_module has built as R/L reads its
     submodules off the right-ideal lattice (_cyclic_submodules).  Any
     other module, and always the regular module, whose walk defines that
     lattice, walks up the lattice by covers (_walk_submodules): from S it
@@ -425,10 +415,6 @@ def submodules(n: RightModule):
     built separately shares it: the ``parent`` of each submodule is the
     first module of that content to be listed.
     """
-    return memo(n.ring, ("submodules", n.key), _submodules, n)
-
-
-def _submodules(n: RightModule):
     if n.order() > SUBMODULE_ENUM_BOUND:
         raise BoundExceededError(f"module of order {n.order()} exceeds "
                                  f"enumeration bound {SUBMODULE_ENUM_BOUND}")
@@ -441,11 +427,12 @@ def _submodules(n: RightModule):
     return submodule_walk(n)[0]
 
 
+@memoised(lambda n: ("submodule_walk", n.key))
 def submodule_walk(n: RightModule):
     """_walk_submodules(n), memoised on the ring by n's content: the
     right-ideal lattice reads its order off the bitsets of the regular
     module's walk."""
-    return memo(n.ring, ("submodule_walk", n.key), _walk_submodules, n)
+    return _walk_submodules(n)
 
 
 def _walk_submodules(n: RightModule):
@@ -563,10 +550,10 @@ def submodule_as_module(sub: Submodule):
     inclusion's target may belong to an equal-content twin of sub.parent.
     Callers must not mutate it.
     """
-    return memo(sub.parent.ring, ("presentations", sub.parent.key, sub.gens),
-                _present_submodule, sub.parent, sub.gens)
+    return _present_submodule(sub.parent, sub.gens)
 
 
+@memoised(lambda parent, gens: ("presentations", parent.key, gens))
 def _present_submodule(parent: RightModule, gens: ModMatrix):
     g = gens.nrows
     if g == 0:
@@ -795,15 +782,12 @@ def is_isomorphic_modules(a: RightModule, b: RightModule):
     return True, f
 
 
+@memoised(lambda b: ("top", b.key))
 def _top(b: RightModule):
     """(b/bJ, the projection b → b/bJ), memoised on the ring by b's
     content; the projection's source is the first module of that content.
     On rings too large to list their right ideals, J is not computed and
     the superfluous submodule taken is 0, so the top is b itself."""
-    return memo(b.ring, ("top", b.key), _build_top, b)
-
-
-def _build_top(b: RightModule):
     ring = b.ring
     if ring.order() > SUBMODULE_ENUM_BOUND:
         small = zero_submodule(b)
@@ -814,13 +798,12 @@ def _build_top(b: RightModule):
     return quotient_module(b, small, label=f"top of {b.label}", closed=True)
 
 
+@memoised("cyclic_classes")
 def cyclic_modules_up_to_iso(ring: FiniteRing):
-    """One representative R/I per isomorphism class of cyclic modules."""
-    return memo(ring, "cyclic_classes", _cyclic_classes, ring)
+    """One representative R/I per isomorphism class of cyclic modules,
+    memoised on the ring.
 
-
-def _cyclic_classes(ring: FiniteRing):
-    """Each R/L whose content was not classified before is compared only
+    Each R/L whose content was not classified before is compared only
     with the classes of its interval shape, the multiset {|K|/|L| : K ⊇ L}
     of its submodule orders read off the right-ideal lattice (the
     correspondence theorem): isomorphic modules have isomorphic submodule

@@ -34,7 +34,7 @@ from .modules import (
     factor_module,
     regular_module,
 )
-from .ring import FiniteRing, IndexSet, memo
+from .ring import FiniteRing, IndexSet, memoised
 from .torsion import all_linear_filters, check_filter_guard, eta_filter
 
 
@@ -76,17 +76,17 @@ def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
     return CyclicFingerprint(ring, members)
 
 
+@memoised(lambda m: ("inj_fingerprint", m.key))
 def inj_fingerprint(m: RightModule) -> CyclicFingerprint:
     """{cyclic C : m is C-injective}, memoised on the ring by m's content."""
-    return memo(m.ring, ("inj_fingerprint", m.key), _fingerprint, m,
-                is_relatively_injective)
+    return _fingerprint(m, is_relatively_injective)
 
 
+@memoised(lambda m: ("proj_fingerprint", m.key))
 def proj_fingerprint(m: RightModule) -> CyclicFingerprint:
     """{cyclic C : m is C-projective}, memoised on the ring by m's
     content."""
-    return memo(m.ring, ("proj_fingerprint", m.key), _fingerprint, m,
-                is_relatively_projective)
+    return _fingerprint(m, is_relatively_projective)
 
 
 def semisimple_cyclics(ring: FiniteRing) -> CyclicFingerprint:
@@ -94,16 +94,13 @@ def semisimple_cyclics(ring: FiniteRing) -> CyclicFingerprint:
     return killed_by(ring, jacobson_radical(ring))
 
 
+@memoised(lambda ring, ideal: ("killed_by", ideal.gens))
 def killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
     """Cyclic classes C with C·I = 0 for a two-sided ideal I, memoised on
     the ring by I's generators; InputError when I is not two-sided.
 
     For C = R/L (cyclic_origin), C·I = (I + L)/L, so C is killed by I iff
     I ⊆ L: one lookup in the right-ideal lattice per class."""
-    return memo(ring, ("killed_by", ideal.gens), _killed_by, ring, ideal)
-
-
-def _killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
     if not is_two_sided(ring, ideal):
         raise InputError("killed_by needs a two-sided ideal")
     index = ideal_index(ring)
@@ -146,11 +143,13 @@ class ProfileReport:
         """node t -> module or None, from find_witness on each node the
         first time the witnesses of this kind are read, memoised on the
         ring."""
-        return _witnesses(self.ring, self.kind, self.ideals)
+        return _witnesses(self.ring, self.kind)
 
 
+@memoised("profile_skeleton")
 def _skeleton(ring: FiniteRing):
-    """(nodes, lattice, filters), which both profiles share on the ring.
+    """(nodes, lattice, filters), which both profiles share on the ring,
+    memoised on it.
 
     nodes are the two-sided ideals inside J(R), filters their η-filters,
     and the lattice orders the nodes by filter inclusion.  Both
@@ -184,16 +183,17 @@ def profile(ring: FiniteRing, kind: str) -> ProfileReport:
     if kind not in ("i", "p"):
         raise ValueError(f"kind must be 'i' or 'p', got {kind!r}")
     check_filter_guard(ring)
-    nodes, lat, filters = memo(ring, "profile_skeleton", _skeleton, ring)
+    nodes, lat, filters = _skeleton(ring)
     if kind == "p":
-        _witnesses(ring, kind, nodes)
+        _witnesses(ring, kind)
     return ProfileReport(kind, ring, lat, list(nodes), list(filters))
 
 
-def _witnesses(ring: FiniteRing, kind: str, nodes) -> list:
-    """[find_witness of each node], memoised on the ring by kind."""
-    return memo(ring, ("witnesses", kind),
-                lambda: [find_witness(ring, i, kind) for i in nodes])
+@memoised(lambda ring, kind: ("witnesses", kind))
+def _witnesses(ring: FiniteRing, kind: str) -> list:
+    """[find_witness of each node of the skeleton], memoised on the ring
+    by kind."""
+    return [find_witness(ring, i, kind) for i in _skeleton(ring)[0]]
 
 
 def i_profile(ring: FiniteRing) -> ProfileReport:

@@ -59,23 +59,47 @@ def reduce_vector(vec, orders, what: str = "element"):
 _MISSING = object()
 
 
-def memo(ring, key, build, *args):
-    """ring._cache[key], stored as build(*args) on first use; a build
-    that raises stores nothing.  The ring owns every memo table: a table
-    is a tuple key naming it first, and a fact about a module carries the
-    module's content key, never the module object.  Entries are kept for
-    as long as the ring lives, including those of modules since dropped."""
-    value = ring._cache.get(key, _MISSING)
-    if value is _MISSING:
-        value = ring._cache[key] = build(*args)
-    return value
+def memoised(key):
+    """Decorator: the function's answer is a fact kept on its ring, built
+    by the function on first use; a build that raises stores nothing.
+
+    A string key names a fact of the ring alone, the one argument.
+    Otherwise key maps the arguments, all of which it must read, to a
+    tuple naming the table first; the ring is the first argument or its
+    ``ring``.  A module's fact carries the module's content key, never
+    the module.  Entries live as long as the ring, including those of
+    modules since dropped.  The name, qualified name, module and
+    docstring are copied by hand: no ``__wrapped__`` is set, so a tracer
+    that wraps module attributes leaves nothing behind."""
+    name = key if isinstance(key, str) else None
+
+    def decorate(build):
+        def fact(*args):
+            first = args[0]
+            if name is not None:
+                k, cache = name, first._cache
+            else:
+                k = key(*args)
+                cache = (first if isinstance(first, FiniteRing)
+                         else first.ring)._cache
+            value = cache.get(k, _MISSING)
+            if value is _MISSING:
+                value = cache[k] = build(*args)
+            return value
+
+        for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+            setattr(fact, attr, getattr(build, attr))
+        return fact
+
+    return decorate
 
 
 class FiniteRing:
     """A finite ring with identity, immutable once validated.
 
     ``mul`` is the dense public table; ``_terms[i][j]`` holds the nonzero
-    ``(k, c)`` of g_i·g_j, which products read."""
+    ``(k, c)`` of g_i·g_j, which products read.  The ring holds the memo
+    tables of the facts that memoised keeps on it and its modules."""
 
     def __init__(self, orders, mul, one, label: str = "ring"):
         self.orders = _integers(orders, "generator orders")

@@ -37,7 +37,7 @@ from .modules import (
     element_annihilator,
     factor_module,
 )
-from .ring import FiniteRing, IndexSet, memo, same_ring
+from .ring import FiniteRing, IndexSet, memoised, same_ring
 
 FILTER_IDEAL_GUARD = 400
 
@@ -60,18 +60,19 @@ class IdealContext:
         ann = element_annihilator(q, proj.apply(self.ring.reduce_el(r)))
         return self.index[ann.gens]
 
+    @memoised(lambda ctx, t: ("f4_colons", ctx.ideals[t].gens))
     def generator_colons(self, t: int) -> list:
         """[(r, (I_t : r))] for the lifts r of the additive generators of
         R/I_t, the section of its projection: by fact (c) these colons
-        decide F4 at I_t."""
+        decide F4 at I_t.  Memoised on the ring by I_t's generators."""
         proj = factor_module(self.ring, self.ideals[t])[1]
-        return memo(self.ring, ("f4_colons", self.ideals[t].gens),
-                    lambda: [(r, self.colon(t, r))
-                             for r in map(self.ring.reduce_el, proj.section)])
+        return [(r, self.colon(t, r))
+                for r in map(self.ring.reduce_el, proj.section)]
 
 
+@memoised("ideal_context")
 def ideal_context(ring: FiniteRing) -> IdealContext:
-    return memo(ring, "ideal_context", IdealContext, ring)
+    return IdealContext(ring)
 
 
 class LinearFilter(IndexSet):

@@ -115,10 +115,10 @@ def simple_modules(ring):
     """One representative per isomorphism class of simple right modules,
     read off the semisimple module R/J."""
     from ringscope.ideals import jacobson_radical
-    from ringscope.modules import (cyclic_module, is_isomorphic_modules,
+    from ringscope.modules import (factor_module, is_isomorphic_modules,
                                    minimal_submodules, submodule_as_module)
 
-    rj = cyclic_module(ring, jacobson_radical(ring))[0]
+    rj = factor_module(ring, jacobson_radical(ring))[0]
     reps = []
     for atom in minimal_submodules(rj):
         mod = submodule_as_module(atom)[0]

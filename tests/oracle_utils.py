@@ -39,7 +39,7 @@ from ringscope.modules import (
     zero_submodule,
 )
 from ringscope.profile import CyclicFingerprint
-from ringscope.ring import memo, quotient_ring
+from ringscope.ring import memoised, quotient_ring
 from ringscope.torsion import LinearFilter, ideal_context
 
 
@@ -491,17 +491,13 @@ def oracle_sigma(m, n) -> bool:
     return True
 
 
+@memoised(lambda ctx, t: ("colons", ctx.ideals[t].gens))
 def colon_table(ctx, t):
     """{(I_t : r) : r ∈ R}, from one lift per coset of R/I_t: for
     i ∈ I_t, (r+i)·y = r·y + i·y and i·y ∈ I_t, so the colon ideal
     depends on the coset only.  Each colon ideal maps to the first lift r
     that gives it.  Memoised on the ring; the library reads only the
     colons at the additive generators of R/I_t."""
-    return memo(ctx.ring, ("colons", ctx.ideals[t].gens), _colon_table,
-                ctx, t)
-
-
-def _colon_table(ctx, t):
     q, proj = factor_module(ctx.ring, ctx.ideals[t])
     table = {}
     for c in itertools.product(*(range(m) for m in q.orders)):

@@ -10,10 +10,10 @@ from ringscope.ideals import ideals_in_radical, jacobson_radical, two_sided_idea
 from ringscope.lattice import are_isomorphic, build_lattice, lattice_product
 from ringscope.modules import (
     Submodule,
-    cyclic_module,
     cyclic_span,
     direct_sum,
     enumerate_modules,
+    factor_module,
     full_submodule,
     module_times_ideal,
     regular_module,
@@ -126,7 +126,7 @@ def test_criterion_06_p_witness_law():
         for ideal in two_sided_ideals(ring):
             if not jac.contains_sub(ideal):
                 continue
-            w = cyclic_module(ring, ideal)[0]
+            w = factor_module(ring, ideal)[0]
             if proj_fingerprint(w) != killed_by(ring, ideal):
                 ok = False
     report(6, ok)
@@ -136,7 +136,7 @@ def test_criterion_07_poverty():
     ok = True
     for name in SMALL_CORPUS:
         ring = corpus(name)
-        rj = cyclic_module(ring, jacobson_radical(ring))[0]
+        rj = factor_module(ring, jacobson_radical(ring))[0]
         ok = ok and is_poor(rj, "i")
         ok = ok and is_poor(direct_sum(simple_modules(ring)), "p")
     ring = corpus("z8")
@@ -188,7 +188,7 @@ def test_criterion_10_super_qf():
         if inj_fingerprint(m) != proj_fingerprint(m):
             found = m
             break
-    rxy = cyclic_module(ring, cert)[0]
+    rxy = factor_module(ring, cert)[0]
     ok = ok and found is not None and found.order() == rxy.order() == 8
     ok = ok and inj_fingerprint(rxy) != proj_fingerprint(rxy)
     report(10, ok)

@@ -9,7 +9,6 @@ from ringscope import modules
 from ringscope.cli import load_ring
 from ringscope.ideals import ideals_in_radical
 from ringscope.modules import (
-    cyclic_module,
     cyclic_modules_up_to_iso,
     cyclic_span,
     factor_module,
@@ -101,14 +100,15 @@ def test_proj_fingerprints_match_the_quotient_route(rings, builders,
 @pytest.mark.parametrize("name, x", [("z8", (2,)), ("t2f2", (0, 1, 0)),
                                      ("m2z4", (0, 0, 0, 2))])
 def test_cyclic_modules_built_before_the_right_ideals(name, x):
-    """R/0, whose content can be the regular module's, and R/xR built on a
-    fresh ring before its right ideals are listed: reading their
-    submodules lists the right ideals by the regular module's own walk,
-    which never reads the lattice it defines."""
+    """R/0, whose content can be the regular module's, and R/xR built by
+    factor_module on a fresh ring, before any caller has asked for its
+    right ideals: the build lists them by the regular module's own walk,
+    which never reads the lattice it defines, and reading the submodules
+    of R/0 and R/xR gives the walk's."""
     ring = load_ring(name)
     reg = regular_module(ring)
-    whole, _ = cyclic_module(ring, zero_submodule(reg))
-    part, _ = cyclic_module(ring, cyclic_span(reg, x))
+    whole, _ = factor_module(ring, zero_submodule(reg))
+    part, _ = factor_module(ring, cyclic_span(reg, x))
     if name == "z8":
         assert whole.key == reg.key
     assert modules.cyclic_origin(part) is not None
@@ -123,7 +123,7 @@ def test_cyclic_modules_built_before_the_right_ideals(name, x):
 def test_an_origin_asked_for_before_the_build_is_recorded(name, x,
                                                           monkeypatch):
     """The content of R/L, built by quotient_module and asked for its
-    origin on a fresh ring before cyclic_module builds R/L, has the origin
+    origin on a fresh ring before factor_module builds R/L, has the origin
     of that build: a module of that content built afterwards reads its
     submodules off the lattice, and they are the walk's."""
     ring = load_ring(name)
@@ -131,7 +131,7 @@ def test_an_origin_asked_for_before_the_build_is_recorded(name, x,
     l = cyclic_span(reg, x)
     early, _ = quotient_module(reg, l)
     assert modules.cyclic_origin(early) is None
-    built, _ = cyclic_module(ring, l)
+    built, _ = factor_module(ring, l)
     assert built.key == early.key
     assert modules.cyclic_origin(early) is not None
     read = []

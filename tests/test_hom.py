@@ -26,7 +26,6 @@ from ringscope.hom import (
 from ringscope.ideals import right_ideals, two_sided_ideals
 from ringscope.modules import (
     Submodule,
-    cyclic_module,
     cyclic_modules_up_to_iso,
     direct_sum,
     factor_module,
@@ -64,8 +63,8 @@ hom_mod = importlib.import_module("ringscope.hom")
 def test_hom_group_sizes_z8():
     ring = corpus("z8")
     reg = regular_module(ring)
-    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
-    z4 = cyclic_module(ring, Submodule(reg, [(4,)]))[0]
+    z2 = factor_module(ring, Submodule(reg, [(2,)]))[0]
+    z4 = factor_module(ring, Submodule(reg, [(4,)]))[0]
     assert hom_group(reg, reg).size() == 8
     assert hom_group(z2, z4).size() == 2   # images killed by 2 inside Z/4
     assert hom_group(z4, z2).size() == 2
@@ -130,7 +129,7 @@ def test_hom_basis_maps_are_valid():
 def test_relative_injectivity_certificate():
     ring = corpus("z8")
     reg = regular_module(ring)
-    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
+    z2 = factor_module(ring, Submodule(reg, [(2,)]))[0]
     flag, cert = is_relatively_injective(z2, reg)
     assert not flag
     k, phi = cert
@@ -149,7 +148,7 @@ def test_relative_projectivity_certificate():
     module; no map Z/2 → Z/8 lifts either certificate ψ."""
     ring = corpus("z8")
     reg = regular_module(ring)
-    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
+    z2 = factor_module(ring, Submodule(reg, [(2,)]))[0]
     r0 = factor_module(ring, Submodule(reg, []))[0]
     for n, cert in ((r0, is_relatively_projective(z2, r0)),
                     (reg, _projective_by_homs(z2, reg))):
@@ -217,7 +216,7 @@ def test_domains_closed_under_submodules_and_quotients():
 def test_domains_closed_under_finite_sums():
     ring = corpus("z8")
     reg = regular_module(ring)
-    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
+    z2 = factor_module(ring, Submodule(reg, [(2,)]))[0]
     # everything is injective relative to a semisimple module, sums included
     assert is_relatively_injective(reg, z2)[0]
     assert is_relatively_injective(reg, direct_sum([z2, z2]))[0]
@@ -236,7 +235,7 @@ def test_projectivity_matches_free_summand_oracle():
     reg = regular_module(ring)
     assert is_projective(reg)
     for gens in ([(2,)], [(4,)]):
-        q = cyclic_module(ring, Submodule(reg, gens))[0]
+        q = factor_module(ring, Submodule(reg, gens))[0]
         assert not is_projective(q)
     # over the semisimple matrix ring everything is projective
     m2 = corpus("m2f2")
@@ -247,7 +246,7 @@ def test_projectivity_matches_free_summand_oracle():
 def test_quasi_injective_example():
     ring = corpus("z8")
     reg = regular_module(ring)
-    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
+    z2 = factor_module(ring, Submodule(reg, [(2,)]))[0]
     assert is_quasi(z2, "injective")
     assert is_quasi(reg, "projective")
     with pytest.raises(ValueError):
@@ -300,8 +299,9 @@ def test_hom_memo_is_keyed_by_content():
         reg = regular_module(ring)
         for k in submodules(reg):
             for l in submodules(reg):
-                a, a2 = (cyclic_module(ring, k)[0] for _ in range(2))
-                b = cyclic_module(ring, l)[0]
+                a, a2 = (quotient_module(reg, k, label=label)[0]
+                         for label in ("first", "second"))
+                b = factor_module(ring, l)[0]
                 assert a is not a2 and a.key == a2.key
                 first, second = hom_group(a, b), hom_group(a2, b)
                 assert first.basis == second.basis
@@ -319,7 +319,7 @@ def test_certificates_past_the_hom_enumeration_bound(free_summands):
     certificate must avoid."""
     ring = zmod(4)
     reg = regular_module(ring)
-    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
+    z2 = factor_module(ring, Submodule(reg, [(2,)]))[0]
     m = direct_sum([reg] * free_summands + [z2] * 13)
 
     flag, (k, phi) = is_relatively_injective(m, reg)

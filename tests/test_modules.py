@@ -19,7 +19,6 @@ from ringscope.modules import (
     Submodule,
     additive_type,
     annihilator,
-    cyclic_module,
     cyclic_modules_up_to_iso,
     cyclic_span,
     direct_sum,
@@ -227,7 +226,7 @@ def test_minimal_submodules_match_the_pairwise_scan(name):
     far lists what the scan over all pairs lists."""
     ring = corpus(name)
     reg = regular_module(ring)
-    mods = [reg, cyclic_module(ring, jacobson_radical(ring))[0],
+    mods = [reg, factor_module(ring, jacobson_radical(ring))[0],
             *cyclic_modules_up_to_iso(ring)]
     if ring.order() <= 8:
         mods.append(direct_sum([reg, reg]))
@@ -314,7 +313,7 @@ def test_quotient_rejects_a_submodule_of_another_module():
     diagonal is a submodule of the second but not of the first."""
     ring = product_ring([zmod(2), zmod(2)])
     reg = regular_module(ring)
-    s1 = cyclic_module(ring, Submodule(reg, [(0, 1)]))[0]
+    s1 = factor_module(ring, Submodule(reg, [(0, 1)]))[0]
     m2 = direct_sum([s1, s1])
     assert m2.orders == reg.orders and m2.key != reg.key
     k = Submodule(m2, [(1, 1)])
@@ -436,7 +435,7 @@ def test_cyclic_isomorphisms_match_brute_force():
         ring = corpus(name)
         classes = cyclic_modules_up_to_iso(ring)
         for ideal in right_ideals(ring):
-            q = cyclic_module(ring, ideal)[0]
+            q = factor_module(ring, ideal)[0]
             if q.order() > 8:
                 continue
             same = [c for c in classes if c.order() == q.order()]
@@ -475,7 +474,7 @@ def test_cyclic_isomorphisms_match_the_hom_scan():
         ring = corpus(name)
         classes = cyclic_modules_up_to_iso(ring)
         for ideal in right_ideals(ring):
-            q = cyclic_module(ring, ideal)[0]
+            q = factor_module(ring, ideal)[0]
             same = [c for c in classes if c.order() == q.order()]
             assert sum(_same_as_hom_scan(q, c) for c in same) == 1
             pairs += len(same)
@@ -652,7 +651,7 @@ def test_rank_one_modules_are_the_cyclic_classes(max_order):
         for ideal in submodules(reg):
             if reg.order() // ideal.size() > max_order:
                 continue
-            q = cyclic_module(ring, ideal)[0]
+            q = factor_module(ring, ideal)[0]
             assert sum(is_isomorphic_modules(q, m)[0] for m in mods) == 1
 
 
@@ -716,8 +715,9 @@ def test_equal_modules_keep_their_labels_and_share_their_submodules():
     the submodule walk, memoised on the ring by content, runs once."""
     ring = load_ring("z4xf2")  # fresh, so nothing is memoised yet
     ideal = right_ideals(ring)[1]
-    a, _ = cyclic_module(ring, ideal, label="first")
-    b, _ = cyclic_module(ring, ideal, label="second")
+    reg = regular_module(ring)
+    a, _ = quotient_module(reg, ideal, label="first")
+    b, _ = quotient_module(reg, ideal, label="second")
     assert a is not b and a.key == b.key
     assert (a.label, b.label) == ("first", "second")
     assert submodules(a) is submodules(b)
@@ -733,7 +733,8 @@ def test_module_axioms_run_once_per_content(monkeypatch):
     ideals = right_ideals(ring)
 
     def build():
-        return ([cyclic_module(ring, i)[0] for i in ideals]
+        return ([quotient_module(reg, i, label=f"{ring.label}/I")[0]
+                 for i in ideals]
                 + [direct_sum([reg, reg])])
 
     first = build()

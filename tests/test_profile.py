@@ -22,11 +22,11 @@ from ringscope.ideals import (
 from ringscope.lattice import are_isomorphic, build_lattice, lattice_product
 from ringscope.modules import (
     Submodule,
-    cyclic_module,
     cyclic_modules_up_to_iso,
     cyclic_origin,
     direct_sum,
     factor_module,
+    quotient_module,
     regular_module,
     submodule_as_module,
 )
@@ -142,7 +142,7 @@ def test_semisimple_cyclics():
 def test_poverty():
     for name in SMALL_CORPUS:
         ring = corpus(name)
-        rj = cyclic_module(ring, jacobson_radical(ring))[0]
+        rj = factor_module(ring, jacobson_radical(ring))[0]
         assert is_poor(rj, "i")
         assert is_poor(direct_sum(simple_modules(ring)), "p")
     # the unique simple over Z/8 is i-poor on its own
@@ -174,7 +174,7 @@ def test_killed_by_matches_proj_fingerprint_on_nodes():
     for name in ("z8", "quiver_f2", "f2xy_j2"):
         ring = corpus(name)
         for ideal in p_profile(ring).ideals:
-            w = cyclic_module(ring, ideal)[0]
+            w = factor_module(ring, ideal)[0]
             assert proj_fingerprint(w) == killed_by(ring, ideal)
 
 
@@ -242,8 +242,9 @@ def test_equal_modules_share_one_fingerprint():
     with their own labels read one fingerprint object."""
     ring = load_ring("z4xf2")  # fresh, so nothing is memoised yet
     ideal = i_profile(ring).ideals[-1]
-    a, _ = cyclic_module(ring, ideal, label="first")
-    b, _ = cyclic_module(ring, ideal, label="second")
+    reg = regular_module(ring)
+    a, _ = quotient_module(reg, ideal, label="first")
+    b, _ = quotient_module(reg, ideal, label="second")
     assert a is not b and (a.label, b.label) == ("first", "second")
     assert inj_fingerprint(a) is inj_fingerprint(b)
     assert proj_fingerprint(a) is proj_fingerprint(b)
@@ -266,7 +267,7 @@ def test_witness_labels_name_the_module_chosen():
         rep = i_profile(ring)
         for ideal, w in zip(rep.ideals, rep.witnesses):
             if w is not None:
-                q, _ = cyclic_module(ring, ideal)
+                q, _ = factor_module(ring, ideal)
                 realised = inj_fingerprint(q) == killed_by(ring, ideal)
                 assert w.label == (factor if realised else regular)
     assert "z8" in shared
@@ -316,13 +317,15 @@ def test_profiles_build_one_factor_module_per_node(monkeypatch):
     node witnesses, the cyclic classes and the quotients of the
     projectivity test all read one factor module per right ideal, and
     none of them scans a listed right ideal for closure.  The
-    i-witnesses are found when first read, once."""
-    real = modules._factor_module
+    i-witnesses are found when first read, once.  An R/I build is a
+    quotient of the regular module."""
+    real = modules.quotient_module
     calls, scans, kinds = [], [], []
 
-    def counted(ring, ideal):
-        calls.append(ideal.gens)
-        return real(ring, ideal)
+    def counted(n, k, *args, **kwargs):
+        if n is regular_module(n.ring):
+            calls.append(k.gens)
+        return real(n, k, *args, **kwargs)
 
     def scanned(sub):
         scans.append(sub.gens)
@@ -334,7 +337,7 @@ def test_profiles_build_one_factor_module_per_node(monkeypatch):
 
     stable = modules.Submodule.is_action_stable
     find_witness = profile_mod.find_witness
-    monkeypatch.setattr(modules, "_factor_module", counted)
+    monkeypatch.setattr(modules, "quotient_module", counted)
     monkeypatch.setattr(modules.Submodule, "is_action_stable", scanned)
     monkeypatch.setattr(profile_mod, "find_witness", witness)
     ring = load_ring("f2xy_x2y2")
@@ -401,7 +404,7 @@ def test_i_witness_is_the_factor_or_the_regular_module():
         rep = i_profile(ring)
         for ideal, w in zip(rep.ideals, rep.witnesses):
             target = killed_by(ring, ideal)
-            realising = [c.key for c in (cyclic_module(ring, ideal)[0],
+            realising = [c.key for c in (factor_module(ring, ideal)[0],
                                          regular_module(ring))
                          if inj_fingerprint(c) == target]
             if w is None:

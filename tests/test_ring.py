@@ -1,6 +1,8 @@
 """Ring constructors, axiom checking, and element-level queries."""
 
 import ast
+import importlib
+import inspect
 import random
 import re
 from pathlib import Path
@@ -16,7 +18,7 @@ from ringscope.ring import (
     FiniteRing,
     inverse,
     matrix_ring,
-    memo,
+    memoised,
     opposite_ring,
     path_algebra,
     product_ring,
@@ -344,26 +346,32 @@ def test_format_doc_lists_the_parsed_fields():
 
 
 def test_memo_builds_once_and_stores_no_failed_build():
+    """A memoised fact is built on its first call with a key; a build
+    that raises stores nothing, so the next call builds again.  The
+    builds hand out 1, None (which raises) and 3 in turn."""
     ring = zmod(2)
-    builds = []
+    values, builds = iter([1, None, 3]), []
 
-    def build(x):
+    @memoised(lambda ring, t: ("t", t))
+    def fact(ring, t):
+        x = next(values)
         builds.append(x)
         if x is None:
             raise InputError("no value")
         return x
 
-    assert memo(ring, ("t", 1), build, 1) == 1
-    assert memo(ring, ("t", 1), build, 2) == 1
+    assert fact(ring, 1) == 1
+    assert fact(ring, 1) == 1
     with pytest.raises(InputError):
-        memo(ring, ("t", 2), build, None)
-    assert memo(ring, ("t", 2), build, 3) == 3
+        fact(ring, 2)
+    assert fact(ring, 2) == 3
     assert builds == [1, None, 3]
 
 
-# the functions that may name a cache: memo, and the one constructor
-# that creates one, the ring's
-CACHE_OWNERS = {"memo", "FiniteRing.__init__"}
+# the functions that may name a cache: the fact that the memoised
+# decorator returns, and the one constructor that creates a cache, the
+# ring's
+CACHE_OWNERS = {"memoised.decorate.fact", "FiniteRing.__init__"}
 
 
 def _scopes(node, prefix=""):
@@ -396,6 +404,42 @@ def test_every_cache_goes_through_memo():
             if name not in CACHE_OWNERS:
                 stray.append(f"{path.name}:{lineno} ({name})")
     assert stray == []
+
+
+def _memoised_defs(node, prefix=""):
+    """(qualified name, def) of every def decorated by memoised(...)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(d, ast.Call) and getattr(d.func, "id", None)
+                    == "memoised" for d in child.decorator_list):
+                yield name, child
+            yield from _memoised_defs(child, name + ".")
+
+
+def test_memoised_facts_keep_their_names_and_docstrings():
+    """Each fact decorated by memoised carries its own name, qualified
+    name, module and docstring, and no __wrapped__: the tracer of the
+    benchmark wraps module attributes and leaves none behind."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
+    facts = 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, node in _memoised_defs(tree):
+            module = importlib.import_module(f"ringscope.{path.stem}")
+            fact = module
+            for part in qualname.split("."):
+                fact = vars(fact)[part]
+            doc = ast.get_docstring(node)
+            assert fact.__name__ == node.name, qualname
+            assert fact.__qualname__ == qualname, qualname
+            assert fact.__module__ == module.__name__, qualname
+            assert (fact.__doc__ and inspect.cleandoc(fact.__doc__)) == doc, \
+                qualname
+            assert not hasattr(fact, "__wrapped__"), qualname
+            facts += 1
+    assert facts >= 25
 
 
 # the routes that present a quotient group, read in modules, which picks

@@ -14,9 +14,9 @@ from ringscope.ideals import (
 )
 from ringscope.modules import (
     Submodule,
-    cyclic_module,
     cyclic_modules_up_to_iso,
     element_annihilator,
+    factor_module,
     regular_module,
 )
 from ringscope.profile import CyclicFingerprint
@@ -285,15 +285,15 @@ def test_sigma_filter_examples():
     ring = corpus("z8")
     reg = regular_module(ring)
     assert len(sigma_filter(reg)) == 4  # 0 = ann(1) pulls in everything
-    rj = cyclic_module(ring, jacobson_radical(ring))[0]
+    rj = factor_module(ring, jacobson_radical(ring))[0]
     assert sigma_filter(rj) == eta_filter(ring, jacobson_radical(ring))
 
 
 def test_sigma_contains_examples():
     ring = corpus("z8")
     reg = regular_module(ring)
-    z2 = cyclic_module(ring, Submodule(reg, [(2,)]))[0]
-    z4 = cyclic_module(ring, Submodule(reg, [(4,)]))[0]
+    z2 = factor_module(ring, Submodule(reg, [(2,)]))[0]
+    z4 = factor_module(ring, Submodule(reg, [(4,)]))[0]
     assert sigma_contains(z4, z2)
     assert not sigma_contains(z2, z4)
     assert sigma_contains(reg, z4)
