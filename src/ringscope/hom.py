@@ -8,7 +8,8 @@ moduli that is additively well defined and commutes with the action of
 every ring generator, all of which are linear conditions on the
 entries.  Relative injectivity of M with respect to N is decided by
 surjectivity of the restriction maps Hom(N,M) → Hom(K,M) over all
-submodules K ≤ N, one span comparison per submodule.
+submodules K ≤ N, one span comparison per submodule; Hom(N, M) is read
+only when some Hom(K, M) ≠ 0, K ⊊ N.
 
 Relative projectivity has two routes.  The hom route asks, for each
 submodule L of N, whether the composites of Hom(M, N) with N → N/L span
@@ -21,7 +22,13 @@ C(K) = {r : rI ⊆ K}, a lattice test on one table per I
 from __future__ import annotations
 
 from .errors import InputError, TheoremViolationError
-from .exactla import ModMatrix, howell_span, solve_affine, zero_matrix
+from .exactla import (
+    ModMatrix,
+    apply_matrix,
+    howell_span,
+    solve_affine,
+    zero_matrix,
+)
 from .ideals import (
     colon_ideals,
     ideal_index,
@@ -231,8 +238,16 @@ def _missing_map(homs: HomGroup, images):
 
 def is_relatively_injective(m: RightModule, n: RightModule):
     """(flag, certificate): certificate is (K, φ) with φ: K → m
-    non-extendable to n when the answer is negative."""
-    nm_gens = hom_group(n, m).gen_maps()
+    non-extendable to n when the answer is negative.
+
+    The basis of Hom(n, m) is read only at the first K ⊊ n with
+    Hom(K, m) ≠ 0, so a test that meets no such K (n simple, say) stores
+    no hom basis for the pair.  Each basis map F is held as its image
+    rows, and its restriction to K is the images of the inclusion's rows
+    under F."""
+    if not same_ring(m.ring, n.ring):
+        raise InputError("hom between modules over different rings")
+    maps = None
     for k in submodules(n):
         if k.size() == n.order():
             continue  # restriction along the identity
@@ -240,8 +255,13 @@ def is_relatively_injective(m: RightModule, n: RightModule):
         homs_km = hom_group(kmod, m)
         if homs_km.size() == 1:
             continue
-        restrictions = [_flatten_map_rows(gen.apply(r) for r in incl.rows)
-                        for gen in nm_gens]
+        if maps is None:
+            t = m.rank
+            maps = [[flat[i * t:(i + 1) * t] for i in range(n.rank)]
+                    for flat in _hom_kernel(n, m).rows]
+        restrictions = [
+            _flatten_map_rows(apply_matrix(r, f, m.orders) for r in incl.rows)
+            for f in maps]
         phi = _missing_map(homs_km, restrictions)
         if phi is not None:
             return False, (k, phi)

@@ -405,11 +405,13 @@ def submodules(n: RightModule):
 
     A module whose content factor_module has built as R/L reads its
     submodules off the right-ideal lattice (_cyclic_submodules).  Any
-    other module, and always the regular module, whose walk defines that
-    lattice, walks up the lattice by covers (_walk_submodules): from S it
-    steps to S + c for the cyclic c ⊄ S whose proper cyclic submodules
-    all lie in S, which are the covers of S.  The walk asks nothing of
-    the radical and presents no N/S.
+    other module walks up the lattice by covers (_walk_submodules): from
+    S it steps to S + c for the cyclic c ⊄ S whose proper cyclic
+    submodules all lie in S, which are the covers of S.  The walk asks
+    nothing of the radical and presents no N/S.  The regular module,
+    whose walk defines that lattice, always walks: factor_module lists
+    the right ideals, submodules(R), before it records any origin, so a
+    content equal to R's finds its list memoised before it has an origin.
 
     The list is memoised on the ring by n's content, so an equal module
     built separately shares it: the ``parent`` of each submodule is the
@@ -419,8 +421,7 @@ def submodules(n: RightModule):
         raise BoundExceededError(f"module of order {n.order()} exceeds "
                                  f"enumeration bound {SUBMODULE_ENUM_BOUND}")
     ring = n.ring
-    if (ring.order() <= SUBMODULE_ENUM_BOUND
-            and n.key != regular_module(ring).key):
+    if ring.order() <= SUBMODULE_ENUM_BOUND:
         origin = cyclic_origin(n)
         if origin is not None:
             return _cyclic_submodules(n, *origin)

@@ -56,16 +56,21 @@ def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
     The domain is closed under submodules, quotients and finite direct
     sums (Anderson–Fuller §16), and R/(I∩K) embeds in R/I ⊕ R/K, so the
     right ideals L with R/L in it are closed under meets and up-closed:
-    they are up(s) for their least member s.  Walking the classes, a class
-    R/L (its L read from cyclic_origin: every class is built by
-    factor_module, so every class has one) is a member when the meet of
-    the members found so far lies in L, and is not when L lies in a
-    failure; only the classes left open are tested.
+    they are up(s) for their least member s.  Every domain holds the
+    semisimple modules, so s ⊆ J(R) and the walk starts from J: for
+    L ⊇ J, R/L is semisimple, so m is R/L-injective (every K ≤ R/L is a
+    summand, and a map from K extends by zero on a complement) and
+    R/L-projective (R/L → (R/L)/K splits), and R/L joins untested.
+    Walking the classes, a class R/L (its L read from cyclic_origin:
+    every class is built by factor_module, so every class has one) is a
+    member when the meet of J and the members found so far lies in L, and
+    is not when L lies in a failure; only the classes left open are
+    tested.
     """
     ring = m.ring
     index = ideal_index(ring)
     lat = right_ideal_lattice(ring)
-    least, failed, members = lat.top, 0, 0
+    least, failed, members = index[jacobson_radical(ring).gens], 0, 0
     for t, c in enumerate(cyclic_modules_up_to_iso(ring)):
         l = index[cyclic_origin(c)[0]]
         if lat.le(least, l) or (not failed >> l & 1 and relative(m, c)[0]):

@@ -37,6 +37,7 @@ from ringscope.modules import (
     socle,
     submodule_as_module,
     submodules,
+    zero_module,
 )
 from ringscope.ring import zmod
 from ringscope.torsion import sigma_contains
@@ -341,6 +342,41 @@ def test_certificates_past_the_hom_enumeration_bound(free_summands):
         [[x for r in gen.rows for x in proj.apply(r)]
          for gen in hom_group(m, reg).gen_maps()])
     assert not composites.contains([x for r in psi.rows for x in r])
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_injectivity_reads_hom_only_when_a_restriction_needs_it(name):
+    """is_relatively_injective(m, n) reads Hom(n, m) only at a K ⊊ n with
+    Hom(K, m) ≠ 0: against a simple n (its one K ⊊ n is 0) it stores no
+    hom basis for the pair, while against R, whose radical maps into R,
+    it does.  Every module is injective relative to a simple one."""
+    ring = load_ring(name)
+    reg = regular_module(ring)
+    asked = 0
+    for m in [reg, *cyclic_modules_up_to_iso(ring)]:
+        for n in simple_modules(ring):
+            key = ("hom_bases", n.key, m.key)
+            if key in ring._cache:
+                continue  # stored by the isomorphism tests of the simples
+            assert is_relatively_injective(m, n) == (True, None)
+            assert key not in ring._cache, (name, m.label, n.label)
+            asked += 1
+    assert asked
+    assert ("hom_bases", reg.key, reg.key) not in ring._cache
+    is_relatively_injective(reg, reg)
+    assert ("hom_bases", reg.key, reg.key) in ring._cache
+
+
+def test_zero_module_over_another_ring_is_refused():
+    """The zero module has no K ⊊ 0 to restrict to, so the relative
+    injectivity test refuses a pair over two rings before any hom solve,
+    in either order."""
+    a, b = corpus("z8"), corpus("z4xf2")
+    for m, n in ((zero_module(a), regular_module(b)),
+                 (regular_module(a), zero_module(b)),
+                 (zero_module(a), zero_module(b))):
+        with pytest.raises(InputError, match="ring"):
+            is_relatively_injective(m, n)
 
 
 def test_modules_over_different_rings_are_refused():
