@@ -2,10 +2,11 @@
 
 Each run builds a fresh ring, so nothing is memoised, and times
 verify_suite(ring) whole.  Prints, for every corpus ring, the best of
---repeat runs and the number of relative injectivity and projectivity
-tests that the fingerprints ask (profile._fingerprint), counted in one
-more, untimed run: the classes the domain's filter decides, semisimple
-ones included, are never tested.
+--repeat runs, the number of relative injectivity and projectivity
+tests that the fingerprints ask (profile._fingerprint) and the number
+of RightModules built, counted in one more, untimed run: the classes
+the domain's filter decides, semisimple ones included, are never
+tested.
 
 Run as: python benchmarks/bench_verify.py [--repeat 5]
 """
@@ -17,6 +18,7 @@ import time
 from ringscope import _backend
 from ringscope.classify import verify_suite
 from ringscope.cli import load_ring
+from ringscope.modules import RightModule
 
 # the package re-exports the function profile(), which shadows the module
 profile_mod = importlib.import_module("ringscope.profile")
@@ -35,11 +37,17 @@ def bench(name, repeat):
     return best
 
 
-def count_tests(name):
-    """(injectivity, projectivity) tests the fingerprints make in one
-    verify_suite run on a fresh ring."""
-    made = {}
+def counts(name):
+    """(injectivity, projectivity) tests the fingerprints make, and
+    RightModules built, in one verify_suite run on a fresh ring."""
+    made = {"RightModule": 0}
     saved = {}
+    init = RightModule.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made["RightModule"] += 1
+        init(self, *args, **kwargs)
+
     for attr in ("is_relatively_injective", "is_relatively_projective"):
         relative = saved[attr] = getattr(profile_mod, attr)
         made[attr] = 0
@@ -49,12 +57,15 @@ def count_tests(name):
             return relative(m, n)
 
         setattr(profile_mod, attr, counted)
+    RightModule.__init__ = counted_init
     try:
         verify_suite(load_ring(name))
     finally:
+        RightModule.__init__ = init
         for attr, relative in saved.items():
             setattr(profile_mod, attr, relative)
-    return made["is_relatively_injective"], made["is_relatively_projective"]
+    return (made["is_relatively_injective"], made["is_relatively_projective"],
+            made["RightModule"])
 
 
 def main():
@@ -63,11 +74,12 @@ def main():
     args = parser.parse_args()
 
     print(f"kernel backend: {_backend.BACKEND}")
-    print(f"{'ring':<10} {'inj tests':>10} {'proj tests':>10} {'best':>10}")
+    print(f"{'ring':<10} {'inj tests':>10} {'proj tests':>10} "
+          f"{'modules':>10} {'best':>10}")
     for name in CASES:
-        inj, proj = count_tests(name)
+        inj, proj, built = counts(name)
         t = bench(name, args.repeat)
-        print(f"{name:<10} {inj:>10} {proj:>10} {t:>9.3f}s")
+        print(f"{name:<10} {inj:>10} {proj:>10} {built:>10} {t:>9.3f}s")
 
 
 if __name__ == "__main__":

@@ -6,10 +6,14 @@ B = ⊕ B_t, and Hom(A, B) = ⊕ Hom(A_s, B_t) (Anderson–Fuller §16).  Each
 Hom(A_s, B_t) is one linear solve: a map is a matrix F over the target
 moduli that is additively well defined and commutes with the action of
 every ring generator, all of which are linear conditions on the
-entries.  Relative injectivity of M with respect to N is decided by
-surjectivity of the restriction maps Hom(N,M) → Hom(K,M) over all
-submodules K ≤ N, one span comparison per submodule; Hom(N, M) is read
-only when some Hom(K, M) ≠ 0, K ⊊ N.
+entries.  The solve reads only the two contents (generator orders and
+action rows), and a block's content is sliced out of its module's, so
+no block is built as a module.
+
+Relative injectivity of M with respect to N is decided by surjectivity
+of the restriction maps Hom(N,M) → Hom(K,M) over all submodules K ≤ N,
+one span comparison per submodule; Hom(N, M) is read only when some
+Hom(K, M) ≠ 0, K ⊊ N.
 
 Relative projectivity has two routes.  The hom route asks, for each
 submodule L of N, whether the composites of Hom(M, N) with N → N/L span
@@ -41,7 +45,6 @@ from .modules import (
     ModuleMap,
     RightModule,
     Submodule,
-    _reduced_action,
     cyclic_origin,
     quotient_via_lattice,
     regular_module,
@@ -68,9 +71,8 @@ class HomGroup:
         return self.basis.span_size()
 
     def _unflatten(self, flat) -> ModuleMap:
-        t = self.target.rank
-        rows = [flat[i * t:(i + 1) * t] for i in range(self.source.rank)]
-        return ModuleMap(self.source, self.target, rows)
+        return ModuleMap(self.source, self.target,
+                         _map_rows(flat, self.source.rank, self.target.rank))
 
     def gen_maps(self):
         return [self._unflatten(r) for r in self.basis.rows]
@@ -79,25 +81,28 @@ class HomGroup:
 def hom_group(a: RightModule, b: RightModule) -> HomGroup:
     """Hom_R(a, b), wrapping a memoised canonical basis.
 
-    The basis depends only on the contents of the two modules, so it is
-    memoised on the ring under ``("hom_bases", a.key, b.key)`` (generator
-    orders and action rows).  Equal modules built separately share the
-    entry; the table holds no module, and the returned group's ``source``
-    and ``target`` are the objects passed in.
+    The basis is a fact of the two modules' contents (generator orders
+    and action rows), memoised on the ring under ``("hom_bases", a.key,
+    b.key)``.  Equal modules built separately share the entry; the table
+    holds no module, and the returned group's ``source`` and ``target``
+    are the objects passed in.
     """
     if not same_ring(a.ring, b.ring):
         raise InputError("hom between modules over different rings")
-    return HomGroup(a, b, _hom_kernel(a, b))
+    return HomGroup(a, b, _hom_kernel(a.ring, a.key, b.key))
 
 
-@memoised(lambda m: ("blocks", m.key))
-def _blocks(m: RightModule):
-    """The coordinates of m split into blocks, as sorted tuples ordered by
-    their first coordinate: the classes of the union-find joining i and k
-    whenever some action row sends e_i to an element with a nonzero k-th
-    entry.  The action maps the span of each block into itself, so m is
-    the direct sum of its blocks; an indecomposable m is one block."""
-    parent = list(range(m.rank))
+@memoised(lambda ring, key: ("blocks", key))
+def _blocks(ring, key):
+    """(coordinates, content) for each block of the module of content
+    key, ordered by first coordinate.  The coordinates are sorted tuples,
+    the classes of the union-find joining i and k whenever some action
+    row sends e_i to an element with a nonzero k-th entry.  The action
+    maps the span of each block into itself, so the module is the direct
+    sum of its blocks, and a block's content is its orders and action
+    rows sliced out of key; a one-block module's content is key itself."""
+    orders, action = key
+    parent = list(range(len(orders)))
 
     def find(i):
         while parent[i] != i:
@@ -105,62 +110,44 @@ def _blocks(m: RightModule):
             i = parent[i]
         return i
 
-    for act in m.action:
-        for i, row in enumerate(act.rows):
+    for rows in action:
+        for i, row in enumerate(rows):
             for k, x in enumerate(row):
                 if x:
                     parent[find(i)] = find(k)
     blocks = {}
-    for i in range(m.rank):
+    for i in range(len(orders)):
         blocks.setdefault(find(i), []).append(i)
-    return [tuple(b) for b in blocks.values()]
+    coords = [tuple(b) for b in blocks.values()]
+    if len(coords) == 1:
+        return [(coords[0], key)]
+    return [(c, (tuple(orders[i] for i in c),
+                 tuple(tuple(tuple(rows[i][k] for k in c) for i in c)
+                       for rows in action)))
+            for c in coords]
 
 
-def _summands(m: RightModule):
-    """(coordinates, module) for each block of m: m itself when it is one
-    block, else the blocks as modules.  The blocks and the block modules
-    are memoised on the ring by m's content, as one module meets many
-    others in Hom (the block modules carry the label of the first module
-    of that content)."""
-    blocks = _blocks(m)
-    if len(blocks) <= 1:
-        return [(coords, m) for coords in blocks]
-    return _block_modules(m)
+@memoised(lambda ring, a, b: ("hom_bases", a, b))
+def _hom_kernel(ring, a, b) -> ModMatrix:
+    """The canonical basis of Hom_R(A, B) for the modules of contents a
+    and b, one block pair at a time.
 
-
-@memoised(lambda m: ("summands", m.key))
-def _block_modules(m: RightModule):
-    out = []
-    for coords in _blocks(m):
-        orders = tuple(m.orders[i] for i in coords)
-        action = [[tuple(act.rows[i][k] for k in coords) for i in coords]
-                  for act in m.action]
-        out.append((coords, RightModule(m.ring, orders,
-                                        _reduced_action(orders, action),
-                                        label=f"{m.label} (block)")))
-    return out
-
-
-@memoised(lambda a, b: ("hom_bases", a.key, b.key))
-def _hom_kernel(a: RightModule, b: RightModule) -> ModMatrix:
-    """The canonical basis of Hom_R(a, b), one block pair at a time.
-
-    Each Hom(a_s, b_t) is this fact of the pair of blocks, so a pair that
-    repeats is solved once; its rows are placed at the flattened
-    coordinates of the pair, and one Howell span canonicalises them.  The
-    result is the basis that _hom_kernel_mono gives for the whole pair.
+    Each Hom(A_s, B_t) is this fact of the pair of block contents, so a
+    pair that repeats is solved once; its rows are placed at the
+    flattened coordinates of the pair, and one Howell span canonicalises
+    them.  The result is the basis that _hom_kernel_mono gives for the
+    whole pair.
     """
-    sa, sb = _summands(a), _summands(b)
+    sa, sb = _blocks(ring, a), _blocks(ring, b)
     if len(sa) <= 1 and len(sb) <= 1:
         return _hom_kernel_mono(a, b)
-    br = b.rank
-    umods = b.orders * a.rank
+    br = len(b[0])
+    umods = b[0] * len(a[0])
     rows = []
-    for cs, ms in sa:
-        for ct, mt in sb:
-            basis = _hom_kernel(ms, mt)
+    for cs, a_s in sa:
+        for ct, b_t in sb:
             w = len(ct)
-            for flat in basis.rows:
+            for flat in _hom_kernel(ring, a_s, b_t).rows:
                 row = [0] * len(umods)
                 for p, x in enumerate(flat):
                     if x:
@@ -169,12 +156,14 @@ def _hom_kernel(a: RightModule, b: RightModule) -> ModMatrix:
     return howell_span(umods, rows)
 
 
-def _hom_kernel_mono(a: RightModule, b: RightModule) -> ModMatrix:
-    """The solution space of the linear conditions defining Hom_R(a, b),
-    in one solve over all the coordinates."""
-    ar, br = a.rank, b.rank
+def _hom_kernel_mono(a, b) -> ModMatrix:
+    """The solution space of the linear conditions defining Hom_R(A, B)
+    for the modules of contents a and b, in one solve over all the
+    coordinates."""
+    (a_orders, a_action), (b_orders, b_action) = a, b
+    ar, br = len(a_orders), len(b_orders)
     ncols = ar * br
-    umods = b.orders * ar
+    umods = b_orders * ar
     if ncols == 0:
         return zero_matrix(umods)
 
@@ -193,12 +182,11 @@ def _hom_kernel_mono(a: RightModule, b: RightModule) -> ModMatrix:
     # additive well-definedness: orders[i]·F[i][j] ≡ 0
     for i in range(ar):
         for j in range(br):
-            add_equation({upos(i, j): a.orders[i]}, b.orders[j])
+            add_equation({upos(i, j): a_orders[i]}, b_orders[j])
     # commutation with each generator action
-    for g in range(a.ring.rank):
-        bact = b.action[g].rows
+    for arows, bact in zip(a_action, b_action):
         for i in range(ar):
-            moved = a.action[g].rows[i]  # e_i · g in source
+            moved = arows[i]  # e_i · g in source
             for u in range(br):
                 coeffs = {}
                 for t in range(ar):
@@ -207,9 +195,9 @@ def _hom_kernel_mono(a: RightModule, b: RightModule) -> ModMatrix:
                 for v in range(br):
                     if bact[v][u]:
                         coeffs[upos(i, v)] = coeffs.get(upos(i, v), 0) - bact[v][u]
-                coeffs = {k: c for k, c in coeffs.items() if c % b.orders[u]}
+                coeffs = {k: c for k, c in coeffs.items() if c % b_orders[u]}
                 if coeffs:
-                    add_equation(coeffs, b.orders[u])
+                    add_equation(coeffs, b_orders[u])
     neq = len(eq_moduli)
     rows = [[0] * neq for _ in range(ncols)]
     for u in range(ncols):
@@ -219,8 +207,15 @@ def _hom_kernel_mono(a: RightModule, b: RightModule) -> ModMatrix:
     return ker
 
 
-def _flatten_map_rows(rows):
-    return tuple(x for row in rows for x in row)
+def _map_rows(flat, s: int, t: int):
+    """The s image rows, t entries each, of a flattened map matrix."""
+    return [flat[i * t:(i + 1) * t] for i in range(s)]
+
+
+def _compose(f, g, orders):
+    """The flattened matrix of x ↦ (x·f)·g, the map given by the rows f
+    followed by the one given by the rows g; orders are g's target's."""
+    return tuple(x for r in f for x in apply_matrix(r, g, orders))
 
 
 def _missing_map(homs: HomGroup, images):
@@ -256,12 +251,9 @@ def is_relatively_injective(m: RightModule, n: RightModule):
         if homs_km.size() == 1:
             continue
         if maps is None:
-            t = m.rank
-            maps = [[flat[i * t:(i + 1) * t] for i in range(n.rank)]
-                    for flat in _hom_kernel(n, m).rows]
-        restrictions = [
-            _flatten_map_rows(apply_matrix(r, f, m.orders) for r in incl.rows)
-            for f in maps]
+            maps = [_map_rows(flat, n.rank, m.rank)
+                    for flat in _hom_kernel(n.ring, n.key, m.key).rows]
+        restrictions = [_compose(incl.rows, f, m.orders) for f in maps]
         phi = _missing_map(homs_km, restrictions)
         if phi is not None:
             return False, (k, phi)
@@ -328,8 +320,10 @@ def _projective_by_colons(m: RightModule, n: RightModule, colons):
 def _projective_by_homs(m: RightModule, n: RightModule):
     """is_relatively_projective(m, n) by hom groups: for each submodule L
     of n, the composites of Hom(m, n) with n → n/L must span
-    Hom(m, n/L)."""
-    mn_gens = hom_group(m, n).gen_maps()
+    Hom(m, n/L).  Each basis map of Hom(m, n) is held as its image rows,
+    and its composite with n → n/L is those rows under the projection."""
+    maps = [_map_rows(flat, m.rank, n.rank)
+            for flat in hom_group(m, n).basis.rows]
     for l in submodules(n):
         if l.size() == 1:
             continue  # lifting along the identity
@@ -337,8 +331,7 @@ def _projective_by_homs(m: RightModule, n: RightModule):
         homs_mq = hom_group(m, q)
         if homs_mq.size() == 1:
             continue
-        composites = [_flatten_map_rows(proj.apply(r) for r in gen.rows)
-                      for gen in mn_gens]
+        composites = [_compose(f, proj.rows, q.orders) for f in maps]
         psi = _missing_map(homs_mq, composites)
         if psi is not None:
             return False, (l, psi)

@@ -5,6 +5,7 @@ and the domain predicates to pointwise extension/lift search.
 """
 
 import importlib
+import itertools
 
 import pytest
 
@@ -25,6 +26,7 @@ from ringscope.hom import (
 )
 from ringscope.ideals import right_ideals, two_sided_ideals
 from ringscope.modules import (
+    RightModule,
     Submodule,
     cyclic_modules_up_to_iso,
     direct_sum,
@@ -98,8 +100,10 @@ def test_block_pairs_assemble_the_single_solve(source):
     split = 0
     for a in mods:
         for b in mods:
-            assert _hom_kernel(a, b) == _hom_kernel_mono(a, b), (a, b)
-            split += len(_blocks(a)) > 1 or len(_blocks(b)) > 1
+            assert (_hom_kernel(ring, a.key, b.key)
+                    == _hom_kernel_mono(a.key, b.key)), (a, b)
+            split += (len(_blocks(ring, a.key)) > 1
+                      or len(_blocks(ring, b.key)) > 1)
     assert split > len(mods)
 
 
@@ -107,7 +111,8 @@ def test_block_pairs_assemble_the_single_solve(source):
 def test_blocks_of_a_sum_of_indecomposables_are_the_summands(name):
     """A simple module is indecomposable, and so is every nonzero cyclic
     module over a local ring; the blocks of their direct sum are exactly
-    the coordinates of the summands."""
+    the coordinates of the summands, and each block's content is its
+    summand's."""
     ring = corpus(name)
     parts = simple_modules(ring)
     if name in ("z8", "f2xy_j2", "f2xy_x2y2"):   # local rings
@@ -116,8 +121,34 @@ def test_blocks_of_a_sum_of_indecomposables_are_the_summands(name):
     offsets = [0]
     for p in parts:
         offsets.append(offsets[-1] + p.rank)
-    assert _blocks(direct_sum(parts)) == [
+    blocks = _blocks(ring, direct_sum(parts).key)
+    assert [coords for coords, _ in blocks] == [
         tuple(range(lo, hi)) for lo, hi in zip(offsets, offsets[1:])]
+    assert [content for _, content in blocks] == [p.key for p in parts]
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_hom_into_a_direct_sum_builds_no_module(name, monkeypatch):
+    """Hom(c, a ⊕ b) reads the blocks of a ⊕ b off its content: it builds
+    no RightModule and leaves no summands table on the ring."""
+    ring = load_ring(name)  # fresh, so no block fact is memoised yet
+    cyc = [c for c in cyclic_modules_up_to_iso(ring) if c.rank]
+    sums = [direct_sum([a, b])
+            for a, b in itertools.combinations_with_replacement(cyc[:4], 2)]
+    built = []
+    init = RightModule.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RightModule, "__init__", counted)
+    for c in cyc:
+        for total in sums:
+            hom_group(c, total)
+    assert built == []
+    assert not [k for k in ring._cache
+                if isinstance(k, tuple) and k[0] == "summands"]
 
 
 def test_hom_basis_maps_are_valid():
