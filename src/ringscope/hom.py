@@ -33,15 +33,9 @@ from .exactla import (
     solve_affine,
     zero_matrix,
 )
-from .ideals import (
-    colon_ideals,
-    ideal_index,
-    right_ideal_lattice,
-    right_ideals,
-)
+from .ideals import colon_ideals, right_ideal_lattice, right_ideals
 from .lattice import _bits
 from .modules import (
-    SUBMODULE_ENUM_BOUND,
     ModuleMap,
     RightModule,
     Submodule,
@@ -269,8 +263,8 @@ def is_relatively_projective(m: RightModule, n: RightModule):
     of n; for a cyclic n = R/I it is the factor module R/K ≅ n/L, K the
     preimage of L (see quotient_via_lattice).
 
-    When m = R/I with I two-sided and n = R/L (cyclic_origin of both), on
-    a ring small enough to list its right ideals, the answer is read off
+    When m = R/I with I two-sided and n = R/L (cyclic_origin of both,
+    recorded on rings that list their right ideals), the answer is read off
     the colon ideals C(K) = {r : rI ⊆ K} (ideals.colon_ideals).  A map
     R/I → R/K is 1 + I ↦ y + K for a y with yI ⊆ K, so Hom(R/I, R/K) ≅
     C(K)/K.  The quotients of R/L are the R/K, K ⊇ L (the correspondence
@@ -280,24 +274,22 @@ def is_relatively_projective(m: RightModule, n: RightModule):
     ψ(1 + I) = y + K for a Howell row y of C(K) outside C(L) + K.  Other
     pairs take the hom route (_projective_by_homs).
     """
-    ring = m.ring
     origin_m, origin_n = cyclic_origin(m), cyclic_origin(n)
-    if (origin_m and origin_n and same_ring(ring, n.ring)
-            and ring.order() <= SUBMODULE_ENUM_BOUND):
-        colons = colon_ideals(ring, origin_m[0])
+    if origin_m and origin_n and same_ring(m.ring, n.ring):
+        colons = colon_ideals(m.ring, origin_m[0])
         if colons is not None:
-            return _projective_by_colons(m, n, colons)
+            return _projective_by_colons(m, n, colons, origin_m, origin_n)
     return _projective_by_homs(m, n)
 
 
-def _projective_by_colons(m: RightModule, n: RightModule, colons):
+def _projective_by_colons(m: RightModule, n: RightModule, colons,
+                          origin_m, origin_n):
     """is_relatively_projective(m, n) for m = R/I, I two-sided, and
-    n = R/L, given the colon ideals of I; the K ⊇ L are tried in ideal
-    index order."""
+    n = R/L, given the colon ideals of I and the origins of m and n; the
+    K ⊇ L are tried in ideal index order."""
     ring = m.ring
     lat = right_ideal_lattice(ring)
-    gens, proj_n = cyclic_origin(n)
-    start = ideal_index(ring)[gens]
+    start, proj_n = origin_n
     for k in _bits(lat.up[start]):
         lifted = lat.join[colons[start]][k]
         if lifted == colons[k]:
@@ -312,7 +304,7 @@ def _projective_by_colons(m: RightModule, n: RightModule, colons):
         l = Submodule(n, [proj_n.apply(r) for r in ideals[k].gens.rows])
         q, proj = quotient_via_lattice(n, l)
         psi = ModuleMap(m, q, [proj.apply(proj_n.apply(ring.el_mul(y, s)))
-                               for s in cyclic_origin(m)[1].section])
+                               for s in origin_m[1].section])
         return False, (l, psi)
     return True, None
 

@@ -113,6 +113,15 @@ def is_two_sided(ring: FiniteRing, ideal: Submodule) -> bool:
     return True
 
 
+def two_sided_index(ring: FiniteRing, ideal: Submodule):
+    """ideal's index in right_ideals(ring) when it is a two-sided ideal,
+    else None.  is_two_sided checks left products only, so a left ideal
+    that is not a right ideal passes it and is refused by the lookup."""
+    if not is_two_sided(ring, ideal):
+        return None
+    return ideal_index(ring).get(ideal.gens)
+
+
 @memoised("two_sided_ideals")
 def two_sided_ideals(ring: FiniteRing):
     return [i for i in right_ideals(ring) if is_two_sided(ring, i)]
@@ -131,11 +140,11 @@ def annihilator_cores(ring: FiniteRing) -> list:
     return [lat.join_all(two & down) for down in lat.down]
 
 
-@memoised(lambda ring, gens: ("colon_ideals", gens))
-def colon_ideals(ring: FiniteRing, gens):
+@memoised(lambda ring, t: ("colon_ideals", t))
+def colon_ideals(ring: FiniteRing, t: int):
     """[C(K) for each right ideal K, both by ideal index], C(K) = {r in R :
-    rI ⊆ K}, for the right ideal I with Howell generators gens, memoised
-    on the ring by them; None when I is not two-sided.
+    rI ⊆ K}, for the right ideal I = right_ideals(ring)[t], memoised on
+    the ring by t; None when I is not two-sided.
 
     C(K) is a right ideal, I being a left ideal too (rsI ⊆ rI ⊆ K).  A
     right ideal is the join of the join-irreducibles below it, and g ⊆
@@ -144,7 +153,7 @@ def colon_ideals(ring: FiniteRing, gens):
     one mask per K."""
     ideals = right_ideals(ring)
     index = ideal_index(ring)
-    ideal = ideals[index[gens]]
+    ideal = ideals[t]
     if not is_two_sided(ring, ideal):
         return None
     lat = right_ideal_lattice(ring)

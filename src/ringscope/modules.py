@@ -320,10 +320,10 @@ def _origins(ring: FiniteRing) -> dict:
 
 
 def cyclic_origin(m: RightModule):
-    """(L, π) when m's content has been built as R/L by factor_module:
-    L's Howell generators and the projection π: R → R/L, which carries
-    its section; else None.  A lookup records nothing, so a content
-    built as R/L after it was first asked about has its origin then."""
+    """(t, π) when factor_module has built m's content as R/L, with L =
+    right_ideals(ring)[t] and π: R → R/L carrying its section; else None.
+    A lookup records nothing, so a content built as R/L after it was
+    first asked about has its origin then."""
     return _origins(m.ring).get(m.key)
 
 
@@ -332,20 +332,21 @@ def factor_module(ring: FiniteRing, ideal: Submodule):
     """(R/I, projection from the regular module) for a right ideal I,
     built once per ring: every call with I returns the one R/I, which the
     cyclic classes, the profile witnesses and the projectivity test read.
-    An I listed in ideal_index is a submodule of R by construction, so
-    its quotient skips the closure scan.  The build records I and the
-    projection as the origin of R/I's content (cyclic_origin) unless it
-    has one: the first build of a content wins.  The submodules and
-    quotients of R/I are then read off the right-ideal lattice."""
+    On a ring within SUBMODULE_ENUM_BOUND a listed I is a submodule of R
+    by construction, so its quotient skips the closure scan, and the build
+    records I's index and the projection as the origin of R/I's content
+    (cyclic_origin) unless it has one: the first build of a content wins.
+    Only a module with an origin reads the right-ideal lattice."""
     from .ideals import ideal_index  # deferred: ideals builds on modules
 
     reg = regular_module(ring)
     sub = Submodule(reg, ideal.gens)
-    listed = (ring.order() <= SUBMODULE_ENUM_BOUND
-              and sub.gens in ideal_index(ring))
+    t = (ideal_index(ring).get(sub.gens)
+         if ring.order() <= SUBMODULE_ENUM_BOUND else None)
     q, proj = quotient_module(reg, sub, label=f"{ring.label}/I",
-                              closed=listed)
-    _origins(ring).setdefault(q.key, (sub.gens, proj))
+                              closed=t is not None)
+    if t is not None:
+        _origins(ring).setdefault(q.key, (t, proj))
     return q, proj
 
 
@@ -353,16 +354,19 @@ def factor_module(ring: FiniteRing, ideal: Submodule):
 def quotient_via_lattice(n: RightModule, l: Submodule):
     """n/l with its projection, memoised on the ring by the contents of n
     and l.  For n = R/L (cyclic_origin) it is R/K, K the preimage of l in
-    R, L plus the lifts of l's rows, read from factor_module: (R/L)/(K/L)
+    R, L's rows plus the lifts of l's, read from factor_module: (R/L)/(K/L)
     ≅ R/K.  The projection sends e_i to π_K(section_L(e_i)).  Any other
     n goes through quotient_module."""
+    from .ideals import right_ideals  # deferred: ideals builds on modules
+
     origin = cyclic_origin(n)
     if origin is None:
         return quotient_module(n, l)
-    gens, proj_l = origin
+    t, proj_l = origin
     reg = proj_l.source
     lifts = [apply_matrix(r, proj_l.section, reg.orders) for r in l.gens.rows]
-    q, proj_k = factor_module(n.ring, Submodule(reg, gens.rows + tuple(lifts)))
+    low = right_ideals(n.ring)[t].gens.rows
+    q, proj_k = factor_module(n.ring, Submodule(reg, low + tuple(lifts)))
     proj = ModuleMap(n, q, [proj_k.apply(s) for s in proj_l.section])
     proj.section = [proj_l.apply(s) for s in proj_k.section]
     return q, proj
@@ -420,11 +424,9 @@ def submodules(n: RightModule):
     if n.order() > SUBMODULE_ENUM_BOUND:
         raise BoundExceededError(f"module of order {n.order()} exceeds "
                                  f"enumeration bound {SUBMODULE_ENUM_BOUND}")
-    ring = n.ring
-    if ring.order() <= SUBMODULE_ENUM_BOUND:
-        origin = cyclic_origin(n)
-        if origin is not None:
-            return _cyclic_submodules(n, *origin)
+    origin = cyclic_origin(n)
+    if origin is not None:
+        return _cyclic_submodules(n, *origin)
     return submodule_walk(n)[0]
 
 
@@ -524,15 +526,14 @@ def _walk_submodules(n: RightModule):
     return sorted(seen, key=lambda s: (s.size(), s.gens.rows)), seen
 
 
-def _cyclic_submodules(n: RightModule, ideal: ModMatrix, proj: ModuleMap):
-    """The submodules of n = R/L, sorted as the walk sorts them: the
-    images K/L = π(K) of the right ideals K ⊇ L (the correspondence
-    theorem, Anderson–Fuller Ch. 1), read off the right-ideal lattice.  The
-    regular module is never read this way: its walk defines the lattice."""
-    from .ideals import ideal_index, right_ideal_lattice, right_ideals  # deferred
+def _cyclic_submodules(n: RightModule, low: int, proj: ModuleMap):
+    """The submodules of n = R/L, L = right_ideals(ring)[low], sorted as
+    the walk sorts them: the images K/L = π(K) of the right ideals K ⊇ L
+    (the correspondence theorem, Anderson–Fuller Ch. 1), read off the
+    lattice.  The regular module is never read so: its walk defines it."""
+    from .ideals import right_ideal_lattice, right_ideals  # deferred
 
     ideals = right_ideals(n.ring)
-    low = ideal_index(n.ring)[ideal]
     subs = [Submodule(n, [proj.apply(r) for r in ideals[t].gens.rows])
             for t in _bits(right_ideal_lattice(n.ring).up[low])]
     return sorted(subs, key=lambda s: (s.size(), s.gens.rows))
@@ -744,11 +745,11 @@ def is_isomorphic_modules(a: RightModule, b: RightModule):
             or additive_type(a.orders) != additive_type(b.orders)):
         return False, None
     ka, kb = cyclic_origin(a), cyclic_origin(b)
-    if ka and kb and a.ring.order() <= SUBMODULE_ENUM_BOUND:
-        from .ideals import annihilator_cores, ideal_index  # deferred
+    if ka and kb:
+        from .ideals import annihilator_cores  # deferred
 
-        cores, index = annihilator_cores(a.ring), ideal_index(a.ring)
-        if cores[index[ka[0]]] != cores[index[kb[0]]]:
+        cores = annihilator_cores(a.ring)
+        if cores[ka[0]] != cores[kb[0]]:
             return False, None
     from .hom import hom_group  # deferred: hom builds on modules
 

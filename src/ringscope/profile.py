@@ -16,9 +16,9 @@ from .hom import is_relatively_injective, is_relatively_projective
 from .ideals import (
     ideal_index,
     ideals_in_radical,
-    is_two_sided,
     jacobson_radical,
     right_ideal_lattice,
+    two_sided_index,
 )
 from .lattice import (
     FiniteLattice,
@@ -61,18 +61,18 @@ def _fingerprint(m: RightModule, relative) -> CyclicFingerprint:
     L ⊇ J, R/L is semisimple, so m is R/L-injective (every K ≤ R/L is a
     summand, and a map from K extends by zero on a complement) and
     R/L-projective (R/L → (R/L)/K splits), and R/L joins untested.
-    Walking the classes, a class R/L (its L read from cyclic_origin:
+    Walking the classes, a class R/L (L's index read from cyclic_origin:
     every class is built by factor_module, so every class has one) is a
     member when the meet of J and the members found so far lies in L, and
     is not when L lies in a failure; only the classes left open are
     tested.
     """
     ring = m.ring
-    index = ideal_index(ring)
     lat = right_ideal_lattice(ring)
-    least, failed, members = index[jacobson_radical(ring).gens], 0, 0
+    least = ideal_index(ring)[jacobson_radical(ring).gens]
+    failed = members = 0
     for t, c in enumerate(cyclic_modules_up_to_iso(ring)):
-        l = index[cyclic_origin(c)[0]]
+        l = cyclic_origin(c)[0]
         if lat.le(least, l) or (not failed >> l & 1 and relative(m, c)[0]):
             least = lat.meet[least][l]
             members |= 1 << t
@@ -106,14 +106,13 @@ def killed_by(ring: FiniteRing, ideal) -> CyclicFingerprint:
 
     For C = R/L (cyclic_origin), C·I = (I + L)/L, so C is killed by I iff
     I ⊆ L: one lookup in the right-ideal lattice per class."""
-    if not is_two_sided(ring, ideal):
+    i = two_sided_index(ring, ideal)
+    if i is None:
         raise InputError("killed_by needs a two-sided ideal")
-    index = ideal_index(ring)
     lat = right_ideal_lattice(ring)
-    i = index[ideal.gens]
     return CyclicFingerprint(
         ring, sum(1 << t for t, c in enumerate(cyclic_modules_up_to_iso(ring))
-                  if lat.le(i, index[cyclic_origin(c)[0]])))
+                  if lat.le(i, cyclic_origin(c)[0])))
 
 
 class ProfileReport:

@@ -25,9 +25,9 @@ from __future__ import annotations
 from .errors import BoundExceededError, InputError, TheoremViolationError
 from .ideals import (
     ideal_index,
-    is_two_sided,
     right_ideal_lattice,
     right_ideals,
+    two_sided_index,
 )
 from .lattice import _bits
 from .modules import (
@@ -45,7 +45,7 @@ FILTER_IDEAL_GUARD = 400
 class IdealContext:
     """Per-ring colon tables over the canonical right-ideal list: the
     colon ideals at the additive generators of each R/I_t, memoised on
-    the ring by the ideal's Howell rows."""
+    the ring by the ideal's index t."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
@@ -60,11 +60,11 @@ class IdealContext:
         ann = element_annihilator(q, proj.apply(self.ring.reduce_el(r)))
         return self.index[ann.gens]
 
-    @memoised(lambda ctx, t: ("f4_colons", ctx.ideals[t].gens))
+    @memoised(lambda ctx, t: ("f4_colons", t))
     def generator_colons(self, t: int) -> list:
         """[(r, (I_t : r))] for the lifts r of the additive generators of
         R/I_t, the section of its projection: by fact (c) these colons
-        decide F4 at I_t.  Memoised on the ring by I_t's generators."""
+        decide F4 at I_t.  Memoised on the ring by t."""
         proj = factor_module(self.ring, self.ideals[t])[1]
         return [(r, self.colon(t, r))
                 for r in map(self.ring.reduce_el, proj.section)]
@@ -86,7 +86,9 @@ class LinearFilter(IndexSet):
         return right_ideals(self.ring)[lat.meet_all(self.members)]
 
     def __contains__(self, ideal: Submodule):
-        return bool(self.members >> ideal_index(self.ring)[ideal.gens] & 1)
+        """False for a span that is not a right ideal."""
+        t = ideal_index(self.ring).get(ideal.gens)
+        return t is not None and bool(self.members >> t & 1)
 
     def __repr__(self):
         return f"LinearFilter({len(self)} ideals)"
@@ -94,12 +96,16 @@ class LinearFilter(IndexSet):
 
 def is_linear_filter(ring: FiniteRing, members):
     """(flag, report) for a LinearFilter or a bitset of ideal indices:
-    report names the first violated axiom.  F1 and F3 are mask tests;
-    past them F2 holds iff the set is up(m), m the meet of all members,
-    by fact (a).  Else some pair has its meet outside: were every
-    pairwise meet a member, so would m be, and F3 would give up(m)."""
+    report names the first violated axiom; InputError for a bitset with
+    a bit that names no right ideal.  F1 and F3 are mask tests; past them
+    F2 holds iff the set is up(m), m the meet of all members, by fact
+    (a).  Else some pair has its meet outside: were every pairwise meet a
+    member, so would m be, and F3 would give up(m)."""
     lat = right_ideal_lattice(ring)
     mem = members.members if isinstance(members, LinearFilter) else members
+    if mem < 0 or mem >> lat.size:
+        raise InputError(f"bitset {mem} names no set of the {lat.size} "
+                         "right ideals")
     if not mem >> lat.top & 1:
         return False, "F1: the whole ring is missing"
     for t in _bits(mem):
@@ -121,15 +127,15 @@ def is_linear_filter(ring: FiniteRing, members):
 
 def eta_filter(ring: FiniteRing, ideal: Submodule) -> LinearFilter:
     """η(I): all right ideals containing the two-sided ideal I."""
-    if not is_two_sided(ring, ideal):
+    t = two_sided_index(ring, ideal)
+    if t is None:
         raise InputError("eta filter needs a two-sided ideal")
-    return _checked_upset(ring, ideal, "eta filter of a two-sided ideal")
+    return _checked_upset(ring, t, "eta filter of a two-sided ideal")
 
 
-def _checked_upset(ring: FiniteRing, ideal: Submodule, name: str):
-    """up(I), the right ideals containing I, as a LinearFilter that must
-    pass is_linear_filter."""
-    t = ideal_index(ring)[ideal.gens]
+def _checked_upset(ring: FiniteRing, t: int, name: str):
+    """up(I_t), the right ideals containing right_ideals(ring)[t], as a
+    LinearFilter that must pass is_linear_filter."""
     filt = LinearFilter(ring, right_ideal_lattice(ring).up[t])
     ok, report = is_linear_filter(ring, filt)
     if not ok:
@@ -168,7 +174,8 @@ def sigma_filter(m: RightModule) -> LinearFilter:
     """The filter of σ[M]: the right ideals holding a finite intersection
     of element annihilators.  The meet of them all is one of those
     intersections, and it is ann(M), so the filter is up(ann M)."""
-    return _checked_upset(m.ring, annihilator(m), "sigma filter")
+    ann = ideal_index(m.ring)[annihilator(m).gens]
+    return _checked_upset(m.ring, ann, "sigma filter")
 
 
 def sigma_contains(m: RightModule, n: RightModule) -> bool:

@@ -7,7 +7,8 @@ import pytest
 
 from ringscope import modules
 from ringscope.cli import load_ring
-from ringscope.ideals import ideals_in_radical
+from ringscope.hom import is_relatively_injective, is_relatively_projective
+from ringscope.ideals import ideals_in_radical, right_ideals
 from ringscope.modules import (
     cyclic_modules_up_to_iso,
     cyclic_span,
@@ -20,6 +21,7 @@ from ringscope.modules import (
     zero_submodule,
 )
 from ringscope.profile import proj_fingerprint
+from ringscope.ring import zmod
 
 from conftest import (DIFFERENTIAL_RINGS, RECIPE_RINGS, SMALL_CORPUS, corpus,
                       drawn_recipes, recipes_module)
@@ -154,5 +156,24 @@ def test_every_cyclic_class_has_an_origin(group):
         for c in cyclic_modules_up_to_iso(ring):
             origin = modules.cyclic_origin(c)
             assert origin is not None, (ring.label, c.label)
-            q, _ = factor_module(ring, modules.Submodule(reg, origin[0].rows))
+            ideal = right_ideals(ring)[origin[0]]
+            q, _ = factor_module(ring, modules.Submodule(reg, ideal.gens.rows))
             assert q.key == c.key, (ring.label, c.label)
+
+
+def test_a_ring_too_large_to_list_its_ideals_records_no_origin():
+    """On Z/8192, past SUBMODULE_ENUM_BOUND, factor_module records no
+    origin, so every question about Z/2, Z/4 and Z/8 takes the general
+    route, with the answers of the lattice route on the small rings."""
+    ring = zmod(8192)
+    assert ring.order() > modules.SUBMODULE_ENUM_BOUND
+    reg = regular_module(ring)
+    z = {k: factor_module(ring, cyclic_span(reg, (k,)))[0] for k in (2, 4, 8)}
+    assert [modules.cyclic_origin(z[k]) for k in z] == [None] * 3
+    assert [s.size() for s in submodules(z[8])] == [1, 2, 4, 8]
+    assert [is_relatively_projective(z[a], z[b])[0]
+            for a, b in ((4, 8), (2, 4), (4, 4))] == [False, False, True]
+    assert [is_relatively_injective(z[a], z[b])[0]
+            for a, b in ((4, 8), (4, 2))] == [False, True]
+    assert is_isomorphic_modules(z[4], z[4])[0]
+    assert not is_isomorphic_modules(z[4], z[8])[0]

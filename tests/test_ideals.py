@@ -296,8 +296,8 @@ def test_colon_ideals_match_the_element_scan(group):
         ideals = right_ideals(ring)
         reg = regular_module(ring)
         elements = list(ring.elements())
-        for i in ideals:
-            colons = colon_ideals(ring, i.gens)
+        for t, i in enumerate(ideals):
+            colons = colon_ideals(ring, t)
             if not is_two_sided(ring, i):
                 assert colons is None
                 continue

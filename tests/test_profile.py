@@ -44,7 +44,7 @@ from ringscope.profile import (
     semisimple_cyclics,
 )
 from ringscope.ring import zmod
-from ringscope.torsion import all_linear_filters
+from ringscope.torsion import all_linear_filters, eta_filter
 
 from conftest import (
     DIFFERENTIAL_RINGS,
@@ -201,6 +201,28 @@ def test_killed_by_refuses_a_one_sided_ideal(group):
                     killed_by(ring, ideal)
                 refused += 1
     assert refused
+
+
+@pytest.mark.parametrize("name", ["t2f2", "m2f2", "quiver_f2"])
+def test_a_left_ideal_that_is_no_right_ideal_is_refused(name):
+    """A left ideal Rx that is not a right ideal passes is_two_sided,
+    which checks left products only: the ideal entry points refuse it as
+    they refuse a one-sided right ideal, and no filter holds it."""
+    ring = load_ring(name)
+    reg = regular_module(ring)
+    listed = {i.gens for i in right_ideals(ring)}
+    left = next(span for span in (
+        Submodule(reg, [ring.el_mul(ring.generator(i), x)
+                        for i in range(ring.rank)])
+        for x in ring.elements()) if span.gens not in listed)
+    assert is_two_sided(ring, left)
+    for entry in (lambda: eta_filter(ring, left),
+                  lambda: killed_by(ring, left),
+                  lambda: find_witness(ring, left, "i"),
+                  lambda: find_witness(ring, left, "p")):
+        with pytest.raises(InputError, match="two-sided"):
+            entry()
+    assert not any(left in f for f in all_linear_filters(ring))
 
 
 def test_killed_by_computes_no_module_product(monkeypatch):

@@ -470,6 +470,41 @@ def test_presentations_are_read_only_in_modules():
         == PRESENTATIONS
 
 
+# the functions that may ask whether a ring is small enough to list its
+# right ideals: factor_module, which gives a cyclic module its origin
+# only then, and _top, which reads the radical only then
+RING_SIZE_DECIDERS = {("modules.py", "factor_module"), ("modules.py", "_top")}
+
+
+def _is_ring_order(node):
+    """True for a call x.order() on a ring: x named ring or read as .ring."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "order"
+            and (getattr(node.func.value, "id", None) == "ring"
+                 or getattr(node.func.value, "attr", None) == "ring"))
+
+
+def test_only_factor_module_decides_lattice_access():
+    """Outside factor_module and _top no code compares a ring's order
+    with SUBMODULE_ENUM_BOUND: a module reads the right-ideal lattice iff
+    it has an origin, which factor_module records only on a ring that
+    lists its right ideals."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ringscope"
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = list(_scopes(tree))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if (any(getattr(o, "id", getattr(o, "attr", None))
+                    == "SUBMODULE_ENUM_BOUND" for o in operands)
+                    and any(_is_ring_order(o) for o in operands)):
+                sites.add((path.name, _scope_of(scopes, node.lineno)))
+    assert sites == RING_SIZE_DECIDERS
+
+
 def test_modules_and_ideal_contexts_hold_no_cache():
     """Every memo table is owned by a ring."""
     ring = zmod(4)

@@ -132,6 +132,14 @@ def test_filter_axiom_f4():
             assert_f4_report_names_a_witness(ring, members, rep)
 
 
+@pytest.mark.parametrize("members", [31, 1 << 4, 128, -1])
+def test_a_bitset_past_the_right_ideals_is_refused(members):
+    """Z/8 has four right ideals, so a bitset with a bit at 4 or above,
+    or a negative one, names no set of them, whichever bit comes first."""
+    with pytest.raises(InputError, match="right ideals"):
+        is_linear_filter(corpus("z8"), members)
+
+
 def test_principal_filters_match_the_upset_walk():
     """The filters among the up(s), one per right ideal, are every filter
     that the walk over all up-sets finds, in the same order."""
